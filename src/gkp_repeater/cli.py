@@ -244,6 +244,8 @@ class SweepRequest:
             raise ValueError(f"squeezing_db must be finite, got {self.squeezing_db}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def geometry(self, n_qr: int) -> list[tuple[float, float]]:
         """(l0, total distance) pairs for one station count."""
@@ -579,6 +581,8 @@ def _validation_rows(scope: str, trials: int, seed: int) -> list[dict]:
 def cmd_mc_validate(args, parser: argparse.ArgumentParser) -> int:
     if args.trials < 1:
         parser.error("--trials must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     rows = _validation_rows(args.scope, args.trials, args.seed)
     lines = [
         f"mc-validate scope={args.scope} trials={args.trials} seed={args.seed}",
@@ -606,6 +610,8 @@ def cmd_mc_validate(args, parser: argparse.ArgumentParser) -> int:
 def cmd_resources(args, parser: argparse.ArgumentParser) -> int:
     if args.trials < 1:
         parser.error("--trials must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     l0 = _resolve_geometry(args)
     spec = protocols.ProtocolSpec(
         variant=protocols.Variant.TWO_WAY_CC,
@@ -752,6 +758,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Memoized kernels live for one command, so an in-process command does the
+    # same work as a cold one.
+    hrm_mod._lattice_mass.cache_clear()
+    tree_code._path_selection_leaf_error.cache_clear()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -26,6 +26,7 @@ down to ~1e-300 survive without catastrophic cancellation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,6 +88,13 @@ def _window_mass(centers: np.ndarray, half_width: float, sigma: float) -> float:
     return total
 
 
+# Distinct (sigma2, delta, parity) lattice sums kept per command; the bare
+# key-rate recipe needs 2,040. cli.main clears the cache at the start of each
+# command.
+_LATTICE_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def _lattice_mass(sigma2: float, delta: float, odd: bool) -> float:
     half_width = SQRT_PI / 2 - delta
     if sigma2 == 0.0:

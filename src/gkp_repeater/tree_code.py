@@ -31,6 +31,7 @@ carry two or three tooth variances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -203,6 +204,25 @@ def _check_tree_spec(spec: ProtocolSpec) -> None:
         )
 
 
+# Distinct (leaf variance, n_pairs, trial config) estimates kept per command.
+_PATH_SELECTION_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PATH_SELECTION_CACHE_SIZE)
+def _path_selection_leaf_error(
+    v_leaf: float, n_pairs: int, config: mc_oracle.TrialConfig
+) -> float:
+    """Path-selection leaf error: the MC upper bound when the estimate is
+    rare-event starved, its mean otherwise.
+
+    The Philox streams make the estimate a pure function of these arguments,
+    so one sampler run serves every row that shares them. ``cli.main`` clears
+    the cache at the start of each command.
+    """
+    estimate, _ = mc_oracle.simulate_path_selection(v_leaf, n_pairs, config)
+    return estimate.upper_bound if estimate.upper_bound is not None else estimate.mean
+
+
 def component_errors(
     spec: ProtocolSpec,
     tree: TreeShape = TreeShape(),
@@ -218,7 +238,9 @@ def component_errors(
     variance. In path-selection mode the leaf error is the Monte Carlo
     estimate of the maximum-likelihood-selected pair; a rare-event estimate
     falls back to its conservative upper bound rather than an unstable point
-    value.
+    value. That estimate depends only on the leaf variance, n_pairs and the
+    trial config, so calls sharing them share one draw (see
+    ``_path_selection_leaf_error``); it ignores the HRM margin.
     """
     _check_tree_spec(spec)
     mode = DecodingMode(mode)
@@ -231,8 +253,7 @@ def component_errors(
         e_leaf = 0.0  # no displacement noise at all, selection cannot err
     else:
         config = mc if mc is not None else mc_oracle.TrialConfig(n_trials=1_000_000)
-        estimate, _ = mc_oracle.simulate_path_selection(v_leaf, tree.n_pairs, config)
-        e_leaf = estimate.upper_bound if estimate.upper_bound is not None else estimate.mean
+        e_leaf = _path_selection_leaf_error(v_leaf, tree.n_pairs, config)
     return ComponentErrors(
         e_leaf=e_leaf,
         e_a_p=e_single,

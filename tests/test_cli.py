@@ -2,13 +2,14 @@
 CSV/JSON output contracts."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 
 import pytest
 
-from gkp_repeater import cli
+from gkp_repeater import cli, mc_oracle, tree_code
 from gkp_repeater.hrm import HrmPolicy
 from gkp_repeater.noise_core import SqueezingSpec
 from gkp_repeater.protocols import ProtocolSpec, Variant, secure_key_rate
@@ -182,6 +183,29 @@ class TestSweep:
             )
         assert excinfo.value.code == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(
+                ["sweep", "--protocols", "tree-path-selection,tree-hrm",
+                 "--nqr-list", "10", "--delta-list", "0", "--l0-list", "3",
+                 "--trials", "1000", "--seed", "-1"]
+            )
+        assert excinfo.value.code == 2
+
+    def test_negative_seed_config_key_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            "protocols = tree-path-selection\n"
+            "nqr = 10\n"
+            "delta = 0\n"
+            "l0_km = 3\n"
+            "trials = 1000\n"
+            "seed = -1\n"
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--config", str(config)])
+        assert excinfo.value.code == 2
+
     def test_amp_variance_columns(self, capsys):
         code, out = run_cli(
             capsys, "sweep", "--quantity", "amp-variance", "--eta-points", "1000"
@@ -253,6 +277,11 @@ class TestMcValidate:
             cli.main(["mc-validate", "--trials", "0", "--seed", "1"])
         assert excinfo.value.code == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["mc-validate", "--trials", "1000", "--seed", "-1", "--scope", "hrm"])
+        assert excinfo.value.code == 2
+
     def test_hrm_scope_passes(self, capsys):
         code, out = run_cli(
             capsys, "mc-validate", "--trials", "100000", "--seed", "7",
@@ -283,6 +312,14 @@ class TestResources:
         assert record["photonic_baseline_qubits_1000km"] == 4.1e6
         assert "E_AB" in record
 
+    def test_negative_seed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(
+                ["resources", "--mode", "path-selection", "--nqr", "10", "--l0", "3",
+                 "--trials", "1000", "--seed", "-1"]
+            )
+        assert excinfo.value.code == 2
+
     def test_single_station(self, capsys):
         code, out = run_cli(
             capsys,
@@ -301,6 +338,66 @@ class TestResources:
             json.loads(hrm_out)["total_qubits"]
             > json.loads(path_out)["total_qubits"]
         )
+
+
+class TestSharedLeafEstimate:
+    """Path-selection rows sharing a leaf input share one sampler run."""
+
+    ARGV = [
+        "sweep", "--protocols", "tree-hrm,tree-path-selection",
+        "--nqr-list", "10,100,500", "--delta-list", "0,sqrt_pi/6",
+        "--l0-list", "3", "--trials", "20000", "--seed", "3",
+    ]
+
+    @pytest.fixture
+    def sampler_calls(self, monkeypatch):
+        calls = []
+        sampler = mc_oracle.simulate_path_selection
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sampler(*args, **kwargs)
+
+        monkeypatch.setattr(mc_oracle, "simulate_path_selection", counting)
+        return calls
+
+    def test_one_sampler_run_per_distinct_leaf_input(self, capsys, sampler_calls):
+        code, out = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        assert len(parse_csv(out)) == 2 * 3 * 2
+        assert len(sampler_calls) == 1
+
+    def test_cache_lives_for_one_command(self, capsys, sampler_calls):
+        _, first = run_cli(capsys, *self.ARGV)
+        _, second = run_cli(capsys, *self.ARGV)
+        assert first == second
+        assert len(sampler_calls) == 2
+
+    def test_rows_match_a_direct_sampler_run(self, capsys):
+        _, out = run_cli(capsys, *self.ARGV)
+        rows = [r for r in parse_csv(out) if r["protocol"] == "tree-path-selection"]
+        assert len(rows) == 3 * 2
+        for row in rows:
+            spec = ProtocolSpec(
+                variant=Variant.TWO_WAY_CC,
+                n_qr=int(row["n_qr"]),
+                l0_km=3.0,
+                squeezing=SqueezingSpec.from_db(15.0),
+                hrm=HrmPolicy(float(row["delta"])),
+            )
+            estimate, _ = mc_oracle.simulate_path_selection(
+                tree_code.leaf_variance(spec),
+                tree_code.TreeShape().n_pairs,
+                mc_oracle.TrialConfig(n_trials=20000, seed=3),
+            )
+            e_leaf = estimate.upper_bound if estimate.upper_bound is not None else estimate.mean
+            comps = dataclasses.replace(
+                tree_code.component_errors(spec, mode=tree_code.DecodingMode.HRM_POSTSELECTED),
+                e_leaf=e_leaf,
+            )
+            point = tree_code.tree_key_rate(spec, components=comps)
+            assert row["E_segment"] == cli._fmt(tree_code.repeater_error(comps))
+            assert row["E_AB"] == cli._fmt(point.ex_ab)
 
 
 class TestPlob:

@@ -1,11 +1,13 @@
 """Postselected-binning statistics against quadrature and sampling oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from gkp_repeater import cli, hrm
 from gkp_repeater.hrm import HrmPolicy, e_hrm, p_cor, p_in, p_suc
 from gkp_repeater.noise_core import pfail
 
@@ -132,3 +134,42 @@ class TestErrorProbability:
         for sigma2 in np.linspace(0.01, 0.5, 20):
             for delta in (0.0, SQRT_PI / 10, SQRT_PI / 4):
                 assert 0.0 <= p_in(sigma2, delta) <= p_cor(sigma2, delta)
+
+
+class TestLatticeMemo:
+    """The lattice-sum cache returns the uncached value bit for bit."""
+
+    GRID = [
+        (sigma2, delta)
+        for sigma2 in (0.0, 0.0158, 0.25, 3.0, 400.0, 1e6)
+        for delta in (0.0, SQRT_PI / 6, math.nextafter(SQRT_PI / 2, 0.0))
+    ]
+
+    @pytest.mark.parametrize("sigma2,delta", GRID)
+    def test_cold_and_warm_values_are_identical(self, sigma2, delta):
+        for fn in (p_cor, p_in, e_hrm, p_suc):
+            hrm._lattice_mass.cache_clear()
+            cold = fn(sigma2, delta)
+            warm = fn(sigma2, delta)
+            assert warm.hex() == cold.hex()
+        uncached = hrm._lattice_mass.__wrapped__
+        assert p_cor(sigma2, delta).hex() == uncached(sigma2, delta, False).hex()
+        assert p_in(sigma2, delta).hex() == uncached(sigma2, delta, True).hex()
+
+    @pytest.mark.parametrize(
+        "sigma2,delta", [(-1e-3, 0.0), (0.1, SQRT_PI / 2), (0.1, 1.0), (0.1, -0.2)]
+    )
+    def test_invalid_input_raises_on_every_call(self, sigma2, delta):
+        p_cor(0.1, 0.0)  # a warm cache must not let invalid input through
+        for _ in range(3):
+            for fn in (p_cor, p_in, e_hrm, p_suc):
+                with pytest.raises(ValueError):
+                    fn(sigma2, delta)
+
+    def test_bare_recipe_computes_each_distinct_sum_once(self, capsys):
+        recipe = Path(__file__).resolve().parents[1] / "recipes" / "bare_key_rates.cfg"
+        assert cli.main(["sweep", "--config", str(recipe)]) == 0
+        capsys.readouterr()
+        info = hrm._lattice_mass.cache_info()
+        assert info.misses == 2_040
+        assert info.hits + info.misses == 13_552
