@@ -23,8 +23,6 @@ import re
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import hrm as hrm_mod
 from . import mc_oracle, protocols, tree_code
 from .noise_core import (
@@ -161,7 +159,7 @@ def _bare_rate_record(variant, nqr, l0, squeezing_db, delta, latt) -> dict:
         latt_km=latt,
     )
     errs = protocols.segment_errors(spec)
-    point = protocols.secure_key_rate(spec)
+    point = protocols._rate_point(spec, errs)
     return {
         "protocol": variant.value,
         "L_AB": point.distance_km,
@@ -349,10 +347,11 @@ def _sweep_rows(request: SweepRequest) -> list[dict]:
 
 
 def _amp_variance_rows(n_points: int) -> list[dict]:
-    etas = np.linspace(1e-3, 1.0, n_points)
+    # The points of numpy.linspace(1e-3, 1.0, n_points), bit for bit.
+    step = (1.0 - 1e-3) / (n_points - 1)
+    etas = [i * step + 1e-3 for i in range(n_points - 1)] + [1.0]
     rows = []
     for eta in etas:
-        eta = float(eta)
         rows.append(
             {
                 "eta": eta,

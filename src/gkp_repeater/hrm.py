@@ -22,6 +22,13 @@ The sums run over |k| <= ceil(10*sigma/sqrt(pi)) + 2, which keeps every
 omitted term below 1e-18 of the total mass. Interval masses are evaluated
 from erfc tail differences rather than erf differences so that probabilities
 down to ~1e-300 survive without catastrophic cancellation.
+
+The module needs only the standard library. erfc is the Cephes ndtr.c port in
+:mod:`gkp_repeater.noise_core`. The window masses fall into three groups:
+windows right of the origin, left of it, and the one containing it. Each
+group is summed in NumPy's float64 pairwise order (see :func:`_pairwise_sum`),
+so every lattice sum equals the NumPy array form bit for bit; the tests keep
+that form as the reference.
 """
 
 from __future__ import annotations
@@ -30,13 +37,12 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import special
-
-from .noise_core import SQRT_PI
+from .noise_core import SQRT_PI, _erfc
 
 # Beyond this tooth variance the wrapped Gaussian is uniform on the 2*sqrt(pi)
 # period to double precision (theta-function tail < exp(-pi * 400 / 2)).
+# Below it kmax <= ceil(10*20/sqrt(pi)) + 2 = 115, so a window group holds at
+# most 116 terms and _pairwise_sum never needs NumPy's recursive branch.
 _UNIFORM_LIMIT_SIGMA2 = 400.0
 
 
@@ -65,26 +71,56 @@ def _validate(sigma2: float, delta: float) -> None:
         raise ValueError(f"delta must lie in [0, sqrt(pi)/2), got {delta}")
 
 
-def _window_mass(centers: np.ndarray, half_width: float, sigma: float) -> float:
+def _pairwise_sum(terms: list[float]) -> float:
+    """Sum up to 128 floats in the order of NumPy's float64 ``np.sum``.
+
+    Fewer than 8 terms add in sequence; otherwise eight strided accumulators
+    combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the remainder follows,
+    all added to the reduction's starting 0.0. Beyond 128 terms NumPy would
+    split the array in halves; this loop keeps going, so it is still a sum,
+    just in another order.
+    """
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
+    r = terms[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        for j in range(8):
+            r[j] += terms[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[tail:]:
+        total += t
+    return 0.0 + total
+
+
+def _window_mass(centers: list[float], half_width: float, sigma: float) -> float:
     """Total N(0, sigma^2) mass of the windows centers[i] +- half_width.
 
     Intervals not containing the origin are computed as differences of erfc
     tails, which stay accurate for masses far below double epsilon of 1.
     """
-    lo = (centers - half_width) / (sigma * math.sqrt(2.0))
-    hi = (centers + half_width) / (sigma * math.sqrt(2.0))
+    scale = sigma * math.sqrt(2.0)
+    pos, neg, mid = [], [], []
+    for c in centers:
+        lo = (c - half_width) / scale
+        hi = (c + half_width) / scale
+        if lo >= 0:
+            pos.append(_erfc(lo) - _erfc(hi))
+        elif hi <= 0:
+            neg.append(_erfc(-hi) - _erfc(-lo))
+        else:
+            mid.append(1.0 - 0.5 * _erfc(hi) - 0.5 * _erfc(-lo))
     total = 0.0
-    pos = lo >= 0
-    neg = hi <= 0
-    mid = ~(pos | neg)
-    if np.any(pos):
-        total += 0.5 * float(np.sum(special.erfc(lo[pos]) - special.erfc(hi[pos])))
-    if np.any(neg):
-        total += 0.5 * float(np.sum(special.erfc(-hi[neg]) - special.erfc(-lo[neg])))
-    if np.any(mid):
-        total += float(
-            np.sum(1.0 - 0.5 * special.erfc(hi[mid]) - 0.5 * special.erfc(-lo[mid]))
-        )
+    if pos:
+        total += 0.5 * _pairwise_sum(pos)
+    if neg:
+        total += 0.5 * _pairwise_sum(neg)
+    if mid:
+        total += _pairwise_sum(mid)
     return total
 
 
@@ -105,8 +141,8 @@ def _lattice_mass(sigma2: float, delta: float, odd: bool) -> float:
         return half_width / SQRT_PI
     sigma = math.sqrt(sigma2)
     kmax = math.ceil(10.0 * sigma / SQRT_PI) + 2
-    k = np.arange(-kmax, kmax + 1, dtype=float)
-    centers = (2.0 * k + 1.0) * SQRT_PI if odd else 2.0 * k * SQRT_PI
+    ks = range(-kmax, kmax + 1)
+    centers = [(2.0 * k + 1.0) * SQRT_PI if odd else 2.0 * k * SQRT_PI for k in ks]
     return min(1.0, _window_mass(centers, half_width, sigma))
 
 

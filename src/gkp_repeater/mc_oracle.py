@@ -15,6 +15,9 @@ Philox is a counter-based generator and numpy guarantees its stream for a
 given seed across versions, so identical (seed, n_trials, batch_size) give
 bit-identical counts, batches are independent by construction, and a batch
 may be computed on any worker in any order: merging is plain count addition.
+
+numpy is imported inside the samplers, so importing this module (and the
+analytic modules that use its TrialConfig) loads the standard library only.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import protocols
 from .noise_core import SQRT_PI
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Below this many successes an estimate is in the rare-event regime and the
 #: upper_bound field (rule-of-three style: (k+3)/n) should be quoted instead
@@ -61,6 +66,8 @@ class TrialConfig:
         return sizes
 
     def rng(self, batch_index: int) -> np.random.Generator:
+        import numpy as np
+
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(batch_index,))
         return np.random.Generator(np.random.Philox(seq))
 
@@ -99,6 +106,8 @@ class McEstimate:
 
 def _nearest_multiple(x: np.ndarray) -> np.ndarray:
     """Nearest integer multiple of sqrt(pi) for each measured value."""
+    import numpy as np
+
     return np.rint(x / SQRT_PI)
 
 
@@ -119,6 +128,8 @@ def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEs
     below v_up = sqrt(pi)/2 - delta and is in error when the accepted multiple
     is odd.
     """
+    import numpy as np
+
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     v_up = SQRT_PI / 2 - delta
@@ -165,6 +176,8 @@ def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEst
     flips when exactly one round does. The estimate is conditioned on all
     postselections passing, matching the analytic segment_errors.
     """
+    import numpy as np
+
     sigmas = _segment_component_sigmas(spec)
     v_up = spec.hrm.v_up
     rounds = 2 if spec.variant.second_sqec else 1
@@ -211,6 +224,8 @@ def simulate_path_selection(
     surviving pair are discarded; the second estimate returned is the
     at-least-one-pair acceptance probability (identically 1 at margin 0).
     """
+    import numpy as np
+
     if sigma_eff2 < 0:
         raise ValueError(f"sigma_eff2 must be nonnegative, got {sigma_eff2}")
     if n_pairs < 1:
@@ -270,6 +285,8 @@ def simulate_tree_repeater(
     errs with probability e_prep. The station errs if any piece does, which is
     the quantity the analytic per-station composition predicts.
     """
+    import numpy as np
+
     for name, value in (("v_leaf", v_leaf), ("v_single", v_single)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")

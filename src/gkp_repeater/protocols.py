@@ -243,7 +243,11 @@ def secure_key_rate(spec: ProtocolSpec) -> RatePoint:
     accepted probability (1 when delta = 0). The PLOB repeaterless bound at
     the same total distance is attached for comparison.
     """
-    errs = segment_errors(spec)
+    return _rate_point(spec, segment_errors(spec))
+
+
+def _rate_point(spec: ProtocolSpec, errs: SegmentErrors) -> RatePoint:
+    """secure_key_rate for a caller that already holds segment_errors(spec)."""
     e_ab = chain_error(errs.ex, spec.n_qr)
     ps = success_probability(spec)
     rate = ps * (1.0 - binary_entropy(e_ab) - binary_entropy(e_ab))

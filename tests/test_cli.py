@@ -6,7 +6,12 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gkp_repeater import cli, mc_oracle, tree_code
@@ -223,6 +228,12 @@ class TestSweep:
                 (1 - eta) / (2 * eta), abs=1e-12
             )
 
+    @pytest.mark.parametrize("n_points", [2, 3, 7, 333, 1000])
+    def test_amp_variance_grid_is_numpy_linspace(self, n_points):
+        etas = [row["eta"] for row in cli._amp_variance_rows(n_points)]
+        expected = np.linspace(1e-3, 1.0, n_points).tolist()
+        assert [e.hex() for e in etas] == [e.hex() for e in expected]
+
     def test_tree_protocol_rows(self, capsys):
         code, out = run_cli(
             capsys,
@@ -398,6 +409,45 @@ class TestSharedLeafEstimate:
             point = tree_code.tree_key_rate(spec, components=comps)
             assert row["E_segment"] == cli._fmt(tree_code.repeater_error(comps))
             assert row["E_AB"] == cli._fmt(point.ex_ab)
+
+
+class TestImportBoundary:
+    """Analytic commands run on the standard library alone; numpy loads only
+    when a Monte Carlo sampler runs, and scipy never does."""
+
+    SCRIPT = """
+import contextlib, io, sys
+from gkp_repeater import cli
+print(sorted({"numpy", "scipy"} & set(sys.modules)))
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv.split())
+    print(code, sorted({"numpy", "scipy"} & set(sys.modules)))
+"""
+
+    def loaded(self, *commands):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *commands],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        return child.stdout.splitlines()
+
+    def test_analytic_commands_load_neither(self):
+        lines = self.loaded(
+            "plob --distance-list 100,1000",
+            "rate --protocol two-way-cc --nqr 10 --l0 3 --delta sqrt_pi/10",
+            "sweep --protocols two-way-cc,two-way-post-2sqec --nqr-list 1,10 "
+            "--delta-list 0,sqrt_pi/6 --l0-list 3,40 --squeezing-db 12",
+            "sweep --quantity amp-variance --eta-points 50",
+        )
+        assert lines == ["[]"] + ["0 []"] * 4
+
+    def test_mc_validate_loads_numpy_only(self):
+        lines = self.loaded("mc-validate --trials 2000 --seed 1")
+        assert lines == ["[]", "0 ['numpy']"]
 
 
 class TestPlob:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from gkp_repeater import cli, hrm
 from gkp_repeater.hrm import HrmPolicy, e_hrm, p_cor, p_in, p_suc
@@ -172,4 +172,63 @@ class TestLatticeMemo:
         capsys.readouterr()
         info = hrm._lattice_mass.cache_info()
         assert info.misses == 2_040
-        assert info.hits + info.misses == 13_552
+        # 1,540 rows, each evaluating its segment once: e_hrm (2 sums) per
+        # row plus p_suc (2 sums) twice per postselected row.
+        assert info.hits + info.misses == 8_008
+
+
+def lattice_mass_arrays(sigma2: float, delta: float, odd: bool) -> float:
+    """The array form of the lattice sum (numpy windows, scipy erfc), kept as
+    the reference that the list-based sum must equal bit for bit."""
+    half_width = SQRT_PI / 2 - delta
+    sigma = math.sqrt(sigma2)
+    kmax = math.ceil(10.0 * sigma / SQRT_PI) + 2
+    k = np.arange(-kmax, kmax + 1, dtype=float)
+    centers = (2.0 * k + 1.0) * SQRT_PI if odd else 2.0 * k * SQRT_PI
+    lo = (centers - half_width) / (sigma * math.sqrt(2.0))
+    hi = (centers + half_width) / (sigma * math.sqrt(2.0))
+    total = 0.0
+    pos = lo >= 0
+    neg = hi <= 0
+    mid = ~(pos | neg)
+    if np.any(pos):
+        total += 0.5 * float(np.sum(special.erfc(lo[pos]) - special.erfc(hi[pos])))
+    if np.any(neg):
+        total += 0.5 * float(np.sum(special.erfc(-hi[neg]) - special.erfc(-lo[neg])))
+    if np.any(mid):
+        total += float(
+            np.sum(1.0 - 0.5 * special.erfc(hi[mid]) - 0.5 * special.erfc(-lo[mid]))
+        )
+    return min(1.0, total)
+
+
+class TestStdlibLatticeSum:
+    """The list-based lattice sum reproduces the array form bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 129))
+    def test_pairwise_sum_matches_numpy_sum(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1.0, 1e-150, 1e150):
+            values = scale * np.copysign(
+                10.0 ** rng.uniform(-20.0, 20.0, n), rng.uniform(-1.0, 1.0, n)
+            )
+            positive = 10.0 ** rng.uniform(-300.0, 0.0, n)
+            for array in (values, positive, np.full(n, -0.0)):
+                got = hrm._pairwise_sum(array.tolist())
+                assert got.hex() == float(np.sum(array)).hex()
+
+    SIGMA2 = [1e-6, 1e-3, 0.0158, 0.05, 0.25, 0.5, 1.0, 3.0, 17.0, 120.0, 399.0]
+    DELTAS = [0.0, SQRT_PI / 14, SQRT_PI / 6, SQRT_PI / 4, math.nextafter(SQRT_PI / 2, 0.0)]
+
+    @pytest.mark.parametrize("sigma2", SIGMA2)
+    def test_lattice_mass_matches_array_form(self, sigma2):
+        uncached = hrm._lattice_mass.__wrapped__
+        for delta in self.DELTAS:
+            for odd in (False, True):
+                want = lattice_mass_arrays(sigma2, delta, odd)
+                assert uncached(sigma2, delta, odd).hex() == want.hex()
+
+    def test_largest_window_group_fits_one_pairwise_block(self):
+        sigma = math.sqrt(math.nextafter(hrm._UNIFORM_LIMIT_SIGMA2, 0.0))
+        kmax = math.ceil(10.0 * sigma / SQRT_PI) + 2
+        assert kmax + 1 <= 128

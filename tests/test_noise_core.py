@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+from gkp_repeater import noise_core
 from gkp_repeater.noise_core import (
     AmplifierMode,
     ChannelParam,
@@ -55,6 +57,39 @@ class TestPfail:
         grid = np.linspace(0.01, 3.0, 300)
         values = [pfail(s2) for s2 in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+class TestErfc:
+    """The stdlib erfc port equals the compiled Cephes erfc in scipy bitwise."""
+
+    MAXLOG_EDGE = math.sqrt(noise_core._MAXLOG)
+
+    EDGES = [
+        0.0, -0.0, 1.0, -1.0, 8.0, -8.0,
+        math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+        math.nextafter(-1.0, 0.0), math.nextafter(8.0, 0.0), math.nextafter(8.0, 9.0),
+        MAXLOG_EDGE, math.nextafter(MAXLOG_EDGE, 0.0), math.nextafter(MAXLOG_EDGE, 30.0),
+        -MAXLOG_EDGE, 26.55, 26.65, 27.3, 30.0, -30.0, 1e3, -1e3, 1e300, -1e300,
+        5e-324, -5e-324, 1e-300, 2.2e-16, math.inf, -math.inf, math.nan,
+    ]
+
+    def test_bitwise_equal_on_dense_grid_and_branch_edges(self):
+        rng = np.random.default_rng(20)
+        grid = np.concatenate(
+            [
+                np.linspace(-30.0, 30.0, 240_001),
+                rng.uniform(-30.0, 30.0, 20_000),
+                np.copysign(10.0 ** rng.uniform(-30.0, 1.5, 20_000), rng.uniform(-1, 1, 20_000)),
+                self.EDGES,
+            ]
+        )
+        expected = special.erfc(grid)
+        mismatches = [
+            (x, noise_core._erfc(x), want)
+            for x, want in zip(grid.tolist(), expected.tolist())
+            if noise_core._erfc(x).hex() != want.hex()
+        ]
+        assert mismatches == []
 
 
 class TestEtaFromDistance:
