@@ -3,11 +3,11 @@
 The package is organized around pure analytic modules plus a Monte Carlo
 cross-validation layer:
 
-* :mod:`gkp_repeater.noise_core` -- finite-squeezing error model, loss and
-  amplification variance algebra, unit conversions.
+* :mod:`gkp_repeater.noise_core` -- finite-squeezing error model, the added
+  noise of each loss + amplification strategy, unit conversions.
 * :mod:`gkp_repeater.hrm` -- postselected homodyne binning statistics.
-* :mod:`gkp_repeater.protocols` -- per-segment budgets, chain errors, and
-  secure key rates for the bare-GKP protocol variants.
+* :mod:`gkp_repeater.protocols` -- the variance table of the bare-GKP
+  protocol variants, chain errors, and secure key rates.
 * :mod:`gkp_repeater.tree_code` -- tree-cluster-encoded two-way protocol with
   postselected and path-selection decoding, plus resource counts.
 * :mod:`gkp_repeater.mc_oracle` -- displacement-level Monte Carlo estimators
@@ -19,13 +19,8 @@ from .hrm import HrmPolicy, e_hrm, p_cor, p_in, p_suc
 from .mc_oracle import McEstimate, TrialConfig
 from .noise_core import (
     AmplifierMode,
-    ChannelParam,
-    QuadVariance,
     SqueezingSpec,
     amplifier_added_variance,
-    apply_amplifier,
-    apply_amplifier_variance,
-    apply_loss,
     eta_from_distance,
     pfail,
     sigma2_to_db,
@@ -44,7 +39,6 @@ from .protocols import (
     secure_key_rate,
     segment_errors,
     segment_variance,
-    success_probability,
 )
 from .tree_code import (
     ComponentErrors,
@@ -62,14 +56,12 @@ from .tree_code import (
 
 __all__ = [
     "AmplifierMode",
-    "ChannelParam",
     "ComponentErrors",
     "DecodingMode",
     "HrmPolicy",
     "McEstimate",
     "NoCrossingError",
     "ProtocolSpec",
-    "QuadVariance",
     "RatePoint",
     "ResourceCount",
     "SegmentErrors",
@@ -78,9 +70,6 @@ __all__ = [
     "TrialConfig",
     "Variant",
     "amplifier_added_variance",
-    "apply_amplifier",
-    "apply_amplifier_variance",
-    "apply_loss",
     "binary_entropy",
     "chain_error",
     "crossover_eta",
@@ -102,7 +91,6 @@ __all__ = [
     "segment_variance",
     "sigma2_to_db",
     "squeezing_db_to_sigma2",
-    "success_probability",
     "tree_key_rate",
 ]
 

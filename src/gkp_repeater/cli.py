@@ -32,20 +32,10 @@ from .noise_core import (
     amplifier_added_variance,
 )
 
-SWEEP_COLUMNS = [
-    "protocol",
-    "n_qr",
-    "l0_km",
-    "L_AB_km",
-    "delta",
-    "squeezing_db",
-    "eta",
-    "E_segment",
-    "E_AB",
-    "P_suc",
-    "R",
-    "PLOB",
-]
+#: Columns computed for a key-rate row; a row that fails leaves them empty.
+RESULT_COLUMNS = ["eta", "E_segment", "E_AB", "P_suc", "R", "PLOB"]
+
+SWEEP_COLUMNS = ["protocol", "n_qr", "l0_km", "L_AB_km", "delta", "squeezing_db"] + RESULT_COLUMNS
 
 AMP_VARIANCE_COLUMNS = ["eta", "post_variance", "pre_variance", "cc_pair_variance"]
 
@@ -149,39 +139,42 @@ def _resolve_geometry(args) -> float:
     return args.distance / (args.nqr + 1)
 
 
-def _bare_rate_record(variant, nqr, l0, squeezing_db, delta, latt) -> dict:
+def _evaluate(
+    protocol, nqr, l0, squeezing_db, delta, latt,
+    prep_delta=tree_code.DEFAULT_PREP_DELTA, trials=1_000_000, seed=0,
+) -> tuple[protocols.ProtocolSpec, protocols.RatePoint]:
+    """Spec and rate point of one printed row: a bare variant through
+    secure_key_rate, a tree protocol through tree_key_rate on the two-way-cc
+    geometry (trials and seed feed only its path-selection leaf estimate)."""
+    tree = protocol in TREE_PROTOCOLS
     spec = protocols.ProtocolSpec(
-        variant=variant,
+        variant=protocols.Variant.TWO_WAY_CC if tree else protocols.Variant.from_label(protocol),
         n_qr=nqr,
         l0_km=l0,
         squeezing=SqueezingSpec.from_db(squeezing_db),
         hrm=hrm_mod.HrmPolicy(delta),
         latt_km=latt,
     )
-    errs = protocols.segment_errors(spec)
-    point = protocols._rate_point(spec, errs)
-    return {
-        "protocol": variant.value,
+    if not tree:
+        return spec, protocols.secure_key_rate(spec)
+    mode = tree_code.DecodingMode(protocol.removeprefix("tree-"))
+    mc = mc_oracle.TrialConfig(n_trials=trials, seed=seed)
+    return spec, tree_code.tree_key_rate(spec, mode=mode, prep_delta=prep_delta, mc=mc)
+
+
+def cmd_rate(args) -> int:
+    l0 = _resolve_geometry(args)
+    spec, point = _evaluate(args.protocol, args.nqr, l0, args.squeezing_db, args.delta, args.latt)
+    record = {
+        "protocol": args.protocol,
         "L_AB": point.distance_km,
         "eta_segment": spec.eta,
-        "E_segment": errs.ex,
+        "E_segment": point.e_segment,
         "E_AB": point.ex_ab,
         "P_suc": point.p_suc,
         "R": point.rate,
         "PLOB": point.plob,
     }
-
-
-def cmd_rate(args) -> int:
-    l0 = _resolve_geometry(args)
-    record = _bare_rate_record(
-        protocols.Variant.from_label(args.protocol),
-        args.nqr,
-        l0,
-        args.squeezing_db,
-        args.delta,
-        args.latt,
-    )
     if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
@@ -252,30 +245,6 @@ class SweepRequest:
         return [(d / (n_qr + 1), d) for d in self.distance_km]
 
 
-def _tree_sweep_row(protocol, nqr, l0, squeezing_db, delta, latt, prep_delta, trials, seed) -> dict:
-    spec = protocols.ProtocolSpec(
-        variant=protocols.Variant.TWO_WAY_CC,
-        n_qr=nqr,
-        l0_km=l0,
-        squeezing=SqueezingSpec.from_db(squeezing_db),
-        hrm=hrm_mod.HrmPolicy(delta),
-        latt_km=latt,
-    )
-    mode = (
-        tree_code.DecodingMode.HRM_POSTSELECTED
-        if protocol == "tree-hrm"
-        else tree_code.DecodingMode.PATH_SELECTION
-    )
-    mc = mc_oracle.TrialConfig(n_trials=trials, seed=seed)
-    comps = tree_code.component_errors(spec, mode=mode, prep_delta=prep_delta, mc=mc)
-    point = tree_code.tree_key_rate(spec, mode=mode, components=comps)
-    return {
-        "e_segment": tree_code.repeater_error(comps),
-        "eta": spec.eta,
-        "point": point,
-    }
-
-
 def _sweep_rows(request: SweepRequest) -> list[dict]:
     rows = []
     for protocol in request.protocols:
@@ -291,56 +260,15 @@ def _sweep_rows(request: SweepRequest) -> list[dict]:
                         "squeezing_db": request.squeezing_db,
                     }
                     try:
-                        if protocol in TREE_PROTOCOLS:
-                            result = _tree_sweep_row(
-                                protocol,
-                                nqr,
-                                l0,
-                                request.squeezing_db,
-                                delta,
-                                request.latt_km,
-                                request.prep_delta,
-                                request.trials,
-                                request.seed,
-                            )
-                            point = result["point"]
-                            row.update(
-                                eta=result["eta"],
-                                E_segment=result["e_segment"],
-                                E_AB=point.ex_ab,
-                                P_suc=point.p_suc,
-                                R=point.rate,
-                                PLOB=point.plob,
-                                error="",
-                            )
-                        else:
-                            record = _bare_rate_record(
-                                protocols.Variant.from_label(protocol),
-                                nqr,
-                                l0,
-                                request.squeezing_db,
-                                delta,
-                                request.latt_km,
-                            )
-                            row.update(
-                                eta=record["eta_segment"],
-                                E_segment=record["E_segment"],
-                                E_AB=record["E_AB"],
-                                P_suc=record["P_suc"],
-                                R=record["R"],
-                                PLOB=record["PLOB"],
-                                error="",
-                            )
-                    except ValueError as exc:
-                        row.update(
-                            eta="",
-                            E_segment="",
-                            E_AB="",
-                            P_suc="",
-                            R="",
-                            PLOB="",
-                            error=str(exc),
+                        spec, point = _evaluate(
+                            protocol, nqr, l0, request.squeezing_db, delta, request.latt_km,
+                            request.prep_delta, request.trials, request.seed,
                         )
+                        values = [spec.eta, point.e_segment, point.ex_ab, point.p_suc, point.rate, point.plob]
+                        error = ""
+                    except ValueError as exc:
+                        values, error = [""] * len(RESULT_COLUMNS), str(exc)
+                    row.update(zip(RESULT_COLUMNS, values), error=error)
                     rows.append(row)
     rows.sort(key=lambda r: (r["protocol"], r["n_qr"], r["delta"], r["L_AB_km"]))
     return rows
@@ -612,18 +540,12 @@ def cmd_resources(args, parser: argparse.ArgumentParser) -> int:
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     l0 = _resolve_geometry(args)
-    spec = protocols.ProtocolSpec(
-        variant=protocols.Variant.TWO_WAY_CC,
-        n_qr=args.nqr,
-        l0_km=l0,
-        squeezing=SqueezingSpec.from_db(args.squeezing_db),
-        hrm=hrm_mod.HrmPolicy(args.delta),
-        latt_km=args.latt,
-    )
     mode = tree_code.DecodingMode(args.mode)
-    mc = mc_oracle.TrialConfig(n_trials=args.trials, seed=args.seed)
+    spec, point = _evaluate(
+        f"tree-{mode.value}", args.nqr, l0, args.squeezing_db, args.delta, args.latt,
+        args.delta_prep, args.trials, args.seed,
+    )
     count = tree_code.resource_count(spec, mode=mode)
-    point = tree_code.tree_key_rate(spec, mode=mode, prep_delta=args.delta_prep, mc=mc)
     record = {
         "mode": mode.value,
         "L_AB_km": spec.l_ab_km,

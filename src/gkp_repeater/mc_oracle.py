@@ -154,16 +154,10 @@ def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEs
 def _segment_component_sigmas(spec: protocols.ProtocolSpec) -> list[float]:
     """Standard deviations of the independent displacement contributions to
     one pre-correction measurement: two GKP teeth plus the variant's channel
-    noise draws (one per transmitted Bell-measurement input)."""
+    noise draws (one per noisy Bell-measurement input)."""
     s = math.sqrt(spec.squeezing.sigma2)
-    noise = protocols.segment_noise_variance(spec.variant, spec.eta)
-    if spec.variant in (protocols.Variant.TWO_WAY_POST, protocols.Variant.TWO_WAY_PRE):
-        parts = [math.sqrt(noise / 2)] * 2
-    elif spec.variant is protocols.Variant.TWO_WAY_CC:
-        parts = [math.sqrt(noise / 2)] * 2
-    else:
-        parts = [math.sqrt(noise)] if noise > 0 else []
-    return [s, s] + parts
+    noise = math.sqrt(spec.variant.input_noise(spec.eta))
+    return [s, s] + [noise] * spec.variant.noisy_inputs
 
 
 def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEstimate:
@@ -180,7 +174,7 @@ def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEst
 
     sigmas = _segment_component_sigmas(spec)
     v_up = spec.hrm.v_up
-    rounds = 2 if spec.variant.second_sqec else 1
+    rounds = spec.variant.rounds
 
     def sample_batch(rng: np.random.Generator, n: int):
         flips = np.zeros(n, dtype=bool)

@@ -1,14 +1,17 @@
-"""Finite-squeezing GKP noise model and the loss/amplification variance algebra.
+"""Finite-squeezing GKP noise model and the added noise of loss + amplification.
 
 Conventions: hbar = 1, vacuum variance 1/2 per quadrature, GKP lattice spacing
 sqrt(pi). A finitely squeezed GKP state is summarized by the Gaussian variance
 sigma^2 of each grid tooth; the squeezing level in dB is -10*log10(2*sigma^2),
 so 0 dB corresponds to vacuum-width teeth (sigma^2 = 1/2).
 
-All channel maps below act on per-quadrature displacement variances only.
 There is no wavefunction or Fock-space object anywhere in this package: loss,
-amplification and error correction are bookkept as affine maps on variances
-plus mod-sqrt(pi) binning of Gaussian displacements.
+amplification and error correction are bookkept as per-quadrature displacement
+variances plus mod-sqrt(pi) binning of Gaussian displacements. Every
+amplification strategy undoes the amplitude damping of the loss channel and
+leaves only additive Gaussian noise, so :func:`amplifier_added_variance` is the
+one place where a channel-noise formula is written; the protocol variance
+budgets of :mod:`gkp_repeater.protocols` are built from it.
 """
 
 from __future__ import annotations
@@ -45,58 +48,6 @@ class AmplifierMode(str, Enum):
     PRE = "pre"
     CC_PAIR = "cc_pair"
     CC_SINGLE = "cc_single"
-
-
-@dataclass(frozen=True)
-class QuadVariance:
-    """Per-quadrature displacement variances of a GKP tooth.
-
-    Attributes:
-        sq: variance of the position-quadrature displacement (dimensionless).
-        sp: variance of the momentum-quadrature displacement (dimensionless).
-    """
-
-    sq: float
-    sp: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("sq", self.sq), ("sp", self.sp)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
-
-    @classmethod
-    def symmetric(cls, variance: float) -> "QuadVariance":
-        """Equal variance in both quadratures."""
-        return cls(variance, variance)
-
-    def add(self, extra: float) -> "QuadVariance":
-        """Add the same variance to both quadratures."""
-        return QuadVariance(self.sq + extra, self.sp + extra)
-
-
-@dataclass(frozen=True)
-class ChannelParam:
-    """Loss-channel parameters.
-
-    eta is the transmittance efficiency (the beamsplitter coupling to the
-    vacuum environment transmits amplitude sqrt(eta)); latt_km is the fiber
-    attenuation length relating eta to distance.
-    """
-
-    eta: float
-    latt_km: float = DEFAULT_ATTENUATION_KM
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.latt_km <= 0:
-            raise ValueError(f"latt_km must be positive, got {self.latt_km}")
-
-    @classmethod
-    def from_distance(cls, l_km: float, latt_km: float = DEFAULT_ATTENUATION_KM) -> "ChannelParam":
-        return cls(eta_from_distance(l_km, latt_km), latt_km)
 
 
 @dataclass(frozen=True)
@@ -233,31 +184,6 @@ def eta_from_distance(l_km: float, latt_km: float = DEFAULT_ATTENUATION_KM) -> f
     return math.exp(-l_km / latt_km)
 
 
-def apply_loss(v: QuadVariance, eta: float) -> QuadVariance:
-    """Variance map of the pure-loss channel.
-
-    A beamsplitter of transmittance eta mixes in vacuum (variance 1/2), so
-    each quadrature variance transforms as x -> eta*x + (1-eta)/2. Vacuum
-    itself is the fixed point.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    return QuadVariance(eta * v.sq + (1 - eta) / 2, eta * v.sp + (1 - eta) / 2)
-
-
-def apply_amplifier(v: QuadVariance, eta: float) -> QuadVariance:
-    """Variance map of the phase-insensitive amplification channel.
-
-    The conjugate of loss at the same eta: x -> x/eta + (1-eta)/(2*eta).
-    Composing apply_loss and then apply_amplifier yields a pure additive
-    Gaussian noise channel of variance (1-eta)/eta per quadrature.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    extra = (1 - eta) / (2 * eta)
-    return QuadVariance(v.sq / eta + extra, v.sp / eta + extra)
-
-
 def amplifier_added_variance(eta: float, mode: AmplifierMode) -> float:
     """Additive noise of the combined loss + amplification channel.
 
@@ -275,16 +201,6 @@ def amplifier_added_variance(eta: float, mode: AmplifierMode) -> float:
     if mode is AmplifierMode.CC_PAIR:
         return (1 - eta) / (2 * eta)
     return (1 - eta) / eta  # CC_SINGLE: both modes' rescaling noise on one input
-
-
-def apply_amplifier_variance(v: QuadVariance, eta: float, mode: AmplifierMode) -> QuadVariance:
-    """Apply the combined loss + amplification budget to an input variance.
-
-    Returns v plus the mode's additive noise term in both quadratures; the
-    input variance itself passes through unscaled because amplification undoes
-    the eta attenuation of the loss channel.
-    """
-    return v.add(amplifier_added_variance(eta, mode))
 
 
 def squeezing_db_to_sigma2(db: float) -> float:

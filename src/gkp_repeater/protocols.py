@@ -8,23 +8,30 @@ repeater station performs a homodyne Bell measurement whose outcomes carry the
 accumulated deviation. The per-measurement variance just before the ideal
 mod-sqrt(pi) correction is what sets the logical error rate.
 
-Pre-correction variance per measurement (eta = segment transmittance, each
-half-segment of a two-way variant sees sqrt(eta)):
+The variants differ only in one row of data (:class:`Variant`): the
+amplification mode, whether each Bell-measurement input crosses the full
+segment (transmittance eta) or half of it (sqrt(eta)), how many of the two
+inputs carry channel noise, and how many correction rounds a station runs.
+The pre-correction variance per measurement (per round if two rounds) is
 
-    one-way, postamplification        2*sigma2 + (1-eta)/eta
-    one-way, preamplification         2*sigma2 + (1-eta)
-    two-way, postamplification        2*sigma2 + 2*(1-sqrt(eta))/sqrt(eta)
-    two-way, preamplification         2*sigma2 + 2 - 2*sqrt(eta)
-    two-way, CC amplification         2*sigma2 + (1-sqrt(eta))/sqrt(eta)
-    two-way post, second round        2*sigma2 + (1-sqrt(eta))/sqrt(eta)  per round
-    two-way pre, second round         2*sigma2 + 1 - sqrt(eta)            per round
+    2*sigma2 + noisy_inputs * amplifier_added_variance(eta_in, mode)
 
-The 2*sigma2 is the input tooth plus the error-correction ancilla tooth; the
-channel term follows the amplification strategy, doubled in plain two-way
-variants because both Bell-measurement inputs have been transmitted. The
-second-round variants insert an extra, locally prepared Bell pair at each
-station so only one input per measurement is noisy, at the cost of two error
-opportunities per station.
+with eta_in = sqrt(eta) for a half segment and eta otherwise:
+
+    variant             mode     segment  inputs  rounds  channel noise
+    one-way-post        POST     full     1       1       (1-eta)/eta
+    one-way-pre         PRE      full     1       1       1-eta
+    two-way-post        POST     half     2       1       2*(1-sqrt(eta))/sqrt(eta)
+    two-way-pre         PRE      half     2       1       2 - 2*sqrt(eta)
+    two-way-cc          CC_PAIR  half     2       1       (1-sqrt(eta))/sqrt(eta)
+    two-way-post-2sqec  POST     half     1       2       (1-sqrt(eta))/sqrt(eta)
+    two-way-pre-2sqec   PRE      half     1       2       1 - sqrt(eta)
+
+The 2*sigma2 is the input tooth plus the error-correction ancilla tooth. In
+plain two-way variants both Bell-measurement inputs have been transmitted, so
+the channel term counts twice. The second-round variants insert an extra,
+locally prepared Bell pair at each station so only one input per measurement
+is noisy, at the cost of two error opportunities per station.
 """
 
 from __future__ import annotations
@@ -36,30 +43,48 @@ from enum import Enum
 from . import hrm as hrm_mod
 from .noise_core import (
     DEFAULT_ATTENUATION_KM,
-    QuadVariance,
+    AmplifierMode,
     SqueezingSpec,
+    amplifier_added_variance,
     eta_from_distance,
 )
 
 
 class Variant(Enum):
-    """Protocol variant tags; values double as CLI spellings."""
+    """Protocol variants, one row of the variance table each.
 
-    ONE_WAY_POST = "one-way-post"
-    ONE_WAY_PRE = "one-way-pre"
-    TWO_WAY_POST = "two-way-post"
-    TWO_WAY_PRE = "two-way-pre"
-    TWO_WAY_CC = "two-way-cc"
-    TWO_WAY_POST_SECOND_SQEC = "two-way-post-2sqec"
-    TWO_WAY_PRE_SECOND_SQEC = "two-way-pre-2sqec"
+    ``value`` is the CLI spelling. The rest of the row: the amplification
+    ``mode``, whether each input crosses only ``half_segment`` of fiber, how
+    many Bell-measurement inputs carry channel noise (``noisy_inputs``) and
+    how many correction ``rounds`` a station runs.
+    """
 
-    @property
-    def two_way(self) -> bool:
-        return self is not Variant.ONE_WAY_POST and self is not Variant.ONE_WAY_PRE
+    ONE_WAY_POST = ("one-way-post", AmplifierMode.POST, False, 1, 1)
+    ONE_WAY_PRE = ("one-way-pre", AmplifierMode.PRE, False, 1, 1)
+    TWO_WAY_POST = ("two-way-post", AmplifierMode.POST, True, 2, 1)
+    TWO_WAY_PRE = ("two-way-pre", AmplifierMode.PRE, True, 2, 1)
+    TWO_WAY_CC = ("two-way-cc", AmplifierMode.CC_PAIR, True, 2, 1)
+    TWO_WAY_POST_SECOND_SQEC = ("two-way-post-2sqec", AmplifierMode.POST, True, 1, 2)
+    TWO_WAY_PRE_SECOND_SQEC = ("two-way-pre-2sqec", AmplifierMode.PRE, True, 1, 2)
+
+    def __new__(cls, label, mode, half_segment, noisy_inputs, rounds):
+        member = object.__new__(cls)
+        member._value_ = label
+        member.mode = mode
+        member.half_segment = half_segment
+        member.noisy_inputs = noisy_inputs
+        member.rounds = rounds
+        return member
 
     @property
     def second_sqec(self) -> bool:
-        return self in (Variant.TWO_WAY_POST_SECOND_SQEC, Variant.TWO_WAY_PRE_SECOND_SQEC)
+        return self.rounds == 2
+
+    def input_noise(self, eta: float) -> float:
+        """Channel noise carried by one noisy input, for segment transmittance eta."""
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"eta must be in (0, 1], got {eta}")
+        return amplifier_added_variance(math.sqrt(eta) if self.half_segment else eta, self.mode)
 
     @classmethod
     def from_label(cls, label: str) -> "Variant":
@@ -121,44 +146,33 @@ class SegmentErrors:
     """Per-segment logical error probabilities and HRM acceptance.
 
     ex and ez are equal for every implemented variant (the noise is symmetric
-    in q and p); p_accept is the probability that one Bell measurement passes
-    postselection, i.e. that both of its homodyne outcomes do.
+    in q and p); p_suc is the probability that one homodyne outcome passes
+    postselection.
     """
 
     ex: float
     ez: float
-    p_accept: float
+    p_suc: float
 
     def __post_init__(self) -> None:
-        for name, value in (("ex", self.ex), ("ez", self.ez), ("p_accept", self.p_accept)):
+        for name, value in (("ex", self.ex), ("ez", self.ez), ("p_suc", self.p_suc)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value}")
+
+    @property
+    def p_accept(self) -> float:
+        """Probability that one Bell measurement passes: both outcomes do."""
+        return self.p_suc**2
 
 
 def segment_noise_variance(variant: Variant, eta: float) -> float:
     """Channel-noise part of the pre-correction variance (excludes teeth)."""
-    if eta <= 0.0 or eta > 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    root = math.sqrt(eta)
-    if variant is Variant.ONE_WAY_POST:
-        return (1 - eta) / eta
-    if variant is Variant.ONE_WAY_PRE:
-        return 1 - eta
-    if variant is Variant.TWO_WAY_POST:
-        return 2 * (1 - root) / root
-    if variant is Variant.TWO_WAY_PRE:
-        return 2 - 2 * root
-    if variant is Variant.TWO_WAY_CC:
-        return (1 - root) / root
-    if variant is Variant.TWO_WAY_POST_SECOND_SQEC:
-        return (1 - root) / root
-    return 1 - root  # TWO_WAY_PRE_SECOND_SQEC
+    return variant.noisy_inputs * variant.input_noise(eta)
 
 
-def segment_variance(spec: ProtocolSpec) -> QuadVariance:
+def segment_variance(spec: ProtocolSpec) -> float:
     """Pre-correction variance per measurement (per round if two rounds)."""
-    total = 2 * spec.squeezing.sigma2 + segment_noise_variance(spec.variant, spec.eta)
-    return QuadVariance.symmetric(total)
+    return 2 * spec.squeezing.sigma2 + segment_noise_variance(spec.variant, spec.eta)
 
 
 def segment_errors(spec: ProtocolSpec) -> SegmentErrors:
@@ -169,13 +183,12 @@ def segment_errors(spec: ProtocolSpec) -> SegmentErrors:
     exactly one of the two (independent, equal-variance) correction rounds
     flips: 2*e*(1-e).
     """
-    v = segment_variance(spec).sq
+    v = segment_variance(spec)
     delta = spec.hrm.delta
     e = hrm_mod.e_hrm(v, delta)
-    accept = hrm_mod.p_suc(v, delta) ** 2
     if spec.variant.second_sqec:
         e = min(0.5, 2 * e * (1 - e))
-    return SegmentErrors(ex=e, ez=e, p_accept=accept)
+    return SegmentErrors(ex=e, ez=e, p_suc=hrm_mod.p_suc(v, delta))
 
 
 def chain_error(e_segment: float, n_qr: int) -> float:
@@ -192,19 +205,6 @@ def chain_error(e_segment: float, n_qr: int) -> float:
     if n_qr < 0:
         raise ValueError(f"n_qr must be nonnegative, got {n_qr}")
     return 0.5 * (1.0 - (1.0 - 2.0 * e_segment) ** n_qr)
-
-
-def success_probability(spec: ProtocolSpec) -> float:
-    """Probability that every postselected measurement in the chain passes.
-
-    Each station consumes one Bell measurement (two homodyne outcomes), or two
-    Bell measurements for the second-round variants, all at the segment's
-    pre-correction variance: p_suc**(2*n_qr) or p_suc**(4*n_qr).
-    """
-    v = segment_variance(spec).sq
-    per_outcome = hrm_mod.p_suc(v, spec.hrm.delta)
-    exponent = (4 if spec.variant.second_sqec else 2) * spec.n_qr
-    return per_outcome**exponent
 
 
 def binary_entropy(x: float) -> float:
@@ -226,9 +226,14 @@ def plob_bound(l_km: float, latt_km: float = DEFAULT_ATTENUATION_KM) -> float:
 
 @dataclass(frozen=True)
 class RatePoint:
-    """End-to-end performance of one configuration."""
+    """End-to-end performance of one configuration.
+
+    e_segment is the error one segment (bare chains) or one station (tree
+    chains) contributes to the chain error ex_ab = ez_ab.
+    """
 
     distance_km: float
+    e_segment: float
     ex_ab: float
     ez_ab: float
     p_suc: float
@@ -239,20 +244,19 @@ class RatePoint:
 def secure_key_rate(spec: ProtocolSpec) -> RatePoint:
     """Secure key rate R = max(0, P_suc * (1 - h(E_AB^X) - h(E_AB^Z))).
 
-    E_AB^X = E_AB^Z accumulate over the chain; P_suc is the all-measurements-
-    accepted probability (1 when delta = 0). The PLOB repeaterless bound at
-    the same total distance is attached for comparison.
+    E_AB^X = E_AB^Z accumulate over the chain. P_suc is the probability that
+    every postselected outcome of the chain is accepted: each station runs
+    one Bell measurement (two outcomes) per correction round, so
+    P_suc = p_suc**(2 * rounds * n_qr), which is 1 when delta = 0. The PLOB
+    repeaterless bound at the same total distance is attached for comparison.
     """
-    return _rate_point(spec, segment_errors(spec))
-
-
-def _rate_point(spec: ProtocolSpec, errs: SegmentErrors) -> RatePoint:
-    """secure_key_rate for a caller that already holds segment_errors(spec)."""
+    errs = segment_errors(spec)
     e_ab = chain_error(errs.ex, spec.n_qr)
-    ps = success_probability(spec)
+    ps = errs.p_suc ** (2 * spec.variant.rounds * spec.n_qr)
     rate = ps * (1.0 - binary_entropy(e_ab) - binary_entropy(e_ab))
     return RatePoint(
         distance_km=spec.l_ab_km,
+        e_segment=errs.ex,
         ex_ab=e_ab,
         ez_ab=e_ab,
         p_suc=ps,

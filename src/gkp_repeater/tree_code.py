@@ -2,8 +2,8 @@
 
 Each sender assembles a cluster of leaf qubits plus tree-encoded node qubits
 and ships one half to each neighboring station over l0/2 of fiber, with
-homodyne outcomes rescaled so that loss becomes additive Gaussian noise of
-variance (1 - sqrt(eta)) / (2 sqrt(eta)) per transmitted mode. Stations Bell-
+homodyne outcomes rescaled so that loss becomes additive Gaussian noise: the
+two-way-cc row of the :mod:`gkp_repeater.protocols` variance table. Stations Bell-
 measure leaf pairs; encoded node measurements are protected by majority votes
 over three-qubit blocks. Two decoding modes are supported:
 
@@ -38,7 +38,9 @@ from enum import Enum
 
 from . import hrm as hrm_mod
 from . import mc_oracle
-from .protocols import ProtocolSpec, RatePoint, Variant, binary_entropy, chain_error, plob_bound
+from .protocols import (
+    ProtocolSpec, RatePoint, Variant, binary_entropy, chain_error, plob_bound, segment_variance,
+)
 
 #: Construction margin used for the HRM-checked fusions when assembling the
 #: encoded cluster. sqrt(pi)/6 keeps the construction error floor a few 1e-6
@@ -51,32 +53,28 @@ class DecodingMode(str, Enum):
     PATH_SELECTION = "path-selection"
 
 
+#: Encoded part of one cluster: 10 encoded node qubits, each made of 3 node
+#: qubits carrying 3 ancillas apiece. The error composition below (E_X,
+#: E_Z**4, the fusion counts of prep_error) is written for this structure.
+ENCODED_QUBITS_PER_CLUSTER = 10 * 3 * (1 + 3)
+
+
 @dataclass(frozen=True)
 class TreeShape:
-    """Geometry of one encoded cluster.
-
-    Defaults describe a cluster of 10 leaf qubits and 10 encoded node qubits,
-    each encoded node made of 3 node qubits carrying 3 ancillas apiece:
-    10 + 10 * 3 * (1 + 3) = 130 physical GKP qubits.
-    """
+    """Geometry of one encoded cluster: its leaf count, on top of the fixed
+    encoded part. The default is 10 + 120 = 130 physical GKP qubits."""
 
     n_leaf: int = 10
-    n_encoded_nodes: int = 10
-    nodes_per_encoded: int = 3
-    ancillas_per_node: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("n_leaf", "n_encoded_nodes", "nodes_per_encoded", "ancillas_per_node"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.n_leaf < 1:
+            raise ValueError("n_leaf must be >= 1")
         if self.n_leaf % 2:
             raise ValueError("n_leaf must be even: leaves are consumed in pairs")
 
     @property
     def qubits_per_cluster(self) -> int:
-        return self.n_leaf + self.n_encoded_nodes * self.nodes_per_encoded * (
-            1 + self.ancillas_per_node
-        )
+        return self.n_leaf + ENCODED_QUBITS_PER_CLUSTER
 
     @property
     def n_pairs(self) -> int:
@@ -181,19 +179,16 @@ def repeater_error(components: ComponentErrors) -> float:
 def leaf_variance(spec: ProtocolSpec) -> float:
     """Variance of one homodyne outcome of a leaf-pair Bell measurement.
 
-    Both leaves traveled l0/2 with outcome rescaling, contributing
-    (1 - sqrt(eta)) / (2 sqrt(eta)) each on top of the two tooth variances:
-    2*sigma2 + (1 - sqrt(eta)) / sqrt(eta).
+    Both leaves traveled l0/2 with outcome rescaling, so this is the bare
+    two-way-cc segment variance: two tooth variances plus two inputs' noise.
     """
-    root = math.sqrt(spec.eta)
-    return 2.0 * spec.squeezing.sigma2 + (1.0 - root) / root
+    return segment_variance(spec)
 
 
 def single_qubit_variance(spec: ProtocolSpec) -> float:
-    """Variance of a single transmitted node/ancilla homodyne outcome:
-    sigma2 + (1 - sqrt(eta)) / (2 sqrt(eta))."""
-    root = math.sqrt(spec.eta)
-    return spec.squeezing.sigma2 + (1.0 - root) / (2.0 * root)
+    """Variance of a single transmitted node/ancilla homodyne outcome: one
+    tooth variance plus one input's channel noise."""
+    return spec.squeezing.sigma2 + spec.variant.input_noise(spec.eta)
 
 
 def _check_tree_spec(spec: ProtocolSpec) -> None:
@@ -302,6 +297,7 @@ def tree_key_rate(
     rate = p_suc_total * (1.0 - 2.0 * binary_entropy(e_ab))
     return RatePoint(
         distance_km=spec.l_ab_km,
+        e_segment=e_qr,
         ex_ab=e_ab,
         ez_ab=e_ab,
         p_suc=p_suc_total,
@@ -312,7 +308,7 @@ def tree_key_rate(
 
 #: Fusing the cluster consumes two GKP qubits per Bell measurement. The 60
 #: HRM-checked fusion outcomes behind the prep_error coefficients correspond
-#: to 30 fusions, i.e. 60 consumed qubits on top of the 130 that survive in
+#: to 30 fusions, i.e. 60 consumed qubits on top of those that survive in
 #: the finished cluster.
 CONSTRUCTION_QUBITS_PER_CLUSTER = 60
 

@@ -3,6 +3,7 @@ CSV/JSON output contracts."""
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from gkp_repeater.noise_core import SqueezingSpec
 from gkp_repeater.protocols import ProtocolSpec, Variant, secure_key_rate
 
 SQRT_PI = math.sqrt(math.pi)
+RECIPES = Path(__file__).resolve().parents[1] / "recipes"
 
 
 def run_cli(capsys, *argv):
@@ -409,6 +411,55 @@ class TestSharedLeafEstimate:
             point = tree_code.tree_key_rate(spec, components=comps)
             assert row["E_segment"] == cli._fmt(tree_code.repeater_error(comps))
             assert row["E_AB"] == cli._fmt(point.ex_ab)
+
+
+class TestOutputFreeze:
+    """Printed output is byte-identical to the pinned SHA-256 of its stdout.
+
+    The analytic digests are the seed-7 baselines of the benchmark's
+    analytic-recipes workload; the mc-validate digest pins the sampler
+    streams of every oracle row. A change that alters output on purpose
+    re-pins these and records why.
+    """
+
+    CASES = {
+        "bare_key_rates": (
+            ["sweep", "--config", str(RECIPES / "bare_key_rates.cfg")],
+            "8be08e0263efaa11e84abecf9682196a1fbe5970138b88f8ce22e078de5775b4",
+        ),
+        "segment_error_comparison": (
+            ["sweep", "--config", str(RECIPES / "segment_error_comparison.cfg")],
+            "7f86b70b0b14f6bbb692734405e356f0f1c1056eb736a92f6222327986c8b2b4",
+        ),
+        "amp_variance_curves": (
+            ["sweep", "--config", str(RECIPES / "amp_variance_curves.cfg")],
+            "3c2b431c2c6b368a03b13ff78a62e1bdef8715a788b228d096dea306aac691af",
+        ),
+        "plob": (
+            ["plob", "--distance-list", "1,10,100,500,1000,2000,5000"],
+            "fc5647a70571b1f957701adf9f9e549d7d9d8b5d9b3f9259e275da136b58fc2d",
+        ),
+        "rate": (
+            ["rate", "--protocol", "two-way-cc", "--nqr", "10", "--l0", "3",
+             "--squeezing-db", "15", "--format", "json"],
+            "68cbcbf5322027300331375236d7312ec621cb22f75217cea05665ab4c9346b0",
+        ),
+        "resources": (
+            ["resources", "--mode", "hrm", "--nqr", "332", "--l0", "3", "--format", "json"],
+            "dbab73316954ea8dc4b0b7667e0b7290fb25c4c00049199cc9e4d1a40a63fde5",
+        ),
+        "mc_validate": (
+            ["mc-validate", "--trials", "20000", "--seed", "7", "--scope", "all"],
+            "c2be03e72ac7928caf6c1c2bab601a00add1e7ada11b8668ee5cceaebe1f5542",
+        ),
+    }
+
+    @pytest.mark.parametrize("label", list(CASES))
+    def test_stdout_digest(self, capsys, label):
+        argv, digest = self.CASES[label]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestImportBoundary:

@@ -173,8 +173,8 @@ class TestLatticeMemo:
         info = hrm._lattice_mass.cache_info()
         assert info.misses == 2_040
         # 1,540 rows, each evaluating its segment once: e_hrm (2 sums) per
-        # row plus p_suc (2 sums) twice per postselected row.
-        assert info.hits + info.misses == 8_008
+        # row plus p_suc (2 sums) once per postselected row.
+        assert info.hits + info.misses == 5_544
 
 
 def lattice_mass_arrays(sigma2: float, delta: float, odd: bool) -> float:

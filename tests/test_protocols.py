@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gkp_repeater.hrm import HrmPolicy, e_hrm, p_suc
+from gkp_repeater.mc_oracle import _segment_component_sigmas
 from gkp_repeater.noise_core import SqueezingSpec, eta_from_distance, pfail
 from gkp_repeater.protocols import (
     ALL_VARIANTS,
@@ -21,12 +22,35 @@ from gkp_repeater.protocols import (
     segment_errors,
     segment_noise_variance,
     segment_variance,
-    success_probability,
 )
+from gkp_repeater.tree_code import leaf_variance, single_qubit_variance
 
 SQRT_PI = math.sqrt(math.pi)
 SQ15 = SqueezingSpec.from_db(15.0)
 SQ0 = SqueezingSpec.from_sigma2(0.0)
+
+
+# The channel term of each variant as written in the protocols docstring: the
+# reference the variance table must reproduce bit for bit.
+CLOSED_FORMS = {
+    Variant.ONE_WAY_POST: lambda eta, root: (1 - eta) / eta,
+    Variant.ONE_WAY_PRE: lambda eta, root: 1 - eta,
+    Variant.TWO_WAY_POST: lambda eta, root: 2 * (1 - root) / root,
+    Variant.TWO_WAY_PRE: lambda eta, root: 2 - 2 * root,
+    Variant.TWO_WAY_CC: lambda eta, root: (1 - root) / root,
+    Variant.TWO_WAY_POST_SECOND_SQEC: lambda eta, root: (1 - root) / root,
+    Variant.TWO_WAY_PRE_SECOND_SQEC: lambda eta, root: 1 - root,
+}
+
+# Transmittances from 1e-300 to 1, dense in the decades that key rates use,
+# with the edges 1.0, nextafter(1, 0) and the smallest values spelled out.
+ETA_GRID = sorted(
+    set(
+        np.geomspace(1e-300, 1.0, 20_001).tolist()
+        + np.linspace(1e-6, 1.0, 30_001).tolist()
+        + [1.0, math.nextafter(1.0, 0.0), 1e-300, 5e-324, 2.2e-16, 0.5]
+    )
+)
 
 
 def spec_for(variant, n_qr=1, l0=50.0, squeezing=SQ15, delta=0.0, latt=22.0):
@@ -53,16 +77,16 @@ class TestSegmentVariance:
     def test_lossless_infinite_squeezing_is_zero(self):
         for variant in ALL_VARIANTS:
             spec = spec_for(variant, l0=0.0, squeezing=SQ0)
-            assert segment_variance(spec).sq == 0.0
+            assert segment_variance(spec) == 0.0
 
     def test_one_way_post_at_half_transmittance(self):
         l0 = 22.0 * math.log(2.0)  # eta = 1/2
         spec = spec_for(Variant.ONE_WAY_POST, l0=l0, squeezing=SQ0)
-        assert segment_variance(spec).sq == pytest.approx(1.0, rel=1e-12)
+        assert segment_variance(spec) == pytest.approx(1.0, rel=1e-12)
 
     def test_two_way_cc_fifty_km_frozen(self):
         spec = spec_for(Variant.TWO_WAY_CC, l0=50.0)
-        assert segment_variance(spec).sq == pytest.approx(
+        assert segment_variance(spec) == pytest.approx(
             2.1470417228188049, rel=1e-13
         )
 
@@ -70,24 +94,47 @@ class TestSegmentVariance:
         # Channel term of each variant against its closed form.
         for l0 in (2.0, 22.0, 80.0):
             eta = eta_from_distance(l0)
-            root = math.sqrt(eta)
-            expected = {
-                Variant.ONE_WAY_POST: (1 - eta) / eta,
-                Variant.ONE_WAY_PRE: 1 - eta,
-                Variant.TWO_WAY_POST: 2 * (1 - root) / root,
-                Variant.TWO_WAY_PRE: 2 - 2 * root,
-                Variant.TWO_WAY_CC: (1 - root) / root,
-                Variant.TWO_WAY_POST_SECOND_SQEC: (1 - root) / root,
-                Variant.TWO_WAY_PRE_SECOND_SQEC: 1 - root,
-            }
-            for variant, noise in expected.items():
+            for variant, closed_form in CLOSED_FORMS.items():
+                noise = closed_form(eta, math.sqrt(eta))
                 assert segment_noise_variance(variant, eta) == pytest.approx(
                     noise, rel=1e-14
                 )
                 spec = spec_for(variant, l0=l0)
-                assert segment_variance(spec).sq == pytest.approx(
+                assert segment_variance(spec) == pytest.approx(
                     2 * SQ15.sigma2 + noise, rel=1e-14
                 )
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
+    def test_table_reproduces_closed_forms_bitwise(self, variant):
+        closed_form = CLOSED_FORMS[variant]
+        mismatches = [
+            eta
+            for eta in ETA_GRID
+            if segment_noise_variance(variant, eta).hex()
+            != closed_form(eta, math.sqrt(eta)).hex()
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
+    def test_sampler_components_sum_to_segment_variance(self, variant):
+        for l0 in (0.0, 0.5, 3.0, 50.0, 400.0):
+            for squeezing in (SQ0, SQ15, SqueezingSpec.from_db(8.0)):
+                spec = spec_for(variant, l0=l0, squeezing=squeezing)
+                sigmas = _segment_component_sigmas(spec)
+                assert len(sigmas) == 2 + variant.noisy_inputs
+                assert sum(s**2 for s in sigmas) == pytest.approx(
+                    segment_variance(spec), rel=1e-14, abs=1e-300
+                )
+
+    def test_tree_variances_reproduce_closed_forms_bitwise(self):
+        for l0 in np.geomspace(1e-6, 700.0, 2_001).tolist() + [0.0]:
+            for squeezing in (SQ0, SQ15, SqueezingSpec.from_db(8.0)):
+                spec = spec_for(Variant.TWO_WAY_CC, l0=l0, squeezing=squeezing)
+                sigma2, root = squeezing.sigma2, math.sqrt(spec.eta)
+                assert leaf_variance(spec).hex() == (2.0 * sigma2 + (1.0 - root) / root).hex()
+                assert single_qubit_variance(spec).hex() == (
+                    sigma2 + (1.0 - root) / (2.0 * root)
+                ).hex()
 
     def test_rejects_zero_eta(self):
         with pytest.raises(ValueError):
@@ -110,14 +157,14 @@ class TestSegmentErrors:
         # lattice sum and the central-interval formula coincide to 1e-12.
         for variant in ALL_VARIANTS:
             spec = spec_for(variant, l0=2.0)
-            e_direct = pfail(segment_variance(spec).sq)
+            e_direct = pfail(segment_variance(spec))
             if variant.second_sqec:
                 e_direct = 2 * e_direct * (1 - e_direct)
             assert segment_errors(spec).ex == pytest.approx(e_direct, abs=1e-12)
 
     def test_second_round_combination(self):
         spec = spec_for(Variant.TWO_WAY_POST_SECOND_SQEC, l0=60.0, delta=SQRT_PI / 12)
-        e_round = e_hrm(segment_variance(spec).sq, spec.hrm.delta)
+        e_round = e_hrm(segment_variance(spec), spec.hrm.delta)
         assert segment_errors(spec).ex == pytest.approx(
             2 * e_round * (1 - e_round), rel=1e-12
         )
@@ -129,10 +176,10 @@ class TestSegmentErrors:
 
     def test_acceptance_is_squared_homodyne_acceptance(self):
         spec = spec_for(Variant.TWO_WAY_CC, l0=40.0, delta=SQRT_PI / 6)
-        per_outcome = p_suc(segment_variance(spec).sq, spec.hrm.delta)
-        assert segment_errors(spec).p_accept == pytest.approx(
-            per_outcome**2, rel=1e-12
-        )
+        per_outcome = p_suc(segment_variance(spec), spec.hrm.delta)
+        errs = segment_errors(spec)
+        assert errs.p_suc == per_outcome
+        assert errs.p_accept == pytest.approx(per_outcome**2, rel=1e-12)
 
     def test_error_bounded_by_half(self):
         for variant in ALL_VARIANTS:
@@ -183,22 +230,22 @@ class TestChainError:
 class TestSuccessProbability:
     def test_no_postselection_means_certainty(self):
         for variant in ALL_VARIANTS:
-            assert success_probability(spec_for(variant, n_qr=10, l0=50.0)) == 1.0
+            assert secure_key_rate(spec_for(variant, n_qr=10, l0=50.0)).p_suc == 1.0
 
     def test_single_round_exponent(self):
         # One Bell measurement per station, two postselected outcomes each.
         assert 0.9**2 == pytest.approx(0.81)
         spec = spec_for(Variant.TWO_WAY_CC, n_qr=3, l0=40.0, delta=SQRT_PI / 6)
-        per_outcome = p_suc(segment_variance(spec).sq, spec.hrm.delta)
-        assert success_probability(spec) == pytest.approx(per_outcome**6, rel=1e-12)
+        per_outcome = p_suc(segment_variance(spec), spec.hrm.delta)
+        assert secure_key_rate(spec).p_suc == pytest.approx(per_outcome**6, rel=1e-12)
 
     def test_second_round_exponent(self):
         assert 0.9**8 == pytest.approx(0.43046721)
         spec = spec_for(
             Variant.TWO_WAY_PRE_SECOND_SQEC, n_qr=2, l0=40.0, delta=SQRT_PI / 6
         )
-        per_outcome = p_suc(segment_variance(spec).sq, spec.hrm.delta)
-        assert success_probability(spec) == pytest.approx(per_outcome**8, rel=1e-12)
+        per_outcome = p_suc(segment_variance(spec), spec.hrm.delta)
+        assert secure_key_rate(spec).p_suc == pytest.approx(per_outcome**8, rel=1e-12)
 
 
 class TestSecureKeyRate:

@@ -195,6 +195,23 @@ class TestTreeShape:
         with pytest.raises(ValueError):
             TreeShape(n_leaf=9)
 
+    def test_leaf_count_changes_cost_and_rate_in_both_modes(self):
+        wide = TreeShape(n_leaf=12)
+        assert wide.qubits_per_cluster == 132
+        assert wide.n_pairs == 6
+        # Postselected mode: a sixth leaf pair raises the station acceptance.
+        spec = cc_spec(n_qr=50, l0=3.0, delta=SQRT_PI / 6)
+        assert resource_count(spec, wide).qubits_per_cluster == 132
+        assert station_acceptance(spec, wide) > station_acceptance(spec)
+        hrm = DecodingMode.HRM_POSTSELECTED
+        assert tree_key_rate(spec, wide, hrm).rate > tree_key_rate(spec, mode=hrm).rate
+        # Path selection: a sixth pair to choose from lowers the leaf error.
+        spec = cc_spec(n_qr=10, l0=5.0)
+        mc = TrialConfig(20_000, seed=1)
+        narrow_leaf = component_errors(spec, mc=mc).e_leaf
+        assert component_errors(spec, wide, mc=mc).e_leaf < narrow_leaf
+        assert tree_key_rate(spec, wide, mc=mc).rate > tree_key_rate(spec, mc=mc).rate
+
 
 class TestComponentVariances:
     def test_leaf_budget_matches_bare_cc_segment(self):
