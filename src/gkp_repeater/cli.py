@@ -94,7 +94,10 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _rows_to_csv(columns: list[str], rows: list[dict]) -> str:
+def _table(fmt: str, columns: list[str], rows: list[dict]) -> str:
+    """Rows as a JSON list, or as CSV with the given columns."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
@@ -103,8 +106,13 @@ def _rows_to_csv(columns: list[str], rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def _rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
+def _record(fmt: str, record: dict) -> str:
+    """One record as a JSON object, a one-row CSV, or ``key = value`` lines."""
+    if fmt == "json":
+        return json.dumps(record, indent=2) + "\n"
+    if fmt == "csv":
+        return _table(fmt, list(record), [record])
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in record.items())
 
 
 def _split_list(text: str) -> list[str]:
@@ -140,12 +148,11 @@ def _resolve_geometry(args) -> float:
 
 
 def _evaluate(
-    protocol, nqr, l0, squeezing_db, delta, latt,
-    prep_delta=tree_code.DEFAULT_PREP_DELTA, trials=1_000_000, seed=0,
+    protocol, nqr, l0, squeezing_db, delta, latt, prep_delta=tree_code.DEFAULT_PREP_DELTA,
 ) -> tuple[protocols.ProtocolSpec, protocols.RatePoint]:
     """Spec and rate point of one printed row: a bare variant through
     secure_key_rate, a tree protocol through tree_key_rate on the two-way-cc
-    geometry (trials and seed feed only its path-selection leaf estimate)."""
+    geometry."""
     tree = protocol in TREE_PROTOCOLS
     spec = protocols.ProtocolSpec(
         variant=protocols.Variant.TWO_WAY_CC if tree else protocols.Variant.from_label(protocol),
@@ -158,8 +165,7 @@ def _evaluate(
     if not tree:
         return spec, protocols.secure_key_rate(spec)
     mode = tree_code.DecodingMode(protocol.removeprefix("tree-"))
-    mc = mc_oracle.TrialConfig(n_trials=trials, seed=seed)
-    return spec, tree_code.tree_key_rate(spec, mode=mode, prep_delta=prep_delta, mc=mc)
+    return spec, tree_code.tree_key_rate(spec, mode=mode, prep_delta=prep_delta)
 
 
 def cmd_rate(args) -> int:
@@ -175,13 +181,7 @@ def cmd_rate(args) -> int:
         "R": point.rate,
         "PLOB": point.plob,
     }
-    if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _rows_to_csv(list(record), [record])
-    else:
-        text = "".join(f"{key} = {_fmt(value)}\n" for key, value in record.items())
-    _emit(text, _resolve_output(args.output))
+    _emit(_record(args.format, record), _resolve_output(args.output))
     return 0
 
 
@@ -194,8 +194,7 @@ class SweepRequest:
     """Validated parameter grids of one key-rate sweep.
 
     Exactly one of l0_km / distance_km supplies the geometry grid; the other
-    coordinate is derived per station count. The Monte Carlo knobs apply only
-    to tree path-selection rows.
+    coordinate is derived per station count.
     """
 
     protocols: list[str]
@@ -206,8 +205,6 @@ class SweepRequest:
     squeezing_db: float = 15.0
     latt_km: float = DEFAULT_ATTENUATION_KM
     prep_delta: float = tree_code.DEFAULT_PREP_DELTA
-    trials: int = 1_000_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.protocols:
@@ -233,10 +230,6 @@ class SweepRequest:
             raise ValueError("distances must be positive")
         if not math.isfinite(self.squeezing_db):
             raise ValueError(f"squeezing_db must be finite, got {self.squeezing_db}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
     def geometry(self, n_qr: int) -> list[tuple[float, float]]:
         """(l0, total distance) pairs for one station count."""
@@ -260,10 +253,8 @@ def _sweep_rows(request: SweepRequest) -> list[dict]:
                         "squeezing_db": request.squeezing_db,
                     }
                     try:
-                        spec, point = _evaluate(
-                            protocol, nqr, l0, request.squeezing_db, delta, request.latt_km,
-                            request.prep_delta, request.trials, request.seed,
-                        )
+                        spec, point = _evaluate(protocol, nqr, l0, request.squeezing_db, delta,
+                                                request.latt_km, request.prep_delta)
                         values = [spec.eta, point.e_segment, point.ex_ab, point.p_suc, point.rate, point.plob]
                         error = ""
                     except ValueError as exc:
@@ -317,7 +308,6 @@ def _apply_config(args, config: dict) -> None:
         "output": ("output", str),
         "eta_points": ("eta_points", int),
         "delta_prep": ("delta_prep", parse_delta),
-        "trials": ("trials", int),
         "seed": ("seed", int),
     }
     lists = {
@@ -344,18 +334,15 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
             _apply_config(args, _load_config(args.config))
         except (OSError, ValueError) as exc:
             parser.error(f"bad --config {args.config}: {exc}")
+    # No sweep draws a random number; the seed is validated and otherwise unused.
+    if args.seed < 0:
+        parser.error("seed must be >= 0")
     output = _resolve_output(args.output)
 
     if args.quantity == "amp-variance":
         if args.eta_points < 2:
             parser.error("--eta-points must be >= 2")
-        rows = _amp_variance_rows(args.eta_points)
-        text = (
-            _rows_to_json(rows)
-            if args.format == "json"
-            else _rows_to_csv(AMP_VARIANCE_COLUMNS, rows)
-        )
-        _emit(text, output)
+        _emit(_table(args.format, AMP_VARIANCE_COLUMNS, _amp_variance_rows(args.eta_points)), output)
         return 0
 
     try:
@@ -368,19 +355,12 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
             squeezing_db=args.squeezing_db,
             latt_km=args.latt,
             prep_delta=args.delta_prep,
-            trials=args.trials,
-            seed=args.seed,
         )
     except ValueError as exc:
         parser.error(str(exc))
 
     rows = _sweep_rows(request)
-    text = (
-        _rows_to_json(rows)
-        if args.format == "json"
-        else _rows_to_csv(SWEEP_COLUMNS + ["error"], rows)
-    )
-    _emit(text, output)
+    _emit(_table(args.format, SWEEP_COLUMNS + ["error"], rows), output)
     return 0 if any(not row["error"] for row in rows) else 1
 
 
@@ -534,17 +514,11 @@ def cmd_mc_validate(args, parser: argparse.ArgumentParser) -> int:
 # resources
 
 
-def cmd_resources(args, parser: argparse.ArgumentParser) -> int:
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
+def cmd_resources(args) -> int:
     l0 = _resolve_geometry(args)
     mode = tree_code.DecodingMode(args.mode)
-    spec, point = _evaluate(
-        f"tree-{mode.value}", args.nqr, l0, args.squeezing_db, args.delta, args.latt,
-        args.delta_prep, args.trials, args.seed,
-    )
+    spec, point = _evaluate(f"tree-{mode.value}", args.nqr, l0, args.squeezing_db,
+                            args.delta, args.latt, args.delta_prep)
     count = tree_code.resource_count(spec, mode=mode)
     record = {
         "mode": mode.value,
@@ -559,11 +533,7 @@ def cmd_resources(args, parser: argparse.ArgumentParser) -> int:
     }
     for distance, baseline in sorted(PHOTONIC_BASELINE_QUBITS.items()):
         record[f"photonic_baseline_qubits_{int(distance)}km"] = baseline
-    if args.format == "json":
-        text = json.dumps(record, indent=2) + "\n"
-    else:
-        text = "".join(f"{key} = {_fmt(value)}\n" for key, value in record.items())
-    _emit(text, _resolve_output(args.output))
+    _emit(_record(args.format, record), _resolve_output(args.output))
     return 0
 
 
@@ -580,12 +550,7 @@ def cmd_plob(args, parser: argparse.ArgumentParser) -> int:
         {"L_AB_km": d, "PLOB": protocols.plob_bound(d, args.latt)}
         for d in args.distance_list
     ]
-    text = (
-        _rows_to_json(rows)
-        if args.format == "json"
-        else _rows_to_csv(["L_AB_km", "PLOB"], rows)
-    )
-    _emit(text, _resolve_output(args.output))
+    _emit(_table(args.format, ["L_AB_km", "PLOB"], rows), _resolve_output(args.output))
     return 0
 
 
@@ -650,8 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--eta-points", type=int, default=1000, help="grid size for --quantity amp-variance")
     sweep.add_argument("--delta-prep", type=parse_delta, default=tree_code.DEFAULT_PREP_DELTA,
                        help="construction-fusion margin for tree protocols")
-    sweep.add_argument("--trials", type=int, default=1_000_000, help="MC trials for tree path selection")
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=int, default=0,
+                       help="accepted and unused: every rate is deterministic")
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.add_argument("--output", default=None)
 
@@ -665,8 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(resources, with_protocol=False)
     resources.add_argument("--mode", choices=[m.value for m in tree_code.DecodingMode], required=True)
     resources.add_argument("--delta-prep", type=parse_delta, default=tree_code.DEFAULT_PREP_DELTA)
-    resources.add_argument("--trials", type=int, default=1_000_000)
-    resources.add_argument("--seed", type=int, default=0)
     resources.add_argument("--format", choices=["text", "json"], default="text")
 
     plob = sub.add_parser("plob", help="repeaterless secret-key bound")
@@ -693,7 +656,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mc-validate":
             return cmd_mc_validate(args, parser)
         if args.command == "resources":
-            return cmd_resources(args, parser)
+            return cmd_resources(args)
         return cmd_plob(args, parser)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))

@@ -16,8 +16,9 @@ given seed across versions, so identical (seed, n_trials, batch_size) give
 bit-identical counts, batches are independent by construction, and a batch
 may be computed on any worker in any order: merging is plain count addition.
 
-numpy is imported inside the samplers, so importing this module (and the
-analytic modules that use its TrialConfig) loads the standard library only.
+numpy is imported inside the samplers, so importing this module loads the
+standard library only. No rate reads a sampler: they cross-check the analytic
+code, and only ``mc-validate`` runs them.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ from .noise_core import SQRT_PI
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: Below this many successes an estimate is in the rare-event regime and the
-#: upper_bound field (rule-of-three style: (k+3)/n) should be quoted instead
-#: of the point estimate.
-RARE_EVENT_COUNT = 10
-
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -77,30 +72,25 @@ class McEstimate:
     """Binomial point estimate with its normal-approximation standard error.
 
     n_effective is the denominator actually used (accepted trials for
-    postselected quantities, all trials otherwise). For successes below
-    RARE_EVENT_COUNT the point estimate is too coarse and upper_bound holds a
-    conservative (k+3)/n_effective bound; it is None otherwise.
+    postselected quantities, all trials otherwise).
     """
 
     mean: float
     std_err: float
     n_accepted: int
     n_effective: int
-    upper_bound: float | None = None
 
     @classmethod
     def from_counts(cls, successes: int, n_effective: int, n_accepted: int | None = None) -> "McEstimate":
         if n_effective <= 0:
-            return cls(0.0, 0.0, 0, 0, upper_bound=None)
+            return cls(0.0, 0.0, 0, 0)
         mean = successes / n_effective
         std_err = math.sqrt(mean * (1.0 - mean) / n_effective)
-        bound = (successes + 3) / n_effective if successes < RARE_EVENT_COUNT else None
         return cls(
             mean=mean,
             std_err=std_err,
             n_accepted=n_accepted if n_accepted is not None else n_effective,
             n_effective=n_effective,
-            upper_bound=bound,
         )
 
 

@@ -195,7 +195,8 @@ def chain_error(e_segment: float, n_qr: int) -> float:
     """Accumulated end-to-end flip probability over n_qr independent segments.
 
     An odd number of flips among n_qr segments survives:
-        E_AB = (1 - (1 - 2*e)**n_qr) / 2.
+        E_AB = (1 - (1 - 2*e)**n_qr) / 2,
+    evaluated as -expm1(n_qr * log1p(-2e)) / 2 so that small e does not cancel.
     n_qr = 0 gives 0: the end points' own preparation and measurement are
     absorbed into the segment budget, so a repeaterless hop contributes no
     chain error under this convention.
@@ -204,7 +205,11 @@ def chain_error(e_segment: float, n_qr: int) -> float:
         raise ValueError(f"e_segment must be in [0, 1/2], got {e_segment}")
     if n_qr < 0:
         raise ValueError(f"n_qr must be nonnegative, got {n_qr}")
-    return 0.5 * (1.0 - (1.0 - 2.0 * e_segment) ** n_qr)
+    if n_qr == 0 or e_segment == 0.0:
+        return 0.0  # the log form would give -0.0
+    if e_segment == 0.5:
+        return 0.5  # log1p(-1) is a domain error
+    return -0.5 * math.expm1(n_qr * math.log1p(-2.0 * e_segment))
 
 
 def binary_entropy(x: float) -> float:
@@ -217,11 +222,13 @@ def binary_entropy(x: float) -> float:
 
 
 def plob_bound(l_km: float, latt_km: float = DEFAULT_ATTENUATION_KM) -> float:
-    """Repeaterless secret-key capacity -log2(1 - eta) at eta = exp(-L/L_att)."""
+    """Repeaterless secret-key capacity -log2(1 - eta) at eta = exp(-L/L_att),
+    evaluated as -log1p(-eta) / ln 2 so that it does not round to 0 at long
+    distances."""
     eta = eta_from_distance(l_km, latt_km)
     if eta >= 1.0:
         return math.inf
-    return max(0.0, -math.log2(1.0 - eta))
+    return -math.log1p(-eta) / math.log(2.0)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ over three-qubit blocks. Two decoding modes are supported:
   least one of its leaf pairs passes, so communication is probabilistic.
 * ``path-selection``: the station keeps the leaf pair whose measured residues
   have the largest Gaussian likelihood. Communication is deterministic
-  (success probability 1) and the selected-pair error has no closed form; it
-  is estimated by Monte Carlo.
+  (success probability 1) and the selected-pair error is an order statistic
+  over the residue distribution, computed by quadrature over lattice sums
+  (``_path_selection_leaf_error``).
 
 Per-station error composition (all components assumed independent):
 
@@ -33,11 +34,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
 from . import hrm as hrm_mod
-from . import mc_oracle
+from .noise_core import SQRT_PI
 from .protocols import (
     ProtocolSpec, RatePoint, Variant, binary_entropy, chain_error, plob_bound, segment_variance,
 )
@@ -199,23 +201,55 @@ def _check_tree_spec(spec: ProtocolSpec) -> None:
         )
 
 
-# Distinct (leaf variance, n_pairs, trial config) estimates kept per command.
-_PATH_SELECTION_CACHE_SIZE = 256
+#: Cells per residue magnitude in the path-selection quadrature. The cell sum
+#: errs as 1/m**2, so extrapolating m and 2m cells lands within ~3e-6 relative
+#: of the limit at m = 100.
+_LEAF_CELLS = 100
 
 
-@functools.lru_cache(maxsize=_PATH_SELECTION_CACHE_SIZE)
-def _path_selection_leaf_error(
-    v_leaf: float, n_pairs: int, config: mc_oracle.TrialConfig
-) -> float:
-    """Path-selection leaf error: the MC upper bound when the estimate is
-    rare-event starved, its mean otherwise.
+def _selected_pair_error(v_leaf: float, n_pairs: int, m: int) -> float:
+    """Error of the pair with the smallest s = r1**2 + r2**2 among n_pairs,
+    with each residue magnitude |r| binned into m cells on [0, sqrt(pi)/2].
 
-    The Philox streams make the estimate a pure function of these arguments,
-    so one sampler run serves every row that shares them. ``cli.main`` clears
-    the cache at the start of each command.
+    A cell's even and odd masses are differences of the postselected lattice
+    sums at margin sqrt(pi)/2 - w. Cell pairs are keyed by the exact integer
+    (2i+1)**2 + (2j+1)**2 of their midpoints, so pairs with equal s merge. A
+    merged cell of mass M holds the smallest of n_pairs draws with probability
+    a**n - b**n, b being the mass above it and a = b + M; that pair is then
+    wrong (its outcomes not both even) with probability wrong/M.
     """
-    estimate, _ = mc_oracle.simulate_path_selection(v_leaf, n_pairs, config)
-    return estimate.upper_bound if estimate.upper_bound is not None else estimate.mean
+    margins = [SQRT_PI / 2 * ((m - i) / m) for i in range(1, m + 1)]
+    even = [0.0] + [hrm_mod.p_cor(v_leaf, d) for d in margins]
+    odd = [0.0] + [hrm_mod.p_in(v_leaf, d) for d in margins]
+    e = [hi - lo for lo, hi in zip(even, even[1:])]
+    o = [hi - lo for lo, hi in zip(odd, odd[1:])]
+    mass, wrong = defaultdict(float), defaultdict(float)
+    for i in range(m):
+        for j in range(m):
+            key = (2 * i + 1) ** 2 + (2 * j + 1) ** 2
+            mass[key] += (e[i] + o[i]) * (e[j] + o[j])
+            wrong[key] += e[i] * o[j] + o[i] * (e[j] + o[j])
+    total = above = 0.0
+    for key in sorted(mass, reverse=True):
+        cell, a = mass[key], above + mass[key]
+        if cell > 0.0:
+            # a**n - b**n, in a form that does not cancel for a thin cell.
+            drop = -math.expm1(n_pairs * math.log1p(-cell / a)) if cell < a else 1.0
+            total += wrong[key] / cell * a**n_pairs * drop
+        above = a
+    return total
+
+
+@functools.lru_cache(maxsize=256)
+def _path_selection_leaf_error(v_leaf: float, n_pairs: int) -> float:
+    """Probability that the maximum-likelihood leaf pair out of n_pairs is
+    wrong: the extrapolation (4 P(2m) - P(m)) / 3 of the cell sums. It meets
+    the closed forms to rounding: 0 at v_leaf = 0, 3/4 once the residues are
+    uniform, 1 - (1 - e_hrm(v_leaf))**2 for one pair. cli.main clears the
+    cache at the start of each command.
+    """
+    fine = _selected_pair_error(v_leaf, n_pairs, 2 * _LEAF_CELLS)
+    return (4.0 * fine - _selected_pair_error(v_leaf, n_pairs, _LEAF_CELLS)) / 3.0
 
 
 def component_errors(
@@ -223,19 +257,17 @@ def component_errors(
     tree: TreeShape = TreeShape(),
     mode: DecodingMode = DecodingMode.PATH_SELECTION,
     prep_delta: float = DEFAULT_PREP_DELTA,
-    mc: mc_oracle.TrialConfig | None = None,
+    mc: object = None,
 ) -> ComponentErrors:
     """Assemble the per-station component errors for the given decoding mode.
 
     Node and ancilla single-qubit measurements are never postselected (the
     HRM margin applies only to leaf Bell measurements and to construction
     fusions), so they fail at the unpostselected rate of their outcome
-    variance. In path-selection mode the leaf error is the Monte Carlo
-    estimate of the maximum-likelihood-selected pair; a rare-event estimate
-    falls back to its conservative upper bound rather than an unstable point
-    value. That estimate depends only on the leaf variance, n_pairs and the
-    trial config, so calls sharing them share one draw (see
-    ``_path_selection_leaf_error``); it ignores the HRM margin.
+    variance. In path-selection mode the leaf error is that of the
+    maximum-likelihood pair (``_path_selection_leaf_error``); it depends only
+    on the leaf variance and n_pairs, so it ignores the HRM margin. ``mc`` is
+    accepted for compatibility and unused: no Monte Carlo enters a rate.
     """
     _check_tree_spec(spec)
     mode = DecodingMode(mode)
@@ -244,11 +276,8 @@ def component_errors(
     e_single = hrm_mod.e_hrm(v_single, 0.0)
     if mode is DecodingMode.HRM_POSTSELECTED:
         e_leaf = hrm_mod.e_hrm(v_leaf, spec.hrm.delta)
-    elif v_leaf == 0.0:
-        e_leaf = 0.0  # no displacement noise at all, selection cannot err
     else:
-        config = mc if mc is not None else mc_oracle.TrialConfig(n_trials=1_000_000)
-        e_leaf = _path_selection_leaf_error(v_leaf, tree.n_pairs, config)
+        e_leaf = _path_selection_leaf_error(v_leaf, tree.n_pairs)
     return ComponentErrors(
         e_leaf=e_leaf,
         e_a_p=e_single,
@@ -274,7 +303,6 @@ def tree_key_rate(
     tree: TreeShape = TreeShape(),
     mode: DecodingMode = DecodingMode.PATH_SELECTION,
     prep_delta: float = DEFAULT_PREP_DELTA,
-    mc: mc_oracle.TrialConfig | None = None,
     components: ComponentErrors | None = None,
 ) -> RatePoint:
     """Secure key rate of the tree-encoded two-way protocol.
@@ -282,11 +310,10 @@ def tree_key_rate(
     E_AB accumulates the per-station error over n_qr stations exactly like the
     bare chain; the success probability is 1 for path selection and the
     every-station-accepts probability for the postselected mode. Passing
-    precomputed ``components`` skips the (possibly Monte Carlo) component
-    evaluation.
+    precomputed ``components`` skips the component evaluation.
     """
     comps = components if components is not None else component_errors(
-        spec, tree, mode, prep_delta, mc
+        spec, tree, mode, prep_delta
     )
     e_qr = repeater_error(comps)
     e_ab = chain_error(min(e_qr, 0.5), spec.n_qr)

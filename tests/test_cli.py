@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkp_repeater import cli, mc_oracle, tree_code
+from gkp_repeater import cli, tree_code
 from gkp_repeater.hrm import HrmPolicy
 from gkp_repeater.noise_core import SqueezingSpec
 from gkp_repeater.protocols import ProtocolSpec, Variant, secure_key_rate
@@ -195,8 +195,13 @@ class TestSweep:
             cli.main(
                 ["sweep", "--protocols", "tree-path-selection,tree-hrm",
                  "--nqr-list", "10", "--delta-list", "0", "--l0-list", "3",
-                 "--trials", "1000", "--seed", "-1"]
+                 "--seed", "-1"]
             )
+        assert excinfo.value.code == 2
+
+    def test_negative_seed_exits_2_for_amp_variance(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--quantity", "amp-variance", "--eta-points", "3", "--seed", "-1"])
         assert excinfo.value.code == 2
 
     def test_negative_seed_config_key_exits_2(self, capsys, tmp_path):
@@ -206,7 +211,6 @@ class TestSweep:
             "nqr = 10\n"
             "delta = 0\n"
             "l0_km = 3\n"
-            "trials = 1000\n"
             "seed = -1\n"
         )
         with pytest.raises(SystemExit) as excinfo:
@@ -241,7 +245,6 @@ class TestSweep:
             capsys,
             "sweep", "--protocols", "tree-path-selection", "--nqr-list", "99",
             "--delta-list", "0", "--distance-list", "300",
-            "--trials", "20000", "--seed", "3",
         )
         assert code == 0
         (row,) = parse_csv(out)
@@ -315,7 +318,7 @@ class TestResources:
         code, out = run_cli(
             capsys,
             "resources", "--mode", "path-selection", "--nqr", "999", "--l0", "3",
-            "--trials", "20000", "--format", "json",
+            "--format", "json",
         )
         assert code == 0
         record = json.loads(out)
@@ -325,26 +328,18 @@ class TestResources:
         assert record["photonic_baseline_qubits_1000km"] == 4.1e6
         assert "E_AB" in record
 
-    def test_negative_seed_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(
-                ["resources", "--mode", "path-selection", "--nqr", "10", "--l0", "3",
-                 "--trials", "1000", "--seed", "-1"]
-            )
-        assert excinfo.value.code == 2
-
     def test_single_station(self, capsys):
         code, out = run_cli(
             capsys,
             "resources", "--mode", "path-selection", "--nqr", "0", "--l0", "3",
-            "--trials", "20000", "--format", "json",
+            "--format", "json",
         )
         assert code == 0
         assert json.loads(out)["total_qubits"] == 130
 
     def test_postselected_mode_costs_more(self, capsys):
         argv = ["resources", "--nqr", "50", "--l0", "3", "--delta", "sqrt_pi/6",
-                "--trials", "20000", "--format", "json"]
+                "--format", "json"]
         _, hrm_out = run_cli(capsys, *argv, "--mode", "hrm")
         _, path_out = run_cli(capsys, *argv, "--mode", "path-selection")
         assert (
@@ -354,39 +349,29 @@ class TestResources:
 
 
 class TestSharedLeafEstimate:
-    """Path-selection rows sharing a leaf input share one sampler run."""
+    """Path-selection rows sharing a leaf input share one quadrature."""
 
     ARGV = [
         "sweep", "--protocols", "tree-hrm,tree-path-selection",
         "--nqr-list", "10,100,500", "--delta-list", "0,sqrt_pi/6",
-        "--l0-list", "3", "--trials", "20000", "--seed", "3",
+        "--l0-list", "3",
     ]
 
-    @pytest.fixture
-    def sampler_calls(self, monkeypatch):
-        calls = []
-        sampler = mc_oracle.simulate_path_selection
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return sampler(*args, **kwargs)
-
-        monkeypatch.setattr(mc_oracle, "simulate_path_selection", counting)
-        return calls
-
-    def test_one_sampler_run_per_distinct_leaf_input(self, capsys, sampler_calls):
+    def test_one_quadrature_per_distinct_leaf_input(self, capsys):
         code, out = run_cli(capsys, *self.ARGV)
         assert code == 0
         assert len(parse_csv(out)) == 2 * 3 * 2
-        assert len(sampler_calls) == 1
+        info = tree_code._path_selection_leaf_error.cache_info()
+        assert (info.misses, info.hits) == (1, 3 * 2 - 1)
 
-    def test_cache_lives_for_one_command(self, capsys, sampler_calls):
+    def test_cache_lives_for_one_command(self, capsys):
         _, first = run_cli(capsys, *self.ARGV)
         _, second = run_cli(capsys, *self.ARGV)
         assert first == second
-        assert len(sampler_calls) == 2
+        info = tree_code._path_selection_leaf_error.cache_info()
+        assert (info.misses, info.hits) == (1, 3 * 2 - 1)
 
-    def test_rows_match_a_direct_sampler_run(self, capsys):
+    def test_rows_match_a_direct_quadrature(self, capsys):
         _, out = run_cli(capsys, *self.ARGV)
         rows = [r for r in parse_csv(out) if r["protocol"] == "tree-path-selection"]
         assert len(rows) == 3 * 2
@@ -398,12 +383,9 @@ class TestSharedLeafEstimate:
                 squeezing=SqueezingSpec.from_db(15.0),
                 hrm=HrmPolicy(float(row["delta"])),
             )
-            estimate, _ = mc_oracle.simulate_path_selection(
-                tree_code.leaf_variance(spec),
-                tree_code.TreeShape().n_pairs,
-                mc_oracle.TrialConfig(n_trials=20000, seed=3),
+            e_leaf = tree_code._path_selection_leaf_error.__wrapped__(
+                tree_code.leaf_variance(spec), tree_code.TreeShape().n_pairs
             )
-            e_leaf = estimate.upper_bound if estimate.upper_bound is not None else estimate.mean
             comps = dataclasses.replace(
                 tree_code.component_errors(spec, mode=tree_code.DecodingMode.HRM_POSTSELECTED),
                 e_leaf=e_leaf,
@@ -413,23 +395,65 @@ class TestSharedLeafEstimate:
             assert row["E_AB"] == cli._fmt(point.ex_ab)
 
 
+class TestRemovedMonteCarloOptions:
+    """Rates take no Monte Carlo options; the removed ones are rejected."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--protocols", "tree-path-selection", "--nqr-list", "10",
+         "--delta-list", "0", "--l0-list", "3", "--trials", "1000"],
+        ["resources", "--mode", "path-selection", "--nqr", "10", "--l0", "3",
+         "--trials", "1000"],
+        ["resources", "--mode", "path-selection", "--nqr", "10", "--l0", "3",
+         "--seed", "1"],
+    ])
+    def test_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+
+    def test_trials_config_key_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            "protocols = tree-path-selection\nnqr = 10\ndelta = 0\nl0_km = 3\n"
+            "trials = 1000\n"
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--config", str(config)])
+        assert excinfo.value.code == 2
+        assert "unknown config key 'trials'" in capsys.readouterr().err
+
+    def test_seeded_tree_recipe_ignores_the_seed(self, capsys, tmp_path):
+        # A recipe copy with a ``seed = N`` line appended, as the benchmark
+        # harness writes it, runs and prints the same bytes for any seed.
+        outputs = []
+        for seed in (7, 13):
+            config = tmp_path / f"tree.seed{seed}.cfg"
+            text = (RECIPES / "tree_key_rates.cfg").read_text(encoding="utf-8")
+            config.write_text(text + f"seed = {seed}\n", encoding="utf-8")
+            code, out = run_cli(capsys, "sweep", "--config", str(config))
+            assert code == 0
+            assert len(parse_csv(out)) == 20
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
 class TestOutputFreeze:
     """Printed output is byte-identical to the pinned SHA-256 of its stdout.
 
-    The analytic digests are the seed-7 baselines of the benchmark's
-    analytic-recipes workload; the mc-validate digest pins the sampler
-    streams of every oracle row. A change that alters output on purpose
-    re-pins these and records why.
+    The analytic digests cover the commands of the benchmark's
+    analytic-recipes workload and the tree recipe, which is deterministic;
+    the mc-validate digest pins the sampler streams of every oracle row. A
+    change that alters output on purpose re-pins these and records why.
     """
 
     CASES = {
         "bare_key_rates": (
             ["sweep", "--config", str(RECIPES / "bare_key_rates.cfg")],
-            "8be08e0263efaa11e84abecf9682196a1fbe5970138b88f8ce22e078de5775b4",
+            "1a34cf947c4a0cdd884a423d7b8fca301f743e6a1dcbd1a3f4462222f807180e",
         ),
         "segment_error_comparison": (
             ["sweep", "--config", str(RECIPES / "segment_error_comparison.cfg")],
-            "7f86b70b0b14f6bbb692734405e356f0f1c1056eb736a92f6222327986c8b2b4",
+            "4a9846b13915307e0b41e3970350a10b4e99ce13c3691e52c8d26aca994d91ae",
         ),
         "amp_variance_curves": (
             ["sweep", "--config", str(RECIPES / "amp_variance_curves.cfg")],
@@ -437,16 +461,20 @@ class TestOutputFreeze:
         ),
         "plob": (
             ["plob", "--distance-list", "1,10,100,500,1000,2000,5000"],
-            "fc5647a70571b1f957701adf9f9e549d7d9d8b5d9b3f9259e275da136b58fc2d",
+            "7333e2d76734c8ae0375ebb4dbf9ddc31c22cd4803037721aea5e72aa12d6782",
         ),
         "rate": (
             ["rate", "--protocol", "two-way-cc", "--nqr", "10", "--l0", "3",
              "--squeezing-db", "15", "--format", "json"],
-            "68cbcbf5322027300331375236d7312ec621cb22f75217cea05665ab4c9346b0",
+            "a27d5a9ab13efb296a592019fced5a99405919a1324e5c10f2ce4949c16a9ab0",
         ),
         "resources": (
             ["resources", "--mode", "hrm", "--nqr", "332", "--l0", "3", "--format", "json"],
             "dbab73316954ea8dc4b0b7667e0b7290fb25c4c00049199cc9e4d1a40a63fde5",
+        ),
+        "tree_key_rates": (
+            ["sweep", "--config", str(RECIPES / "tree_key_rates.cfg")],
+            "8807d6c5a078f23ebaa23d976637e97cbf89beda2bd844a0fd5d10cf2d7e3039",
         ),
         "mc_validate": (
             ["mc-validate", "--trials", "20000", "--seed", "7", "--scope", "all"],
@@ -463,8 +491,8 @@ class TestOutputFreeze:
 
 
 class TestImportBoundary:
-    """Analytic commands run on the standard library alone; numpy loads only
-    when a Monte Carlo sampler runs, and scipy never does."""
+    """Every rate command, tree path selection included, runs on the standard
+    library alone; numpy loads only for mc-validate, and scipy never does."""
 
     SCRIPT = """
 import contextlib, io, sys
@@ -493,8 +521,11 @@ for argv in sys.argv[1:]:
             "sweep --protocols two-way-cc,two-way-post-2sqec --nqr-list 1,10 "
             "--delta-list 0,sqrt_pi/6 --l0-list 3,40 --squeezing-db 12",
             "sweep --quantity amp-variance --eta-points 50",
+            "sweep --protocols tree-path-selection,tree-hrm --nqr-list 10,100 "
+            "--delta-list 0,sqrt_pi/6 --l0-list 3,5",
+            "resources --mode path-selection --nqr 332 --l0 3",
         )
-        assert lines == ["[]"] + ["0 []"] * 4
+        assert lines == ["[]"] + ["0 []"] * 6
 
     def test_mc_validate_loads_numpy_only(self):
         lines = self.loaded("mc-validate --trials 2000 --seed 1")

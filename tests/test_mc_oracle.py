@@ -76,11 +76,6 @@ class TestDeterminismAndBatching:
         assert estimate.std_err == pytest.approx(
             math.sqrt(0.025 * 0.975 / 1000), rel=1e-12
         )
-        assert estimate.upper_bound is None
-
-    def test_rare_event_upper_bound(self):
-        estimate = McEstimate.from_counts(2, 1_000_000)
-        assert estimate.upper_bound == pytest.approx(5e-6)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

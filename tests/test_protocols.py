@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkp_repeater.hrm import HrmPolicy, e_hrm, p_suc
 from gkp_repeater.mc_oracle import _segment_component_sigmas
@@ -220,6 +222,25 @@ class TestChainError:
             assert value >= previous - 1e-15
             previous = value
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        e=st.floats(min_value=0.0, max_value=0.5),
+        n=st.integers(min_value=0, max_value=1666),
+    )
+    def test_against_mpmath(self, e, n):
+        # (1 - (1 - 2e)**n) / 2 cancels for small e; the program must not.
+        mpmath = pytest.importorskip("mpmath")
+        # 360 digits resolve 1 - 2e for every double e, subnormals included.
+        with mpmath.workdps(360):
+            expected = (1 - (1 - 2 * mpmath.mpf(e)) ** n) / 2
+        value = chain_error(e, n)
+        assert value == pytest.approx(float(expected), rel=1e-13, abs=1e-300)
+        assert math.copysign(1.0, value) == 1.0
+
+    def test_small_error_does_not_cancel(self):
+        assert chain_error(1e-12, 10) == pytest.approx(1e-11, rel=1e-10)
+        assert chain_error(1e-300, 1666) == pytest.approx(1.666e-297, rel=1e-12)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             chain_error(0.6, 3)
@@ -272,10 +293,12 @@ class TestSecureKeyRate:
         )
 
     def test_plob_against_mpmath(self):
+        # Past ~800 km 1 - eta rounds to 1, so -log2(1 - eta) read 0 there.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 50
-        expected = -mpmath.log(1 - mpmath.e ** (-mpmath.mpf(100) / 22)) / mpmath.log(2)
-        assert plob_bound(100.0, 22.0) == pytest.approx(float(expected), abs=1e-14)
+        for distance in (100, 500, 1000, 2000, 5000):
+            expected = -mpmath.log(1 - mpmath.e ** (-mpmath.mpf(distance) / 22)) / mpmath.log(2)
+            assert plob_bound(distance, 22.0) == pytest.approx(float(expected), rel=1e-14)
 
     def test_rate_nonincreasing_in_station_count_at_fixed_spacing(self):
         for delta in (0.0, SQRT_PI / 10):

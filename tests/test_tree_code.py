@@ -9,9 +9,10 @@ import pytest
 from scipy import integrate
 
 from gkp_repeater.hrm import HrmPolicy, e_hrm
-from gkp_repeater.mc_oracle import TrialConfig
+from gkp_repeater.mc_oracle import TrialConfig, simulate_path_selection
 from gkp_repeater.noise_core import SqueezingSpec
 from gkp_repeater.protocols import ProtocolSpec, Variant
+from gkp_repeater import tree_code
 from gkp_repeater.tree_code import (
     ComponentErrors,
     DecodingMode,
@@ -207,10 +208,9 @@ class TestTreeShape:
         assert tree_key_rate(spec, wide, hrm).rate > tree_key_rate(spec, mode=hrm).rate
         # Path selection: a sixth pair to choose from lowers the leaf error.
         spec = cc_spec(n_qr=10, l0=5.0)
-        mc = TrialConfig(20_000, seed=1)
-        narrow_leaf = component_errors(spec, mc=mc).e_leaf
-        assert component_errors(spec, wide, mc=mc).e_leaf < narrow_leaf
-        assert tree_key_rate(spec, wide, mc=mc).rate > tree_key_rate(spec, mc=mc).rate
+        narrow_leaf = component_errors(spec).e_leaf
+        assert component_errors(spec, wide).e_leaf < narrow_leaf
+        assert tree_key_rate(spec, wide).rate > tree_key_rate(spec).rate
 
 
 class TestComponentVariances:
@@ -242,16 +242,67 @@ class TestComponentVariances:
             component_errors(spec)
 
 
+def leaf_error(v_leaf: float, n_pairs: int) -> float:
+    """The path-selection quadrature, bypassing the per-command memo."""
+    return tree_code._path_selection_leaf_error.__wrapped__(v_leaf, n_pairs)
+
+
+def leaf_variance_at(db: float, l0: float) -> float:
+    return leaf_variance(
+        ProtocolSpec(Variant.TWO_WAY_CC, 1, l0, SqueezingSpec.from_db(db))
+    )
+
+
+class TestPathSelectionQuadrature:
+    @pytest.mark.parametrize("v_leaf", [1e-3, 0.05, 0.1024, 0.25, 0.6, 2.0, 50.0])
+    def test_single_pair_is_the_unselected_pair_error(self, v_leaf):
+        e = e_hrm(v_leaf, 0.0)
+        assert leaf_error(v_leaf, 1) == pytest.approx(e * (2 - e), rel=1e-12)
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 5, 17, 500])
+    def test_exact_ends(self, n_pairs):
+        assert leaf_error(0.0, n_pairs) == 0.0
+        for v_leaf in (400.0, 1e4, 1e12):
+            # Rounding in the accumulated pair mass grows with n_pairs.
+            assert leaf_error(v_leaf, n_pairs) == pytest.approx(0.75, rel=1e-10)
+
+    @pytest.mark.parametrize("v_leaf", [0.02, 0.1024, 0.3, 1.0, 5.0])
+    def test_more_pairs_never_raise_the_error(self, v_leaf):
+        values = [leaf_error(v_leaf, n) for n in range(1, 13)]
+        assert all(0.0 <= b <= a for a, b in zip(values, values[1:])), values
+
+    def test_doubling_the_cells_moves_the_value_below_1e5(self, monkeypatch):
+        cases = [(leaf_variance_at(15, 3), 5), (leaf_variance_at(12, 6), 10), (0.25, 3)]
+        base = [leaf_error(v, n) for v, n in cases]
+        monkeypatch.setattr(tree_code, "_LEAF_CELLS", 2 * tree_code._LEAF_CELLS)
+        for (v, n), value in zip(cases, base):
+            assert leaf_error(v, n) == pytest.approx(value, rel=1e-5)
+
+    def test_tree_recipe_leaf_error(self):
+        # 15 dB, 3 km: the leaf error behind every path-selection row of the
+        # tree recipe (1.6e-5 from 16 events of the former 1e6-trial run).
+        assert leaf_error(leaf_variance_at(15, 3), 5) == pytest.approx(1.81944e-5, rel=1e-5)
+
+    @pytest.mark.parametrize("db,l0,n_pairs", [
+        (15, 10, 5), (15, 10, 1), (12, 6, 10), (15, 20, 5), (10, 3, 5),
+    ])
+    def test_agrees_with_the_sampler(self, db, l0, n_pairs):
+        v_leaf = leaf_variance_at(db, l0)
+        p = leaf_error(v_leaf, n_pairs)
+        estimate, _ = simulate_path_selection(v_leaf, n_pairs, TrialConfig(200_000, seed=29))
+        n = estimate.n_effective
+        k = round(estimate.mean * n)
+        assert abs(k - n * p) <= 4 * math.sqrt(n * p * (1 - p)), (k, n * p)
+
+
 class TestTreeKeyRate:
     def test_path_selection_is_deterministic(self):
         for l0 in (2.0, 4.0):
-            point = tree_key_rate(
-                cc_spec(n_qr=50, l0=l0), mc=TrialConfig(50_000, seed=5)
-            )
+            point = tree_key_rate(cc_spec(n_qr=50, l0=l0))
             assert point.p_suc == 1.0
 
     def test_no_stations_means_no_chain_error(self):
-        point = tree_key_rate(cc_spec(n_qr=0), mc=TrialConfig(10_000, seed=1))
+        point = tree_key_rate(cc_spec(n_qr=0))
         assert point.ex_ab == 0.0
         assert point.rate == pytest.approx(1.0)
 
@@ -259,7 +310,7 @@ class TestTreeKeyRate:
         spec = ProtocolSpec(
             Variant.TWO_WAY_CC, 10, 0.0, SqueezingSpec.from_sigma2(0.0)
         )
-        point = tree_key_rate(spec, mc=TrialConfig(10_000, seed=2))
+        point = tree_key_rate(spec)
         assert point.rate == 1.0
 
     def test_hrm_mode_success_probability(self):
