@@ -519,7 +519,7 @@ def cmd_resources(args) -> int:
     mode = tree_code.DecodingMode(args.mode)
     spec, point = _evaluate(f"tree-{mode.value}", args.nqr, l0, args.squeezing_db,
                             args.delta, args.latt, args.delta_prep)
-    count = tree_code.resource_count(spec, mode=mode)
+    count = tree_code.resource_count(spec, mode=mode, acceptance=point.p_suc)
     record = {
         "mode": mode.value,
         "L_AB_km": spec.l_ab_km,

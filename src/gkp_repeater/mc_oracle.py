@@ -16,6 +16,16 @@ given seed across versions, so identical (seed, n_trials, batch_size) give
 bit-identical counts, batches are independent by construction, and a batch
 may be computed on any worker in any order: merging is plain count addition.
 
+Kernels
+-------
+Parity is ``_odd``: an in-place ``fmod`` by 2 on the rounded multiples,
+which gives the same booleans as the floored remainder at a fraction of its
+cost. ``simulate_path_selection`` draws each batch in chunks of
+``batch_size // n_pairs`` whole trials, so a batch holds about as many
+float64 values as a one-pair batch whatever ``n_pairs`` is; the chunks
+consume the generator in the order of one whole-batch draw, so the counts
+are those of drawing the batch at once.
+
 numpy is imported inside the samplers, so importing this module loads the
 standard library only. No rate reads a sampler: they cross-check the analytic
 code, and only ``mc-validate`` runs them.
@@ -98,7 +108,23 @@ def _nearest_multiple(x: np.ndarray) -> np.ndarray:
     """Nearest integer multiple of sqrt(pi) for each measured value."""
     import numpy as np
 
-    return np.rint(x / SQRT_PI)
+    k = x / SQRT_PI
+    return np.rint(k, out=k)
+
+
+def _odd(k: np.ndarray) -> np.ndarray:
+    """Whether each rounded multiple is odd; overwrites k.
+
+    ``fmod`` is exact and several times cheaper than numpy's floored
+    remainder, and |fmod(k, 2)| == 1 holds for exactly the k whose floored
+    remainder by 2 is 1 (never +-inf, nan or a float past 2**53, which are
+    all even). Working in place adds no array to the callers' peak memory.
+    """
+    import numpy as np
+
+    np.fmod(k, 2.0, out=k)
+    np.abs(k, out=k)
+    return k == 1.0
 
 
 def _run_batches(config: TrialConfig, sample_batch):
@@ -130,9 +156,9 @@ def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEs
     def sample_batch(rng: np.random.Generator, n: int):
         x = rng.normal(0.0, sigma, size=n)
         k = _nearest_multiple(x)
-        residue = x - k * SQRT_PI
-        accepted = np.abs(residue) < v_up
-        errors = accepted & (np.abs(k) % 2 == 1)
+        x -= k * SQRT_PI
+        accepted = np.abs(x, out=x) < v_up
+        errors = accepted & _odd(k)
         return int(accepted.sum()), int(errors.sum())
 
     n_accepted, n_errors = _run_batches(config, sample_batch)
@@ -171,16 +197,15 @@ def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEst
         accepted = np.ones(n, dtype=bool)
         for _ in range(rounds):
             # q outcome decides the flip; the p outcome only gates acceptance.
-            round_flip = None
             for quad in range(2):
-                x = np.zeros(n)
-                for s in sigmas:
+                x = rng.normal(0.0, sigmas[0], size=n)
+                for s in sigmas[1:]:
                     x += rng.normal(0.0, s, size=n)
                 k = _nearest_multiple(x)
-                accepted &= np.abs(x - k * SQRT_PI) < v_up
+                x -= k * SQRT_PI
+                accepted &= np.abs(x, out=x) < v_up
                 if quad == 0:
-                    round_flip = np.abs(k) % 2 == 1
-            flips ^= round_flip
+                    flips ^= _odd(k)
         good = accepted & flips
         return int(accepted.sum()), int(good.sum())
 
@@ -218,20 +243,28 @@ def simulate_path_selection(
     if v_up <= 0:
         raise ValueError(f"accept_margin must be below sqrt(pi)/2, got {accept_margin}")
     sigma = math.sqrt(sigma_eff2)
+    # Drawing a batch in chunks of whole trials keeps its stream (the draws
+    # fill (trial, pair, outcome) in row-major order) and its memory at about
+    # that of a one-pair batch.
+    chunk = max(1, config.batch_size // n_pairs)
 
-    def sample_batch(rng: np.random.Generator, n: int):
+    def sample_chunk(rng: np.random.Generator, n: int):
         x = rng.normal(0.0, sigma, size=(n, n_pairs, 2))
         k = _nearest_multiple(x)
-        residue = x - k * SQRT_PI
-        norm2 = np.sum(residue**2, axis=2)
-        pair_ok = np.all(np.abs(residue) < v_up, axis=2)
+        x -= k * SQRT_PI
+        norm2 = np.sum(x**2, axis=2)
+        pair_ok = np.all(np.abs(x, out=x) < v_up, axis=2)
         trial_ok = np.any(pair_ok, axis=1)
         # Rejected pairs rank below every accepted one.
         norm2 = np.where(pair_ok, norm2, np.inf)
         selected = np.argmin(norm2, axis=1)
         k_sel = np.take_along_axis(k, selected[:, None, None], axis=1)[:, 0, :]
-        wrong = np.any(np.abs(k_sel) % 2 == 1, axis=1)
+        wrong = np.any(_odd(k_sel), axis=1)
         return int(trial_ok.sum()), int((trial_ok & wrong).sum())
+
+    def sample_batch(rng: np.random.Generator, n: int):
+        counts = [sample_chunk(rng, min(chunk, n - start)) for start in range(0, n, chunk)]
+        return tuple(map(sum, zip(*counts)))
 
     n_accepted, n_errors = _run_batches(config, sample_batch)
     err = McEstimate.from_counts(n_errors, n_accepted, n_accepted=n_accepted)
@@ -280,12 +313,10 @@ def simulate_tree_repeater(
     s_single = math.sqrt(v_single)
 
     def wrong_bits(rng: np.random.Generator, shape) -> np.ndarray:
-        x = rng.normal(0.0, s_single, size=shape)
-        return np.abs(_nearest_multiple(x)) % 2 == 1
+        return _odd(_nearest_multiple(rng.normal(0.0, s_single, size=shape)))
 
     def sample_batch(rng: np.random.Generator, n: int):
-        leaf_x = rng.normal(0.0, s_leaf, size=n)
-        fail = np.abs(_nearest_multiple(leaf_x)) % 2 == 1
+        fail = _odd(_nearest_multiple(rng.normal(0.0, s_leaf, size=n)))
         fail |= rng.random(size=n) < e_prep
         # Bit-flip-protected encoded measurement: any of 3 ancilla-triple
         # majorities wrong.

@@ -362,19 +362,24 @@ def resource_count(
     spec: ProtocolSpec,
     tree: TreeShape = TreeShape(),
     mode: DecodingMode = DecodingMode.PATH_SELECTION,
+    acceptance: float | None = None,
 ) -> ResourceCount:
     """Expected total GKP qubits to push one qubit from end to end.
 
     (n_qr + 1) clusters are consumed per attempt; path selection always
     succeeds while the postselected mode repeats until every station accepts.
+    Passing the every-station ``acceptance`` already in a RatePoint's p_suc
+    skips its evaluation.
     """
     _check_tree_spec(spec)
     n_clusters = spec.n_qr + 1
     per_cluster = tree.qubits_per_cluster
-    if DecodingMode(mode) is DecodingMode.PATH_SELECTION:
-        acceptance = 1.0
-    else:
-        acceptance = station_acceptance(spec, tree) ** spec.n_qr
+    if acceptance is None:
+        acceptance = (
+            1.0
+            if DecodingMode(mode) is DecodingMode.PATH_SELECTION
+            else station_acceptance(spec, tree) ** spec.n_qr
+        )
     overhead = (per_cluster + CONSTRUCTION_QUBITS_PER_CLUSTER) / per_cluster
     return ResourceCount(
         n_clusters=n_clusters,

@@ -347,6 +347,25 @@ class TestResources:
             > json.loads(path_out)["total_qubits"]
         )
 
+    def test_station_acceptance_evaluated_once(self, capsys, monkeypatch):
+        calls = []
+        original = tree_code.station_acceptance
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tree_code, "station_acceptance", counted)
+        code, out = run_cli(
+            capsys, "resources", "--mode", "hrm", "--nqr", "332", "--l0", "3",
+            "--delta", "sqrt_pi/6", "--format", "json",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        record = json.loads(out)
+        assert record["acceptance_probability"] < 1.0
+        assert record["total_qubits"] == 333 * 130 / record["acceptance_probability"]
+
 
 class TestSharedLeafEstimate:
     """Path-selection rows sharing a leaf input share one quadrature."""

@@ -2,13 +2,18 @@
 with the analytic quantities they mirror."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gkp_repeater import mc_oracle
 from gkp_repeater.hrm import e_hrm, p_suc
 from gkp_repeater.mc_oracle import (
     McEstimate,
     TrialConfig,
+    _odd,
     enumerate_encoded_x_error,
     enumerate_majority3,
     estimate_hrm,
@@ -217,3 +222,117 @@ class TestTreeOracles:
             TrialConfig(1_000_000, seed=19),
         )
         assert abs(binomial_z(estimate, repeater_error(comps))) < 4
+
+
+def counts(estimate: McEstimate) -> tuple[int, int]:
+    return round(estimate.mean * estimate.n_effective), estimate.n_accepted
+
+
+class TestParityKernel:
+    def test_odd_matches_floored_remainder(self):
+        values = [0.0, 1.0, 2.0, 3.0, 1e300, math.inf, math.nan]
+        for power in (52, 53, 63):
+            base = 2.0**power
+            values += [base - 2, base - 1, base, base + 1, base + 2]
+        values += [math.nextafter(2.0**power, 0.0) for power in (53, 63)]
+        values += [math.nextafter(2.0**power, math.inf) for power in (53, 63)]
+        k = np.array(values + [-v for v in values])
+        with np.errstate(invalid="ignore"):
+            expected = np.abs(k) % 2 == 1
+            got = _odd(k.copy())
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert got[values.index(1.0)] and got[values.index(3.0)]
+        assert got[values.index(2.0**52 + 1)]
+
+    def test_floored_remainder_stays_out_of_the_samplers(self):
+        # numpy's floored float % is several times slower than fmod.
+        source = Path(mc_oracle.__file__).read_text()
+        assert "% 2" not in source
+
+
+class TestPinnedCounts:
+    """Counts at inputs the mc-validate digest does not reach: several batches
+    with an uneven last one, five pairs with a margin, a postselected second
+    round and the station sampler. Computed before the parity kernel was
+    rewritten; any change of stream or kernel moves them."""
+
+    UNEVEN = TrialConfig(20_000, seed=31, batch_size=7919)
+
+    def test_estimate_hrm_uneven_batches(self):
+        err, acc = estimate_hrm(0.25, SQRT_PI / 6, self.UNEVEN)
+        assert counts(err) == (359, 15644)
+        assert counts(acc) == (15644, 20000)
+
+    def test_segment_uneven_batches(self):
+        spec = ProtocolSpec(
+            Variant.TWO_WAY_PRE_SECOND_SQEC, 1, 3.0, SQ15, hrm=HrmPolicy(SQRT_PI / 12)
+        )
+        assert counts(simulate_segment(spec, self.UNEVEN)) == (42, 18604)
+
+    def test_postselected_second_round_segment(self):
+        spec = ProtocolSpec(
+            Variant.TWO_WAY_POST_SECOND_SQEC, 1, 20.0, SQ15, hrm=HrmPolicy(SQRT_PI / 6)
+        )
+        assert counts(simulate_segment(spec, TrialConfig(20_000, seed=32))) == (1292, 4222)
+
+    def test_path_selection_with_margin(self):
+        err, acc = simulate_path_selection(
+            0.25, 5, TrialConfig(20_000, seed=33), accept_margin=SQRT_PI / 6
+        )
+        assert counts(err) == (449, 19842)
+        assert counts(acc) == (19842, 20000)
+
+    def test_path_selection_uneven_batches(self):
+        err, acc = simulate_path_selection(0.25, 5, self.UNEVEN, accept_margin=SQRT_PI / 6)
+        assert counts(err) == (436, 19829)
+        assert counts(acc) == (19829, 20000)
+
+    def test_majority_vote_uneven_batches(self):
+        assert counts(simulate_majority_vote(0.1, self.UNEVEN)) == (559, 20000)
+
+    def test_tree_repeater(self):
+        station = simulate_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34))
+        assert counts(station) == (794, 20000)
+        assert counts(simulate_tree_repeater(0.12, 0.12, 0.01, self.UNEVEN)) == (845, 20000)
+
+
+def unchunked_path_selection(sigma2, n_pairs, config, accept_margin):
+    """The path-selection kernel drawing each batch in one piece."""
+    v_up = SQRT_PI / 2 - accept_margin
+    accepted = errors = 0
+    for index, n in config.batches():
+        x = config.rng(index).normal(0.0, math.sqrt(sigma2), size=(n, n_pairs, 2))
+        k = np.rint(x / SQRT_PI)
+        residue = x - k * SQRT_PI
+        pair_ok = np.all(np.abs(residue) < v_up, axis=2)
+        norm2 = np.where(pair_ok, np.sum(residue**2, axis=2), np.inf)
+        selected = np.argmin(norm2, axis=1)
+        k_sel = np.take_along_axis(k, selected[:, None, None], axis=1)[:, 0, :]
+        trial_ok = np.any(pair_ok, axis=1)
+        accepted += int(trial_ok.sum())
+        errors += int((trial_ok & np.any(np.abs(k_sel) % 2 == 1, axis=1)).sum())
+    return errors, accepted
+
+
+class TestPathSelectionChunks:
+    @pytest.mark.parametrize("batch_size", [1, 3, 64, 1001])
+    def test_counts_equal_one_draw_per_batch(self, batch_size):
+        config = TrialConfig(3_000, seed=35, batch_size=batch_size)
+        for margin in (0.0, SQRT_PI / 6):
+            err, _ = simulate_path_selection(0.3, 5, config, accept_margin=margin)
+            assert counts(err) == unchunked_path_selection(0.3, 5, config, margin)
+
+    def test_memory_does_not_grow_with_pairs(self):
+        def peak(n_pairs):
+            config = TrialConfig(4_000, seed=36, batch_size=4_000)
+            simulate_path_selection(0.3, n_pairs, config)  # lazy imports off the books
+            tracemalloc.start()
+            try:
+                simulate_path_selection(0.3, n_pairs, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # One unchunked batch of 500 pairs would need 32 MB for the draws alone.
+        assert peak(500) < 4 * peak(1)
