@@ -15,16 +15,27 @@ Philox is a counter-based generator and numpy guarantees its stream for a
 given seed across versions, so identical (seed, n_trials, batch_size) give
 bit-identical counts, batches are independent by construction, and a batch
 may be computed on any worker in any order: merging is plain count addition.
+The batches of one sampler call are dealt round-robin to a thread pool sized
+to the CPUs the process may use (at most one worker per batch); numpy
+releases the interpreter lock while it draws and reduces, so threads
+suffice. Counts, and so stdout, do not depend on the pool's size.
+Generators and work arrays are made and every public function runs on the
+calling thread; the workers only draw and count.
 
 Kernels
 -------
 Parity is ``_odd``: an in-place ``fmod`` by 2 on the rounded multiples,
 which gives the same booleans as the floored remainder at a fraction of its
-cost. ``simulate_path_selection`` draws each batch in chunks of
-``batch_size // n_pairs`` whole trials, so a batch holds about as many
-float64 values as a one-pair batch whatever ``n_pairs`` is; the chunks
-consume the generator in the order of one whole-batch draw, so the counts
-are those of drawing the batch at once.
+cost. Every kernel draws (``standard_normal`` scaled in place, the values
+and stream of ``normal``) and reduces into work arrays its worker reuses for
+each batch: at most three float64 arrays of ``batch_size`` values and a few
+bool ones, so a worker allocates only small per-trial results. A sampler
+call thus holds the work arrays of each worker, whatever the threads'
+timing. ``simulate_path_selection``, ``simulate_majority_vote`` and the
+ancilla and node outcomes of ``simulate_tree_repeater`` draw several values
+per trial, so they draw each batch in chunks of whole trials that fill a
+work array; the chunks consume the generator in the order of one
+whole-batch draw, so the counts are those of drawing the batch at once.
 
 numpy is imported inside the samplers, so importing this module loads the
 standard library only. No rate reads a sampler: they cross-check the analytic
@@ -34,6 +45,7 @@ code, and only ``mc-validate`` runs them.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
@@ -104,16 +116,28 @@ class McEstimate:
         )
 
 
-def _nearest_multiple(x: np.ndarray) -> np.ndarray:
-    """Nearest integer multiple of sqrt(pi) for each measured value."""
+def _normal(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
+    """Fill out with N(0, sigma^2) draws: the values and stream of
+    ``rng.normal(0.0, sigma, out.shape)`` (which computes 0.0 + sigma * z)
+    up to the sign of a zero, without allocating."""
     import numpy as np
 
-    k = x / SQRT_PI
+    rng.standard_normal(out=out)
+    return np.multiply(out, sigma, out=out)
+
+
+def _nearest_multiple(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Nearest integer multiple of sqrt(pi) for each measured value, written
+    into out, which may be x."""
+    import numpy as np
+
+    k = np.divide(x, SQRT_PI, out=out)
     return np.rint(k, out=k)
 
 
-def _odd(k: np.ndarray) -> np.ndarray:
-    """Whether each rounded multiple is odd; overwrites k.
+def _odd(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Whether each rounded multiple is odd; overwrites k, and writes the
+    bools into out when given.
 
     ``fmod`` is exact and several times cheaper than numpy's floored
     remainder, and |fmod(k, 2)| == 1 holds for exactly the k whose floored
@@ -124,16 +148,74 @@ def _odd(k: np.ndarray) -> np.ndarray:
 
     np.fmod(k, 2.0, out=k)
     np.abs(k, out=k)
-    return k == 1.0
+    return np.equal(k, 1.0, out=out)
 
 
-def _run_batches(config: TrialConfig, sample_batch):
-    """Sum the count tuples produced by sample_batch(rng, n) over all batches."""
-    totals = None
-    for index, n in config.batches():
-        counts = sample_batch(config.rng(index), n)
-        totals = counts if totals is None else tuple(a + b for a, b in zip(totals, counts))
-    return totals
+def _majority(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Whether at least two of the three bools along the last axis are set;
+    overwrites the first of them, and writes the result into out when given.
+    """
+    import numpy as np
+
+    a, b, c = bits[..., 0], bits[..., 1], bits[..., 2]
+    out = np.logical_and(a, b, out=out)
+    a |= b
+    a &= c
+    out |= a
+    return out
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _work_arrays(floats, bools) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One worker's work arrays: float64 ones of the lengths in floats and
+    bool ones of the lengths in bools. Each is its own allocation, below
+    numpy's 4 MB huge-page threshold at the default batch size, so the
+    memory a worker holds is the pages its batches write."""
+    import numpy as np
+
+    return [np.empty(length) for length in floats], [np.empty(length, dtype=bool) for length in bools]
+
+
+def _run_batches(config: TrialConfig, sample_batch, floats=(), bools=()):
+    """Sum the count tuples produced by sample_batch(rng, n, work) over all
+    batches.
+
+    The batches are dealt round-robin to one worker per usable CPU, at most
+    one per batch, and each worker runs its share in order on a thread pool;
+    numpy releases the interpreter lock while it draws and reduces. Each
+    worker gets its own ``_work_arrays(floats, bools)``, made here on the
+    calling thread, for sample_batch to draw and reduce into. Which worker
+    runs which batch is fixed, so the memory a call holds does not depend on
+    how the threads are scheduled. Each batch has its own generator, made
+    here too, and integer sums do not depend on the order batches finish, so
+    the counts do not depend on the number of workers.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    batches = config.batches()
+    workers = min(_usable_cpus(), len(batches))
+    shares = [[(config.rng(index), n) for index, n in batches[w::workers]] for w in range(workers)]
+    works = [_work_arrays(floats, bools) for _ in range(workers)]
+
+    def run_share(share, work):
+        return [sample_batch(rng, n, work) for rng, n in share]
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        counts = [c for share in pool.map(run_share, shares, works) for c in share]
+    return tuple(map(sum, zip(*counts)))
+
+
+def _largest_batch(config: TrialConfig, values_per_trial: int = 1) -> int:
+    """Length of a work array: the trials of the largest batch, and at least
+    the values of one trial for samplers that draw in chunks of whole trials."""
+    return max(min(config.batch_size, config.n_trials), values_per_trial)
 
 
 def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEstimate, McEstimate]:
@@ -152,16 +234,19 @@ def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEs
     if v_up <= 0:
         raise ValueError(f"delta must be below sqrt(pi)/2, got {delta}")
     sigma = math.sqrt(sigma2)
+    size = _largest_batch(config)
 
-    def sample_batch(rng: np.random.Generator, n: int):
-        x = rng.normal(0.0, sigma, size=n)
-        k = _nearest_multiple(x)
-        x -= k * SQRT_PI
-        accepted = np.abs(x, out=x) < v_up
-        errors = accepted & _odd(k)
-        return int(accepted.sum()), int(errors.sum())
+    def sample_batch(rng: np.random.Generator, n: int, work):
+        x, k, t = (a[:n] for a in work[0])
+        accepted, errors = (a[:n] for a in work[1])
+        _nearest_multiple(_normal(rng, sigma, out=x), out=k)
+        x -= np.multiply(k, SQRT_PI, out=t)
+        np.less(np.abs(x, out=x), v_up, out=accepted)
+        _odd(k, out=errors)
+        errors &= accepted
+        return int(np.count_nonzero(accepted)), int(np.count_nonzero(errors))
 
-    n_accepted, n_errors = _run_batches(config, sample_batch)
+    n_accepted, n_errors = _run_batches(config, sample_batch, floats=[size] * 3, bools=[size] * 2)
     err = McEstimate.from_counts(n_errors, n_accepted, n_accepted=n_accepted)
     suc = McEstimate.from_counts(n_accepted, config.n_trials)
     return err, suc
@@ -191,25 +276,28 @@ def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEst
     sigmas = _segment_component_sigmas(spec)
     v_up = spec.hrm.v_up
     rounds = spec.variant.rounds
+    size = _largest_batch(config)
 
-    def sample_batch(rng: np.random.Generator, n: int):
-        flips = np.zeros(n, dtype=bool)
-        accepted = np.ones(n, dtype=bool)
+    def sample_batch(rng: np.random.Generator, n: int, work):
+        x, k, t = (a[:n] for a in work[0])
+        flips, accepted, bits = (a[:n] for a in work[1])
+        flips.fill(False)
+        accepted.fill(True)
         for _ in range(rounds):
             # q outcome decides the flip; the p outcome only gates acceptance.
             for quad in range(2):
-                x = rng.normal(0.0, sigmas[0], size=n)
+                _normal(rng, sigmas[0], out=x)
                 for s in sigmas[1:]:
-                    x += rng.normal(0.0, s, size=n)
-                k = _nearest_multiple(x)
-                x -= k * SQRT_PI
-                accepted &= np.abs(x, out=x) < v_up
+                    x += _normal(rng, s, out=t)
+                _nearest_multiple(x, out=k)
+                x -= np.multiply(k, SQRT_PI, out=t)
+                accepted &= np.less(np.abs(x, out=x), v_up, out=bits)
                 if quad == 0:
-                    flips ^= _odd(k)
-        good = accepted & flips
-        return int(accepted.sum()), int(good.sum())
+                    flips ^= _odd(k, out=bits)
+        flips &= accepted
+        return int(np.count_nonzero(accepted)), int(np.count_nonzero(flips))
 
-    n_accepted, n_flips = _run_batches(config, sample_batch)
+    n_accepted, n_flips = _run_batches(config, sample_batch, floats=[size] * 3, bools=[size] * 3)
     return McEstimate.from_counts(n_flips, n_accepted, n_accepted=n_accepted)
 
 
@@ -244,29 +332,48 @@ def simulate_path_selection(
         raise ValueError(f"accept_margin must be below sqrt(pi)/2, got {accept_margin}")
     sigma = math.sqrt(sigma_eff2)
     # Drawing a batch in chunks of whole trials keeps its stream (the draws
-    # fill (trial, pair, outcome) in row-major order) and its memory at about
-    # that of a one-pair batch.
-    chunk = max(1, config.batch_size // n_pairs)
+    # fill (trial, pair, outcome) in row-major order) and its memory at that
+    # of a one-pair batch.
+    size = _largest_batch(config, 2 * n_pairs)
+    chunk = size // (2 * n_pairs)
+    # Flat index of each trial's first outcome in a chunk's draws.
+    trial_offsets = np.arange(0, chunk * 2 * n_pairs, 2 * n_pairs)
 
-    def sample_chunk(rng: np.random.Generator, n: int):
-        x = rng.normal(0.0, sigma, size=(n, n_pairs, 2))
-        k = _nearest_multiple(x)
-        x -= k * SQRT_PI
-        norm2 = np.sum(x**2, axis=2)
-        pair_ok = np.all(np.abs(x, out=x) < v_up, axis=2)
-        trial_ok = np.any(pair_ok, axis=1)
+    def sample_chunk(rng: np.random.Generator, m: int, work):
+        shape = (m, n_pairs, 2)
+        x, k = (a[: math.prod(shape)].reshape(shape) for a in work[0][:2])
+        t = work[0][2]
+        bits = work[1][0][: x.size].reshape(shape)
+        pair_ok = work[1][1][: m * n_pairs].reshape(m, n_pairs)
+        trial_ok, wrong = (a[:m] for a in work[1][2:])
+        _nearest_multiple(_normal(rng, sigma, out=x), out=k)
+        x -= np.multiply(k, SQRT_PI, out=t[: x.size].reshape(shape))
+        np.less(np.abs(x, out=x), v_up, out=bits)
+        # Contiguous, so that argmin reads it without a copy.
+        squares = np.square(x, out=x)
+        norm2 = np.add(squares[..., 0], squares[..., 1], out=t[: m * n_pairs].reshape(m, n_pairs))
+        np.logical_and(bits[..., 0], bits[..., 1], out=pair_ok)
+        np.any(pair_ok, axis=1, out=trial_ok)
         # Rejected pairs rank below every accepted one.
-        norm2 = np.where(pair_ok, norm2, np.inf)
-        selected = np.argmin(norm2, axis=1)
-        k_sel = np.take_along_axis(k, selected[:, None, None], axis=1)[:, 0, :]
-        wrong = np.any(_odd(k_sel), axis=1)
-        return int(trial_ok.sum()), int((trial_ok & wrong).sum())
+        np.copyto(norm2, np.inf, where=np.logical_not(pair_ok, out=bits[..., 0]))
+        # x is spent: its memory holds the flat index of each selected pair.
+        selected = np.argmin(norm2, axis=1, out=work[0][0].view(np.intp)[:m])
+        selected *= 2
+        selected += trial_offsets[:m]
+        # A pair is wrong when either outcome is odd; take the selected one's.
+        odd = _odd(k, out=bits)
+        np.logical_or(odd[..., 0], odd[..., 1], out=odd[..., 0])
+        np.take(odd.reshape(-1), selected, out=wrong, mode="clip")
+        wrong &= trial_ok
+        return int(np.count_nonzero(trial_ok)), int(np.count_nonzero(wrong))
 
-    def sample_batch(rng: np.random.Generator, n: int):
-        counts = [sample_chunk(rng, min(chunk, n - start)) for start in range(0, n, chunk)]
+    def sample_batch(rng: np.random.Generator, n: int, work):
+        counts = [sample_chunk(rng, min(chunk, n - start), work) for start in range(0, n, chunk)]
         return tuple(map(sum, zip(*counts)))
 
-    n_accepted, n_errors = _run_batches(config, sample_batch)
+    n_accepted, n_errors = _run_batches(
+        config, sample_batch, floats=[size] * 3, bools=[size, size, chunk, chunk]
+    )
     err = McEstimate.from_counts(n_errors, n_accepted, n_accepted=n_accepted)
     acc = McEstimate.from_counts(n_accepted, config.n_trials)
     return err, acc
@@ -274,14 +381,24 @@ def simulate_path_selection(
 
 def simulate_majority_vote(e: float, config: TrialConfig) -> McEstimate:
     """Empirical failure rate of a majority vote over 3 Bernoulli(e) flips."""
+    import numpy as np
+
     if not 0.0 <= e <= 1.0:
         raise ValueError(f"e must be a probability, got {e}")
+    # Chunks of whole trials keep the stream of one (n, 3) draw.
+    size = _largest_batch(config, 3)
+    chunk = size // 3
 
-    def sample_batch(rng: np.random.Generator, n: int):
-        flips = rng.random(size=(n, 3)) < e
-        return (int((flips.sum(axis=1) >= 2).sum()),)
+    def sample_batch(rng: np.random.Generator, n: int, work):
+        n_fail = 0
+        for start in range(0, n, chunk):
+            m = min(chunk, n - start)
+            u = rng.random(out=work[0][0][: 3 * m].reshape(m, 3))
+            flips = np.less(u, e, out=work[1][0][: 3 * m].reshape(m, 3))
+            n_fail += int(np.count_nonzero(_majority(flips, out=work[1][1][:m])))
+        return (n_fail,)
 
-    (n_fail,) = _run_batches(config, sample_batch)
+    (n_fail,) = _run_batches(config, sample_batch, floats=[size], bools=[size, chunk])
     return McEstimate.from_counts(n_fail, config.n_trials)
 
 
@@ -311,27 +428,44 @@ def simulate_tree_repeater(
         raise ValueError(f"e_prep must be a probability, got {e_prep}")
     s_leaf = math.sqrt(v_leaf)
     s_single = math.sqrt(v_single)
+    size = _largest_batch(config, 9)
 
-    def wrong_bits(rng: np.random.Generator, shape) -> np.ndarray:
-        return _odd(_nearest_multiple(rng.normal(0.0, s_single, size=shape)))
+    def chunks(n: int, shape: tuple) -> list[tuple[int, int]]:
+        """(start, trials) of the chunks of whole trials a batch's (n, *shape)
+        v_single outcomes are drawn in; they keep the stream of one draw."""
+        chunk = size // math.prod(shape)
+        return [(start, min(chunk, n - start)) for start in range(0, n, chunk)]
 
-    def sample_batch(rng: np.random.Generator, n: int):
-        fail = _odd(_nearest_multiple(rng.normal(0.0, s_leaf, size=n)))
-        fail |= rng.random(size=n) < e_prep
+    def parities(rng: np.random.Generator, m: int, shape: tuple, work) -> np.ndarray:
+        """Parities of m trials of v_single outcomes of the given shape."""
+        x = work[0][0][: m * math.prod(shape)].reshape(m, *shape)
+        bits = work[1][1][: x.size].reshape(x.shape)
+        return _odd(_nearest_multiple(_normal(rng, s_single, out=x), out=x), out=bits)
+
+    def sample_batch(rng: np.random.Generator, n: int, work):
+        x = work[0][0][:n]
+        fail, bits = (a[:n] for a in work[1][:2])
+        block_wrong = work[1][2][: 3 * n].reshape(n, 3)
+        _odd(_nearest_multiple(_normal(rng, s_leaf, out=x), out=x), out=fail)
+        fail |= np.less(rng.random(out=x), e_prep, out=bits)
         # Bit-flip-protected encoded measurement: any of 3 ancilla-triple
         # majorities wrong.
-        anc = wrong_bits(rng, (n, 3, 3))
-        fail |= np.any(anc.sum(axis=2) >= 2, axis=1)
+        for start, m in chunks(n, (3, 3)):
+            anc = parities(rng, m, (3, 3), work)
+            fail[start : start + m] |= np.any(_majority(anc), axis=1)
         # Four phase-flip-protected encoded measurements: majority over 3
         # blocks, each block wrong when its node or any of 3 ancillas is.
         for _ in range(4):
-            node = wrong_bits(rng, (n, 3))
-            block_anc = wrong_bits(rng, (n, 3, 3))
-            block_wrong = node | np.any(block_anc, axis=2)
-            fail |= block_wrong.sum(axis=1) >= 2
-        return (int(fail.sum()),)
+            for start, m in chunks(n, (3,)):
+                block_wrong[start : start + m] = parities(rng, m, (3,), work)
+            for start, m in chunks(n, (3, 3)):
+                block_wrong[start : start + m] |= np.any(parities(rng, m, (3, 3), work), axis=2)
+            fail |= _majority(block_wrong, out=bits)
+        return (int(np.count_nonzero(fail)),)
 
-    (n_fail,) = _run_batches(config, sample_batch)
+    (n_fail,) = _run_batches(
+        config, sample_batch, floats=[size], bools=[size, size, 3 * size]
+    )
     return McEstimate.from_counts(n_fail, config.n_trials)
 
 

@@ -1,7 +1,13 @@
 """Monte Carlo estimators: determinism, batching semantics, and agreement
 with the analytic quantities they mirror."""
 
+import concurrent.futures
+import inspect
+import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -250,6 +256,24 @@ class TestParityKernel:
         source = Path(mc_oracle.__file__).read_text()
         assert "% 2" not in source
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 7.5])
+    def test_scaled_standard_normal_is_generator_normal(self, sigma):
+        config = TrialConfig(1, seed=41)
+        expected_rng, rng = config.rng(0), config.rng(0)
+        expected = expected_rng.normal(0.0, sigma, size=(1001, 3))
+        got = mc_oracle._normal(rng, sigma, out=np.empty((1001, 3)))
+        assert np.array_equal(got, expected)
+        assert rng.random() == expected_rng.random()
+
+    def test_majority_matches_vote_count(self):
+        bits = np.array(list(itertools.product((False, True), repeat=3)))
+        bits = np.stack([bits, bits[::-1]])
+        expected = bits.sum(axis=-1) >= 2
+        assert np.array_equal(mc_oracle._majority(bits.copy()), expected)
+        out = np.empty(expected.shape, dtype=bool)
+        assert mc_oracle._majority(bits.copy(), out=out) is out
+        assert np.array_equal(out, expected)
+
 
 class TestPinnedCounts:
     """Counts at inputs the mc-validate digest does not reach: several batches
@@ -336,3 +360,168 @@ class TestPathSelectionChunks:
 
         # One unchunked batch of 500 pairs would need 32 MB for the draws alone.
         assert peak(500) < 4 * peak(1)
+
+
+def unchunked_tree_repeater(v_leaf, v_single, e_prep, config):
+    """The station kernel drawing each (n, 3, 3) and (n, 3) block in one piece."""
+    s_single = math.sqrt(v_single)
+    failures = 0
+    for index, n in config.batches():
+        rng = config.rng(index)
+
+        def wrong_bits(shape):
+            return np.abs(np.rint(rng.normal(0.0, s_single, size=shape) / SQRT_PI)) % 2 == 1
+
+        fail = np.abs(np.rint(rng.normal(0.0, math.sqrt(v_leaf), size=n) / SQRT_PI)) % 2 == 1
+        fail |= rng.random(size=n) < e_prep
+        fail |= np.any(wrong_bits((n, 3, 3)).sum(axis=2) >= 2, axis=1)
+        for _ in range(4):
+            node = wrong_bits((n, 3))
+            block_wrong = node | np.any(wrong_bits((n, 3, 3)), axis=2)
+            fail |= block_wrong.sum(axis=1) >= 2
+        failures += int(fail.sum())
+    return failures, config.n_trials
+
+
+def traced_peak(sampler, *args) -> int:
+    """tracemalloc peak of one sampler call, after a warm-up call that takes
+    the lazy imports off the books."""
+    sampler(*args)
+    tracemalloc.start()
+    try:
+        sampler(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTreeRepeaterChunks:
+    @pytest.mark.parametrize("batch_size", [1, 3, 64, 1001])
+    def test_counts_equal_one_draw_per_batch(self, batch_size):
+        config = TrialConfig(3_000, seed=37, batch_size=batch_size)
+        station = simulate_tree_repeater(0.12, 0.1, 0.01, config)
+        assert counts(station) == unchunked_tree_repeater(0.12, 0.1, 0.01, config)
+
+    def test_batch_memory_stays_near_a_one_value_batch(self):
+        config = TrialConfig(250_000, seed=38)
+        station = traced_peak(simulate_tree_repeater, 0.12, 0.12, 0.01, config)
+        hrm = traced_peak(estimate_hrm, 0.12, SQRT_PI / 6, config)
+        # Unchunked, the station batch peaked at ~40 MB against ~6 MB.
+        assert station < 2 * hrm
+
+
+class TestThreadPool:
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_pinned_counts_do_not_depend_on_workers(self, monkeypatch, cpus):
+        pool_sizes = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        pinned = TestPinnedCounts()
+        pinned.test_estimate_hrm_uneven_batches()
+        pinned.test_segment_uneven_batches()
+        pinned.test_path_selection_uneven_batches()
+        pinned.test_majority_vote_uneven_batches()
+        pinned.test_tree_repeater()
+        # UNEVEN has three batches, so three CPUs get three workers.
+        assert max(pool_sizes) == cpus
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert mc_oracle._usable_cpus() == (os.cpu_count() or 1)
+
+    def test_traced_functions_run_on_the_main_thread(self, monkeypatch):
+        """bench/tracer.py keeps one span stack that is not thread-safe, so the
+        worker threads may only draw and count: every public function of the
+        traced modules must run on the calling thread."""
+        on_main = []
+
+        def recording(name, fn, log):
+            def wrapper(*args, **kwargs):
+                log.append((name, threading.current_thread() is threading.main_thread()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        wrappers = {}
+        for layer in ("noise_core", "hrm", "protocols", "tree_code", "mc_oracle"):
+            module = sys.modules[f"gkp_repeater.{layer}"]
+            for attr, obj in vars(module).items():
+                if (
+                    not attr.startswith("_")
+                    and inspect.isfunction(obj)
+                    and obj.__module__ == module.__name__
+                ):
+                    wrappers[obj] = recording(f"{layer}.{attr}", obj, on_main)
+        for name, module in list(sys.modules.items()):
+            if name == "gkp_repeater" or name.startswith("gkp_repeater."):
+                for attr, obj in list(vars(module).items()):
+                    if inspect.isfunction(obj) and obj in wrappers:
+                        monkeypatch.setattr(module, attr, wrappers[obj])
+        # A wrapped private kernel shows the workers really ran off the main thread.
+        kernel_threads = []
+        monkeypatch.setattr(mc_oracle, "_odd", recording("_odd", _odd, kernel_threads))
+        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 3)
+
+        config = TrialConfig(20_000, seed=39, batch_size=7919)
+        spec = ProtocolSpec(
+            Variant.TWO_WAY_PRE_SECOND_SQEC, 1, 3.0, SQ15, hrm=HrmPolicy(SQRT_PI / 12)
+        )
+        mc_oracle.estimate_hrm(0.25, SQRT_PI / 6, config)
+        mc_oracle.simulate_segment(spec, config)
+        mc_oracle.simulate_path_selection(0.25, 5, config, accept_margin=SQRT_PI / 6)
+        mc_oracle.simulate_majority_vote(0.1, config)
+        mc_oracle.simulate_tree_repeater(0.12, 0.12, 0.01, config)
+
+        called = {name for name, _ in on_main}
+        samplers = (
+            "estimate_hrm",
+            "simulate_segment",
+            "simulate_path_selection",
+            "simulate_majority_vote",
+            "simulate_tree_repeater",
+        )
+        assert {f"mc_oracle.{name}" for name in samplers} <= called
+        assert [name for name, main in on_main if not main] == []
+        assert not all(main for _, main in kernel_threads)
+
+
+class TestWorkArrays:
+    """The workers draw and reduce into work arrays made before the pool
+    starts, so a sampler call holds the same memory however its threads are
+    scheduled. Beyond those arrays, the workers together allocate less than
+    one float64 per trial of a batch."""
+
+    CONFIG = TrialConfig(200_000, seed=42, batch_size=50_000)
+    SAMPLERS = {
+        "estimate_hrm": lambda c: estimate_hrm(0.25, SQRT_PI / 6, c),
+        "simulate_segment": lambda c: simulate_segment(
+            ProtocolSpec(Variant.TWO_WAY_PRE_SECOND_SQEC, 1, 3.0, SQ15, hrm=HrmPolicy(SQRT_PI / 12)), c
+        ),
+        "simulate_path_selection_1": lambda c: simulate_path_selection(0.25, 1, c, SQRT_PI / 6),
+        "simulate_path_selection_5": lambda c: simulate_path_selection(0.25, 5, c, SQRT_PI / 6),
+        "simulate_majority_vote": lambda c: simulate_majority_vote(0.1, c),
+        "simulate_tree_repeater": lambda c: simulate_tree_repeater(0.12, 0.12, 0.01, c),
+    }
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_workers_allocate_little_beyond_their_work_arrays(self, monkeypatch, name):
+        made = []
+        work_arrays = mc_oracle._work_arrays
+
+        def recording(floats, bools):
+            arrays = work_arrays(floats, bools)
+            made.append(sum(a.nbytes for a in arrays[0] + arrays[1]))
+            return arrays
+
+        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mc_oracle, "_work_arrays", recording)
+        peak = traced_peak(self.SAMPLERS[name], self.CONFIG)
+        # Two workers for each of the two calls, the same arrays each time.
+        assert len(made) == 4 and made[:2] == made[2:]
+        assert peak - sum(made[2:]) < 8 * self.CONFIG.batch_size
