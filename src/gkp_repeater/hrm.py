@@ -103,17 +103,18 @@ def _window_mass(centers: list[float], half_width: float, sigma: float) -> float
     Intervals not containing the origin are computed as differences of erfc
     tails, which stay accurate for masses far below double epsilon of 1.
     """
+    erfc = _erfc
     scale = sigma * math.sqrt(2.0)
     pos, neg, mid = [], [], []
     for c in centers:
         lo = (c - half_width) / scale
         hi = (c + half_width) / scale
         if lo >= 0:
-            pos.append(_erfc(lo) - _erfc(hi))
+            pos.append(erfc(lo) - erfc(hi))
         elif hi <= 0:
-            neg.append(_erfc(-hi) - _erfc(-lo))
+            neg.append(erfc(-hi) - erfc(-lo))
         else:
-            mid.append(1.0 - 0.5 * _erfc(hi) - 0.5 * _erfc(-lo))
+            mid.append(1.0 - 0.5 * erfc(hi) - 0.5 * erfc(-lo))
     total = 0.0
     if pos:
         total += 0.5 * _pairwise_sum(pos)

@@ -24,18 +24,26 @@ calling thread; the workers only draw and count.
 
 Kernels
 -------
-Parity is ``_odd``: an in-place ``fmod`` by 2 on the rounded multiples,
-which gives the same booleans as the floored remainder at a fraction of its
-cost. Every kernel draws (``standard_normal`` scaled in place, the values
-and stream of ``normal``) and reduces into work arrays its worker reuses for
-each batch: at most three float64 arrays of ``batch_size`` values and a few
-bool ones, so a worker allocates only small per-trial results. A sampler
-call thus holds the work arrays of each worker, whatever the threads'
-timing. ``simulate_path_selection``, ``simulate_majority_vote`` and the
-ancilla and node outcomes of ``simulate_tree_repeater`` draw several values
-per trial, so they draw each batch in chunks of whole trials that fill a
-work array; the chunks consume the generator in the order of one
-whole-batch draw, so the counts are those of drawing the batch at once.
+Most of a sampler's time goes to the normal draws. Two primitives beside
+them are built from cheaper exact arithmetic that gives the same booleans
+as the numpy calls they replace, so the counts do not change. Parity
+(``_odd``) tests h - floor(h) == 0.5 for h = |k|/2: ~3 ns a rounded multiple,
+where ``fmod`` or the floored remainder cost 5-20 ns. The station sampler's
+ors over a length-3 axis (``_or_last``) are slice-wise ``|=``: ~1 ns a
+value, where ``np.any(axis=...)`` costs ~10 ns. (Single-thread costs on one
+x86-64 core, numpy 2.4.)
+
+Every kernel draws (``standard_normal`` scaled in place, the values and
+stream of ``normal``) and reduces into work arrays its worker reuses for
+each batch: at most three float64 arrays of ``batch_size`` values (two in
+the station sampler, one in the majority vote) and a few bool ones, so a
+worker allocates only small per-trial results. A sampler call thus holds
+the work arrays of each worker, whatever the threads' timing.
+``simulate_path_selection``, ``simulate_majority_vote`` and the ancilla and
+node outcomes of ``simulate_tree_repeater`` draw several values per trial,
+so they draw each batch in chunks of whole trials that fill a work array;
+the chunks consume the generator in the order of one whole-batch draw, so
+the counts are those of drawing the batch at once.
 
 numpy is imported inside the samplers, so importing this module loads the
 standard library only. No rate reads a sampler: they cross-check the analytic
@@ -135,20 +143,35 @@ def _nearest_multiple(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.rint(k, out=k)
 
 
-def _odd(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Whether each rounded multiple is odd; overwrites k, and writes the
+def _odd(k: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Whether each rounded multiple is odd; overwrites k and tmp, a float
+    scratch array of k's shape (made here when not given), and writes the
     bools into out when given.
 
-    ``fmod`` is exact and several times cheaper than numpy's floored
-    remainder, and |fmod(k, 2)| == 1 holds for exactly the k whose floored
-    remainder by 2 is 1 (never +-inf, nan or a float past 2**53, which are
-    all even). Working in place adds no array to the callers' peak memory.
+    With h = |k|/2, k is odd exactly when h - floor(h) == 0.5, as when the
+    floored remainder of |k| by 2 is 1. Halving a normal float is exact, and
+    for h >= 0 so is h - floor(h) (for a negative h it rounds to 0.5 at
+    k = -1 + 2**-53); +-inf and nan give nan, and every float past 2**53 is
+    even, as for the remainder. The four passes cost ~3 ns a value where
+    ``fmod`` alone costs 5-20 ns; callers pass a spare work array as tmp, so
+    parity adds nothing to their peak memory.
     """
     import numpy as np
 
-    np.fmod(k, 2.0, out=k)
-    np.abs(k, out=k)
-    return np.equal(k, 1.0, out=out)
+    h = np.abs(np.multiply(k, 0.5, out=tmp), out=tmp)
+    np.subtract(h, np.floor(h, out=k), out=h)
+    return np.equal(h, 0.5, out=out)
+
+
+def _or_last(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """OR each slice bits[..., i] of the short last axis into out, in place.
+
+    On a preset-False out this is ``np.any(bits, axis=-1)``, which costs
+    ~10 ns a value on an axis of 3; the slice-wise ors cost ~1 ns.
+    """
+    for i in range(bits.shape[-1]):
+        out |= bits[..., i]
+    return out
 
 
 def _majority(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -242,7 +265,7 @@ def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEs
         _nearest_multiple(_normal(rng, sigma, out=x), out=k)
         x -= np.multiply(k, SQRT_PI, out=t)
         np.less(np.abs(x, out=x), v_up, out=accepted)
-        _odd(k, out=errors)
+        _odd(k, out=errors, tmp=t)
         errors &= accepted
         return int(np.count_nonzero(accepted)), int(np.count_nonzero(errors))
 
@@ -293,7 +316,7 @@ def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEst
                 x -= np.multiply(k, SQRT_PI, out=t)
                 accepted &= np.less(np.abs(x, out=x), v_up, out=bits)
                 if quad == 0:
-                    flips ^= _odd(k, out=bits)
+                    flips ^= _odd(k, out=bits, tmp=t)
         flips &= accepted
         return int(np.count_nonzero(accepted)), int(np.count_nonzero(flips))
 
@@ -361,7 +384,7 @@ def simulate_path_selection(
         selected *= 2
         selected += trial_offsets[:m]
         # A pair is wrong when either outcome is odd; take the selected one's.
-        odd = _odd(k, out=bits)
+        odd = _odd(k, out=bits, tmp=t[: k.size].reshape(shape))
         np.logical_or(odd[..., 0], odd[..., 1], out=odd[..., 0])
         np.take(odd.reshape(-1), selected, out=wrong, mode="clip")
         wrong &= trial_ok
@@ -438,33 +461,33 @@ def simulate_tree_repeater(
 
     def parities(rng: np.random.Generator, m: int, shape: tuple, work) -> np.ndarray:
         """Parities of m trials of v_single outcomes of the given shape."""
-        x = work[0][0][: m * math.prod(shape)].reshape(m, *shape)
+        x, tmp = (a[: m * math.prod(shape)].reshape(m, *shape) for a in work[0])
         bits = work[1][1][: x.size].reshape(x.shape)
-        return _odd(_nearest_multiple(_normal(rng, s_single, out=x), out=x), out=bits)
+        return _odd(_nearest_multiple(_normal(rng, s_single, out=x), out=x), out=bits, tmp=tmp)
 
     def sample_batch(rng: np.random.Generator, n: int, work):
-        x = work[0][0][:n]
+        x, tmp = (a[:n] for a in work[0])
         fail, bits = (a[:n] for a in work[1][:2])
         block_wrong = work[1][2][: 3 * n].reshape(n, 3)
-        _odd(_nearest_multiple(_normal(rng, s_leaf, out=x), out=x), out=fail)
+        _odd(_nearest_multiple(_normal(rng, s_leaf, out=x), out=x), out=fail, tmp=tmp)
         fail |= np.less(rng.random(out=x), e_prep, out=bits)
         # Bit-flip-protected encoded measurement: any of 3 ancilla-triple
         # majorities wrong.
         for start, m in chunks(n, (3, 3)):
             anc = parities(rng, m, (3, 3), work)
-            fail[start : start + m] |= np.any(_majority(anc), axis=1)
+            _or_last(_majority(anc), out=fail[start : start + m])
         # Four phase-flip-protected encoded measurements: majority over 3
         # blocks, each block wrong when its node or any of 3 ancillas is.
         for _ in range(4):
             for start, m in chunks(n, (3,)):
                 block_wrong[start : start + m] = parities(rng, m, (3,), work)
             for start, m in chunks(n, (3, 3)):
-                block_wrong[start : start + m] |= np.any(parities(rng, m, (3, 3), work), axis=2)
+                _or_last(parities(rng, m, (3, 3), work), out=block_wrong[start : start + m])
             fail |= _majority(block_wrong, out=bits)
         return (int(np.count_nonzero(fail)),)
 
     (n_fail,) = _run_batches(
-        config, sample_batch, floats=[size], bools=[size, size, 3 * size]
+        config, sample_batch, floats=[size] * 2, bools=[size, size, 3 * size]
     )
     return McEstimate.from_counts(n_fail, config.n_trials)
 

@@ -202,8 +202,9 @@ def _check_tree_spec(spec: ProtocolSpec) -> None:
 
 
 #: Cells per residue magnitude in the path-selection quadrature. The cell sum
-#: errs as 1/m**2, so extrapolating m and 2m cells lands within ~3e-6 relative
-#: of the limit at m = 100.
+#: errs as 1/m**2 with a 1/m**3 term behind it, which extrapolating m and 2m
+#: cells leaves: at m = 100 the result is 3.5e-6 relative off a Richardson
+#: limit from m = 800 at 15 dB, and 6.1e-6 at 20 dB (l0 = 3 km, 5 pairs).
 _LEAF_CELLS = 100
 
 
@@ -223,18 +224,23 @@ def _selected_pair_error(v_leaf: float, n_pairs: int, m: int) -> float:
     odd = [0.0] + [hrm_mod.p_in(v_leaf, d) for d in margins]
     e = [hi - lo for lo, hi in zip(even, even[1:])]
     o = [hi - lo for lo, hi in zip(odd, odd[1:])]
+    # Each cell's total mass and squared odd midpoint, computed once rather
+    # than per cell pair; the sums below add the same terms in the same order.
+    squares = [(2 * i + 1) ** 2 for i in range(m)]
+    cells = list(zip(squares, e, o, [ei + oi for ei, oi in zip(e, o)]))
     mass, wrong = defaultdict(float), defaultdict(float)
-    for i in range(m):
-        for j in range(m):
-            key = (2 * i + 1) ** 2 + (2 * j + 1) ** 2
-            mass[key] += (e[i] + o[i]) * (e[j] + o[j])
-            wrong[key] += e[i] * o[j] + o[i] * (e[j] + o[j])
+    for sq_i, e_i, o_i, t_i in cells:
+        for sq_j, _, o_j, t_j in cells:
+            key = sq_i + sq_j
+            mass[key] += t_i * t_j
+            wrong[key] += e_i * o_j + o_i * t_j
+    expm1, log1p = math.expm1, math.log1p
     total = above = 0.0
     for key in sorted(mass, reverse=True):
         cell, a = mass[key], above + mass[key]
         if cell > 0.0:
             # a**n - b**n, in a form that does not cancel for a thin cell.
-            drop = -math.expm1(n_pairs * math.log1p(-cell / a)) if cell < a else 1.0
+            drop = -expm1(n_pairs * log1p(-cell / a)) if cell < a else 1.0
             total += wrong[key] / cell * a**n_pairs * drop
         above = a
     return total

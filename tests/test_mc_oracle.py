@@ -525,3 +525,83 @@ class TestWorkArrays:
         # Two workers for each of the two calls, the same arrays each time.
         assert len(made) == 4 and made[:2] == made[2:]
         assert peak - sum(made[2:]) < 8 * self.CONFIG.batch_size
+
+
+class TestCheapKernels:
+    """_odd's h - floor(h) test and _or_last's slice-wise ors give exactly
+    the booleans of the numpy calls they replace."""
+
+    @staticmethod
+    def odd_with_scratch(k):
+        out = np.empty(k.shape, dtype=bool)
+        tmp = np.empty_like(k)
+        with np.errstate(invalid="ignore"):
+            got = _odd(k.copy(), out=out, tmp=tmp)
+        assert got is out
+        return got
+
+    @staticmethod
+    def floored_odd(k):
+        with np.errstate(invalid="ignore"):
+            return np.abs(k) % 2 == 1
+
+    def test_random_integer_valued_floats(self):
+        rng = np.random.default_rng(43)
+        n = 1_000_000
+        k = np.rint(rng.standard_normal(n) * 10.0 ** rng.uniform(0.0, 18.0, n))
+        assert np.array_equal(self.odd_with_scratch(k), self.floored_odd(k))
+        assert 0.3 < np.mean(self.odd_with_scratch(k)) < 0.5
+
+    def test_non_integers_and_subnormals(self):
+        rng = np.random.default_rng(44)
+        tiny = np.finfo(float).smallest_normal
+        values = np.concatenate([
+            rng.uniform(-1e6, 1e6, 100_000),
+            np.arange(-1000, 1000) + 0.5,
+            np.nextafter(np.arange(-999.0, 1000.0, 2.0), np.inf),
+            np.nextafter(np.arange(-999.0, 1000.0, 2.0), -np.inf),
+            rng.uniform(0.0, tiny, 10_000),
+            [5e-324, 2 * 5e-324, 3 * 5e-324, np.nextafter(tiny, 0.0), tiny, 0.5, 1.5],
+        ])
+        k = np.concatenate([values, -values])
+        got = self.odd_with_scratch(k)
+        assert np.array_equal(got, self.floored_odd(k))
+        assert not got.any()
+
+    def test_near_the_end_of_exact_integers(self):
+        j = np.arange(-64.0, 65.0)
+        k = np.concatenate([2.0**52 + j, 2.0**53 + j, [np.inf, np.nan, 0.0, -0.0]])
+        k = np.concatenate([k, -k])
+        got = self.odd_with_scratch(k)
+        assert np.array_equal(got, self.floored_odd(k))
+        assert got[:129].sum() == 64  # every other integer below 2**53 is odd
+
+    def test_scratch_path_allocates_nothing(self):
+        k = np.rint(np.random.default_rng(45).standard_normal(100_000) * 5)
+        out = np.empty(k.shape, dtype=bool)
+        tmp = np.empty_like(k)
+        _odd(k.copy(), out=out, tmp=tmp)  # warm-up
+        tracemalloc.start()
+        try:
+            _odd(k, out=out, tmp=tmp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+
+    @pytest.mark.parametrize("shape", [(1001, 3), (1001, 3, 3)])
+    @pytest.mark.parametrize("fill", ["random", "false", "true"])
+    def test_or_last_is_any_over_the_last_axis(self, shape, fill):
+        if fill == "random":
+            bits = np.random.default_rng(46).random(shape) < 0.3
+        else:
+            bits = np.full(shape, fill == "true")
+        out = np.zeros(shape[:-1], dtype=bool)
+        assert mc_oracle._or_last(bits, out=out) is out
+        assert np.array_equal(out, np.any(bits, axis=-1))
+        preset = np.ones(shape[:-1], dtype=bool)
+        assert mc_oracle._or_last(bits, out=preset).all()
+
+    def test_fmod_stays_out_of_the_samplers(self):
+        source = Path(mc_oracle.__file__).read_text()
+        assert "np.fmod(" not in source

@@ -2,12 +2,14 @@
 composition, key rates, and qubit resource counts."""
 
 import math
+from collections import defaultdict
 from itertools import product
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from gkp_repeater import hrm as hrm_mod
 from gkp_repeater.hrm import HrmPolicy, e_hrm
 from gkp_repeater.mc_oracle import TrialConfig, simulate_path_selection
 from gkp_repeater.noise_core import SqueezingSpec
@@ -350,3 +352,40 @@ class TestResourceCount:
         deterministic = resource_count(spec, mode=DecodingMode.PATH_SELECTION)
         assert probabilistic.acceptance < 1.0
         assert probabilistic.total_qubits > deterministic.total_qubits
+
+
+def reference_selected_pair_error(v_leaf: float, n_pairs: int, m: int) -> float:
+    """The cell sum of tree_code._selected_pair_error as first written, with
+    the cell masses recomputed for every cell pair; the shipped loop hoists
+    them and must add the same terms in the same order."""
+    margins = [SQRT_PI / 2 * ((m - i) / m) for i in range(1, m + 1)]
+    even = [0.0] + [hrm_mod.p_cor(v_leaf, d) for d in margins]
+    odd = [0.0] + [hrm_mod.p_in(v_leaf, d) for d in margins]
+    e = [hi - lo for lo, hi in zip(even, even[1:])]
+    o = [hi - lo for lo, hi in zip(odd, odd[1:])]
+    mass, wrong = defaultdict(float), defaultdict(float)
+    for i in range(m):
+        for j in range(m):
+            key = (2 * i + 1) ** 2 + (2 * j + 1) ** 2
+            mass[key] += (e[i] + o[i]) * (e[j] + o[j])
+            wrong[key] += e[i] * o[j] + o[i] * (e[j] + o[j])
+    total = above = 0.0
+    for key in sorted(mass, reverse=True):
+        cell, a = mass[key], above + mass[key]
+        if cell > 0.0:
+            drop = -math.expm1(n_pairs * math.log1p(-cell / a)) if cell < a else 1.0
+            total += wrong[key] / cell * a**n_pairs * drop
+        above = a
+    return total
+
+
+class TestCellSumReference:
+    @pytest.mark.parametrize("v_leaf", [
+        0.0, 0.02, leaf_variance_at(15, 3), leaf_variance_at(20, 3), leaf_variance_at(40, 3),
+        1.0, 400.0, 1e4,
+    ])
+    @pytest.mark.parametrize("n_pairs", [1, 5, 500])
+    def test_hoisted_loop_is_bitwise_the_reference(self, v_leaf, n_pairs):
+        for m in (1, 7, 100, 200):
+            got = tree_code._selected_pair_error(v_leaf, n_pairs, m)
+            assert got == reference_selected_pair_error(v_leaf, n_pairs, m), m
