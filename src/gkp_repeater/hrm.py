@@ -126,8 +126,7 @@ def _window_mass(centers: list[float], half_width: float, sigma: float) -> float
 
 
 # Distinct (sigma2, delta, parity) lattice sums kept per command; the bare
-# key-rate recipe needs 2,040. cli.main clears the cache at the start of each
-# command.
+# key-rate recipe needs 2,040.
 _LATTICE_CACHE_SIZE = 4096
 
 
@@ -145,6 +144,12 @@ def _lattice_mass(sigma2: float, delta: float, odd: bool) -> float:
     ks = range(-kmax, kmax + 1)
     centers = [(2.0 * k + 1.0) * SQRT_PI if odd else 2.0 * k * SQRT_PI for k in ks]
     return min(1.0, _window_mass(centers, half_width, sigma))
+
+
+#: Memoized kernels that live for one command: cli.main clears each at the
+#: start of a command, so an in-process command does the same work as a cold
+#: one. A module that loads later appends its own (tree_code's leaf error).
+COMMAND_CACHES = [_lattice_mass]
 
 
 def p_cor(sigma2: float, delta: float = 0.0) -> float:

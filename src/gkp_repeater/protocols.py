@@ -99,6 +99,13 @@ class Variant(Enum):
 
 ALL_VARIANTS = tuple(Variant)
 
+#: Construction margin used for the HRM-checked fusions when assembling the
+#: tree code's encoded cluster (:mod:`gkp_repeater.tree_code`). sqrt(pi)/6
+#: keeps the construction error floor a few 1e-6 per cluster at 15 dB,
+#: matching the regime the encoded protocol targets. It is defined here so
+#: that the command-line defaults do not load the tree module.
+DEFAULT_PREP_DELTA = math.sqrt(math.pi) / 6
+
 
 class NoCrossingError(ValueError):
     """Raised when two variants' error curves do not cross inside (0, 1)."""

@@ -41,13 +41,9 @@ from enum import Enum
 from . import hrm as hrm_mod
 from .noise_core import SQRT_PI
 from .protocols import (
-    ProtocolSpec, RatePoint, Variant, binary_entropy, chain_error, plob_bound, segment_variance,
+    DEFAULT_PREP_DELTA, ProtocolSpec, RatePoint, Variant, binary_entropy, chain_error, plob_bound,
+    segment_variance,
 )
-
-#: Construction margin used for the HRM-checked fusions when assembling the
-#: encoded cluster. sqrt(pi)/6 keeps the construction error floor a few 1e-6
-#: per cluster at 15 dB, matching the regime the encoded protocol targets.
-DEFAULT_PREP_DELTA = math.sqrt(math.pi) / 6
 
 
 class DecodingMode(str, Enum):
@@ -251,11 +247,14 @@ def _path_selection_leaf_error(v_leaf: float, n_pairs: int) -> float:
     """Probability that the maximum-likelihood leaf pair out of n_pairs is
     wrong: the extrapolation (4 P(2m) - P(m)) / 3 of the cell sums. It meets
     the closed forms to rounding: 0 at v_leaf = 0, 3/4 once the residues are
-    uniform, 1 - (1 - e_hrm(v_leaf))**2 for one pair. cli.main clears the
-    cache at the start of each command.
+    uniform, 1 - (1 - e_hrm(v_leaf))**2 for one pair. The cache is one of
+    ``hrm.COMMAND_CACHES``, cleared at the start of each command.
     """
     fine = _selected_pair_error(v_leaf, n_pairs, 2 * _LEAF_CELLS)
     return (4.0 * fine - _selected_pair_error(v_leaf, n_pairs, _LEAF_CELLS)) / 3.0
+
+
+hrm_mod.COMMAND_CACHES.append(_path_selection_leaf_error)
 
 
 def component_errors(

@@ -1,6 +1,7 @@
 """Command-line surface: record shapes, exit codes, determinism, and the
 CSV/JSON output contracts."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -15,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkp_repeater import cli, tree_code
+import gkp_repeater
+from gkp_repeater import cli, hrm, tree_code
 from gkp_repeater.hrm import HrmPolicy
 from gkp_repeater.noise_core import SqueezingSpec
 from gkp_repeater.protocols import ProtocolSpec, Variant, secure_key_rate
@@ -33,6 +35,17 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return rows
+
+
+def build_subparser(command):
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
+def option(parser, dest):
+    (action,) = [a for a in parser._actions if a.dest == dest]
+    return action
 
 
 class TestDeltaParsing:
@@ -123,6 +136,32 @@ class TestRate:
         assert json.loads(out)["eta_segment"] == pytest.approx(
             math.exp(-50 / 22), rel=1e-12
         )
+
+
+class TestRateTreeProtocols:
+    """rate takes the tree protocols that sweep takes, and prints the same row."""
+
+    @pytest.mark.parametrize("protocol", cli.TREE_PROTOCOLS)
+    def test_matches_the_sweep_row(self, capsys, protocol):
+        code, out = run_cli(
+            capsys, "rate", "--protocol", protocol, "--nqr", "332", "--l0", "3",
+            "--format", "json",
+        )
+        assert code == 0
+        record = json.loads(out)
+        code, out = run_cli(
+            capsys, "sweep", "--protocols", protocol, "--nqr-list", "332",
+            "--delta-list", "0", "--l0-list", "3", "--format", "json",
+        )
+        assert code == 0
+        (row,) = json.loads(out)
+        assert record["protocol"] == protocol
+        assert (record["E_segment"], record["E_AB"], record["R"]) == (
+            row["E_segment"], row["E_AB"], row["R"]
+        )
+
+    def test_choices_are_the_sweep_protocols(self):
+        assert option(build_subparser("rate"), "protocol").choices == cli.PROTOCOL_CHOICES
 
 
 class TestSweep:
@@ -390,6 +429,22 @@ class TestSharedLeafEstimate:
         info = tree_code._path_selection_leaf_error.cache_info()
         assert (info.misses, info.hits) == (1, 3 * 2 - 1)
 
+    def test_registry_clears_every_memo_per_command(self, capsys):
+        assert hrm._lattice_mass in hrm.COMMAND_CACHES
+        assert tree_code._path_selection_leaf_error in hrm.COMMAND_CACHES
+        _, first = run_cli(capsys, *self.ARGV)
+        assert hrm._lattice_mass.cache_info().currsize > 0
+        # plob reads neither memo, so what is left in them after it is what
+        # main left at its start.
+        code, _ = run_cli(capsys, "plob", "--distance-list", "100")
+        assert code == 0
+        assert hrm._lattice_mass.cache_info().currsize == 0
+        assert tree_code._path_selection_leaf_error.cache_info().currsize == 0
+        _, second = run_cli(capsys, *self.ARGV)
+        assert first == second
+        info = tree_code._path_selection_leaf_error.cache_info()
+        assert (info.misses, info.hits) == (1, 3 * 2 - 1)
+
     def test_rows_match_a_direct_quadrature(self, capsys):
         _, out = run_cli(capsys, *self.ARGV)
         rows = [r for r in parse_csv(out) if r["protocol"] == "tree-path-selection"]
@@ -549,6 +604,96 @@ for argv in sys.argv[1:]:
     def test_mc_validate_loads_numpy_only(self):
         lines = self.loaded("mc-validate --trials 2000 --seed 1")
         assert lines == ["[]", "0 ['numpy']"]
+
+
+class TestLazySubmodules:
+    """tree_code and mc_oracle are registered at import but run only on first
+    use: analytic commands execute neither, resources only the tree code, and
+    mc-validate both. LazyLoader's deferred execution never shows in
+    ``-X importtime``, so the child reports whether each module object is
+    still lazy; its import-time report must not list either module."""
+
+    LAYERS = ("noise_core", "hrm", "protocols", "tree_code", "mc_oracle")
+
+    SCRIPT = """
+import contextlib, io, sys, types
+from gkp_repeater import cli
+
+def executed():
+    return [name for name in ("mc_oracle", "tree_code")
+            if type(sys.modules["gkp_repeater." + name]) is types.ModuleType]
+
+print(sorted(name.split(".")[1] for name in sys.modules if name.startswith("gkp_repeater.")))
+print(executed())
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv.split())
+    print(code, executed())
+"""
+
+    ANALYTIC = (
+        "plob --distance-list 1,100,5000",
+        "rate --protocol two-way-cc --nqr 10 --l0 3 --squeezing-db 15",
+        f"sweep --config {RECIPES / 'bare_key_rates.cfg'}",
+        f"sweep --config {RECIPES / 'segment_error_comparison.cfg'}",
+        f"sweep --config {RECIPES / 'amp_variance_curves.cfg'}",
+    )
+
+    def child(self, *argv, script=True):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        head = ["-c", self.SCRIPT] if script else ["-m", "gkp_repeater.cli"]
+        child = subprocess.run(
+            [sys.executable, "-X", "importtime", *head, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        return child
+
+    @staticmethod
+    def imported(importtime_stderr):
+        return {line.rsplit("|", 1)[-1].strip() for line in importtime_stderr.splitlines()}
+
+    def test_analytic_commands_execute_neither_and_resources_the_tree(self):
+        child = self.child(*self.ANALYTIC, "resources --mode hrm --nqr 332 --l0 3")
+        lines = child.stdout.splitlines()
+        assert lines[0] == str(sorted(self.LAYERS + ("cli",)))
+        assert lines[1:] == ["[]"] + ["0 []"] * len(self.ANALYTIC) + ["0 ['tree_code']"]
+        imported = self.imported(child.stderr)
+        assert "gkp_repeater.protocols" in imported
+        assert not {"gkp_repeater.mc_oracle", "gkp_repeater.tree_code"} & imported
+
+    def test_mc_validate_executes_both(self):
+        lines = self.child("mc-validate --trials 2000 --seed 1").stdout.splitlines()
+        assert lines[1:] == ["[]", "0 ['mc_oracle', 'tree_code']"]
+
+    def test_cold_plob_imports_neither(self):
+        child = self.child("plob", "--distance-list", "100", script=False)
+        assert child.stdout.startswith("L_AB_km,PLOB\n")
+        imported = self.imported(child.stderr)
+        assert "gkp_repeater.protocols" in imported
+        assert not {"gkp_repeater.mc_oracle", "gkp_repeater.tree_code"} & imported
+
+    def test_constants_derived_without_the_tree_module(self):
+        modes = [m.value for m in tree_code.DecodingMode]
+        assert option(build_subparser("resources"), "mode").choices == modes
+        for command in ("sweep", "resources"):
+            default = option(build_subparser(command), "delta_prep").default
+            assert default == tree_code.DEFAULT_PREP_DELTA
+
+    def test_every_export_resolves(self):
+        for name in gkp_repeater.__all__:
+            assert getattr(gkp_repeater, name) is not None
+        assert gkp_repeater.TrialConfig is gkp_repeater.mc_oracle.TrialConfig
+        assert gkp_repeater.tree_key_rate is tree_code.tree_key_rate
+        namespace = {}
+        exec("from gkp_repeater import *", namespace)
+        assert set(gkp_repeater.__all__) <= set(namespace)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gkp_repeater.no_such_name
+        assert not hasattr(gkp_repeater, "DEFAULT_PREP_DELTA")
 
 
 class TestPlob:
