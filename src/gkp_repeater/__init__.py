@@ -14,16 +14,16 @@ cross-validation layer:
   mirroring every analytic probability.
 * :mod:`gkp_repeater.cli` -- command-line front end (``gkp-repeater``).
 
-``tree_code`` and ``mc_oracle`` load on first use. Importing the package puts
-both in ``sys.modules`` through :class:`importlib.util.LazyLoader`, but their
-code is compiled and run only at the first attribute access, and the names
-re-exported from them are served by the module ``__getattr__``. A command that
-never touches them (``plob``, a bare-variant ``rate`` or ``sweep``) pays for
-neither. Function-local imports would defer them too, but then the modules
-would be missing from ``sys.modules`` until first use, and the benchmark's
-tracer (``bench/tracer.py``) reads every layer module from there right after
-``import gkp_repeater.cli``. The first attribute access must stay on one
-thread: before Python 3.12.3 LazyLoader takes no lock around the load.
+``tree_code`` and ``mc_oracle`` load on first use, so a command that never
+touches them (``plob``, a bare-variant ``rate`` or ``sweep``) pays for
+neither. Importing the package puts both in ``sys.modules`` through
+:class:`importlib.util.LazyLoader`, and their code is compiled and run only
+at the first attribute access. Function-local imports would defer them too,
+but the benchmark's tracer (``bench/tracer.py``) reads every layer module
+from ``sys.modules`` right after ``import gkp_repeater.cli``. The first
+attribute access must stay on one thread: before Python 3.12.3 LazyLoader
+takes no lock around the load. ``__all__`` holds the analytic core; the tree
+and Monte Carlo names are imported from their own modules.
 """
 
 import importlib.util
@@ -35,7 +35,6 @@ from .noise_core import (
     SqueezingSpec,
     amplifier_added_variance,
     eta_from_distance,
-    pfail,
     sigma2_to_db,
     squeezing_db_to_sigma2,
 )
@@ -69,72 +68,30 @@ def _lazy(name: str):
 mc_oracle = _lazy("mc_oracle")
 tree_code = _lazy("tree_code")
 
-_LAZY_EXPORTS = {
-    "McEstimate": mc_oracle,
-    "TrialConfig": mc_oracle,
-    **dict.fromkeys(
-        (
-            "ComponentErrors",
-            "DecodingMode",
-            "ResourceCount",
-            "TreeShape",
-            "encoded_x_error",
-            "encoded_z_error",
-            "majority3",
-            "prep_error",
-            "repeater_error",
-            "resource_count",
-            "tree_key_rate",
-        ),
-        tree_code,
-    ),
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY_EXPORTS:
-        return getattr(_LAZY_EXPORTS[name], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AmplifierMode",
-    "ComponentErrors",
-    "DecodingMode",
     "HrmPolicy",
-    "McEstimate",
     "NoCrossingError",
     "ProtocolSpec",
     "RatePoint",
-    "ResourceCount",
     "SegmentErrors",
     "SqueezingSpec",
-    "TreeShape",
-    "TrialConfig",
     "Variant",
     "amplifier_added_variance",
     "binary_entropy",
     "chain_error",
     "crossover_eta",
     "e_hrm",
-    "encoded_x_error",
-    "encoded_z_error",
     "eta_from_distance",
-    "majority3",
     "p_cor",
     "p_in",
     "p_suc",
-    "pfail",
     "plob_bound",
-    "prep_error",
-    "repeater_error",
-    "resource_count",
     "secure_key_rate",
     "segment_errors",
     "segment_variance",
     "sigma2_to_db",
     "squeezing_db_to_sigma2",
-    "tree_key_rate",
 ]
 
 __version__ = "0.1.0"

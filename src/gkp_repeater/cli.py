@@ -22,6 +22,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from . import hrm as hrm_mod
 from . import mc_oracle, protocols, tree_code
@@ -62,6 +63,8 @@ def parse_delta(text: str) -> float:
     if match:
         numerator = float(match.group(1)) if match.group(1) else 1.0
         denominator = float(match.group(2)) if match.group(2) else 1.0
+        if numerator == 0 or denominator == 0:
+            raise argparse.ArgumentTypeError(f"invalid delta {text!r}: zero numerator or denominator")
         return numerator * math.sqrt(math.pi) / denominator
     try:
         return float(text)
@@ -131,6 +134,8 @@ def _resolve_geometry(args) -> float:
         )
     if args.l0 is None and args.distance is None:
         raise argparse.ArgumentTypeError("one of --l0 or --distance is required")
+    if args.nqr < 0:
+        raise argparse.ArgumentTypeError(f"--nqr must be nonnegative, got {args.nqr}")
     for name, value in (("--l0", args.l0), ("--distance", args.distance)):
         if value is not None and value <= 0:
             raise argparse.ArgumentTypeError(f"{name} must be positive, got {value}")
@@ -155,7 +160,7 @@ def _evaluate(
     geometry."""
     tree = protocol in TREE_PROTOCOLS
     spec = protocols.ProtocolSpec(
-        variant=protocols.Variant.TWO_WAY_CC if tree else protocols.Variant.from_label(protocol),
+        variant=protocols.Variant.TWO_WAY_CC if tree else protocols.Variant(protocol),
         n_qr=nqr,
         l0_km=l0,
         squeezing=SqueezingSpec.from_db(squeezing_db),
@@ -368,13 +373,61 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
 # mc-validate
 
 
-def _binomial_z(successes: int, n: int, p: float) -> float:
-    """Z-score of an observed count against the analytic success probability."""
+def _binomial_z(estimate: mc_oracle.McEstimate, p: float) -> float:
+    """Z-score of an estimate's count against the analytic success probability."""
+    n = estimate.n_effective
+    successes = round(estimate.mean * n)
     if n == 0:
         return math.inf
     if p <= 0.0 or p >= 1.0:
         return 0.0 if successes == round(n * p) else math.inf
     return (successes - n * p) / math.sqrt(n * p * (1.0 - p))
+
+
+def _validation_cases(scope: str):
+    """The validation matrix in print order, one (sampler, cases) pair per
+    sampler call. sampler(config) returns an McEstimate, or a tuple whose
+    leading estimates pair with the (label, analytic) cases. An exact
+    enumeration has no sampler, and its cases are (label, analytic, exact).
+    """
+
+    def spec(variant, l0, margin="0"):
+        policy = hrm_mod.HrmPolicy(parse_delta(margin))
+        return protocols.ProtocolSpec(variant, 1, l0, SqueezingSpec.from_db(15.0), policy)
+
+    if scope in ("hrm", "all"):
+        for sigma2 in (0.05, 0.125, 0.25):
+            for delta in (0.0, math.sqrt(math.pi) / 10, math.sqrt(math.pi) / 6):
+                tag = f"[s2={sigma2:g},delta={delta:.6f}]"
+                yield partial(mc_oracle.estimate_hrm, sigma2, delta), [
+                    (f"hrm.e_hrm{tag}", hrm_mod.e_hrm(sigma2, delta)),
+                    (f"hrm.p_suc{tag}", hrm_mod.p_suc(sigma2, delta)),
+                ]
+
+    if scope in ("segments", "all"):
+        cc = protocols.Variant.TWO_WAY_CC
+        for variant, margin in [(v, "0") for v in protocols.Variant] + [(cc, "sqrt_pi/6")]:
+            segment = spec(variant, 50.0, margin)
+            label = f"segment.flip[{variant.value},l0=50,delta={margin}]"
+            cases = [(label, protocols.segment_errors(segment).ex)]
+            yield partial(mc_oracle.simulate_segment, segment), cases
+
+    if scope in ("tree", "all"):
+        for e in (0.1, 0.3):
+            cases = [(f"tree.majority3[e={e:g}]", tree_code.majority3(e))]
+            yield partial(mc_oracle.simulate_majority_vote, e), cases
+        for e in (0.01, 0.1):
+            exact = mc_oracle.enumerate_encoded_x_error(e)
+            yield None, [(f"tree.encoded_x[e={e:g}]", tree_code.encoded_x_error(e), exact)]
+        # The selection's acceptance estimate is 1 at margin 0 and has no row.
+        pair = 1.0 - (1.0 - hrm_mod.e_hrm(0.25, 0.0)) ** 2
+        yield partial(mc_oracle.simulate_path_selection, 0.25, 1), [("tree.bell_pair_error[s2=0.25]", pair)]
+        station = spec(protocols.Variant.TWO_WAY_CC, 3.0)
+        mode = tree_code.DecodingMode.HRM_POSTSELECTED
+        comps = tree_code.component_errors(station, mode=mode, prep_delta=0.0)
+        variances = tree_code.leaf_variance(station), tree_code.single_qubit_variance(station)
+        cases = [("tree.station_error[l0=3,delta=0]", tree_code.repeater_error(comps))]
+        yield partial(mc_oracle.simulate_tree_repeater, *variances, comps.e_prep), cases
 
 
 def _validation_rows(scope: str, trials: int, seed: int) -> list[dict]:
@@ -384,109 +437,21 @@ def _validation_rows(scope: str, trials: int, seed: int) -> list[dict]:
         # peak RSS rises by ~0.5 MB.
         tree_code.DecodingMode
     rows = []
-    squeezing15 = SqueezingSpec.from_db(15.0)
-
-    def add(name: str, analytic: float, estimate: mc_oracle.McEstimate):
-        successes = round(estimate.mean * estimate.n_effective)
-        z = _binomial_z(successes, estimate.n_effective, analytic)
-        rows.append(
-            {
-                "quantity": name,
-                "analytic": analytic,
-                "mc_mean": estimate.mean,
-                "std_err": estimate.std_err,
-                "z": z,
-            }
-        )
-
-    def add_exact(name: str, analytic: float, value: float, tol: float = 1e-12):
-        z = 0.0 if abs(analytic - value) <= tol else math.inf
-        rows.append(
-            {
-                "quantity": name,
-                "analytic": analytic,
-                "mc_mean": value,
-                "std_err": 0.0,
-                "z": z,
-            }
-        )
-
     stream = 0
-
-    def config() -> mc_oracle.TrialConfig:
-        nonlocal stream
-        stream += 1
-        return mc_oracle.TrialConfig(n_trials=trials, seed=seed + stream)
-
-    if scope in ("hrm", "all"):
-        for sigma2 in (0.05, 0.125, 0.25):
-            for delta in (0.0, math.sqrt(math.pi) / 10, math.sqrt(math.pi) / 6):
-                err, suc = mc_oracle.estimate_hrm(sigma2, delta, config())
-                tag = f"[s2={sigma2:g},delta={delta:.6f}]"
-                add(f"hrm.e_hrm{tag}", hrm_mod.e_hrm(sigma2, delta), err)
-                add(f"hrm.p_suc{tag}", hrm_mod.p_suc(sigma2, delta), suc)
-
-    if scope in ("segments", "all"):
-        for variant in protocols.Variant:
-            spec = protocols.ProtocolSpec(
-                variant=variant,
-                n_qr=1,
-                l0_km=50.0,
-                squeezing=squeezing15,
-            )
-            flips = mc_oracle.simulate_segment(spec, config())
-            add(
-                f"segment.flip[{variant.value},l0=50,delta=0]",
-                protocols.segment_errors(spec).ex,
-                flips,
-            )
-        postselected = protocols.ProtocolSpec(
-            variant=protocols.Variant.TWO_WAY_CC,
-            n_qr=1,
-            l0_km=50.0,
-            squeezing=squeezing15,
-            hrm=hrm_mod.HrmPolicy(math.sqrt(math.pi) / 6),
-        )
-        add(
-            "segment.flip[two-way-cc,l0=50,delta=sqrt_pi/6]",
-            protocols.segment_errors(postselected).ex,
-            mc_oracle.simulate_segment(postselected, config()),
-        )
-
-    if scope in ("tree", "all"):
-        for e in (0.1, 0.3):
-            add(
-                f"tree.majority3[e={e:g}]",
-                tree_code.majority3(e),
-                mc_oracle.simulate_majority_vote(e, config()),
-            )
-        for e in (0.01, 0.1):
-            add_exact(
-                f"tree.encoded_x[e={e:g}]",
-                tree_code.encoded_x_error(e),
-                mc_oracle.enumerate_encoded_x_error(e),
-            )
-        single_err = hrm_mod.e_hrm(0.25, 0.0)
-        pair_analytic = 1.0 - (1.0 - single_err) ** 2
-        pair_mc, _ = mc_oracle.simulate_path_selection(0.25, 1, config())
-        add("tree.bell_pair_error[s2=0.25]", pair_analytic, pair_mc)
-        spec = protocols.ProtocolSpec(
-            variant=protocols.Variant.TWO_WAY_CC,
-            n_qr=1,
-            l0_km=3.0,
-            squeezing=squeezing15,
-        )
-        comps = tree_code.component_errors(
-            spec, mode=tree_code.DecodingMode.HRM_POSTSELECTED, prep_delta=0.0
-        )
-        station = mc_oracle.simulate_tree_repeater(
-            tree_code.leaf_variance(spec),
-            tree_code.single_qubit_variance(spec),
-            comps.e_prep,
-            config(),
-        )
-        add("tree.station_error[l0=3,delta=0]", tree_code.repeater_error(comps), station)
-
+    for sampler, cases in _validation_cases(scope):
+        if sampler is None:
+            results = [(exact, 0.0, 0.0 if abs(analytic - exact) <= 1e-12 else math.inf)
+                       for _, analytic, exact in cases]
+        else:
+            stream += 1
+            estimates = sampler(mc_oracle.TrialConfig(n_trials=trials, seed=seed + stream))
+            if isinstance(estimates, mc_oracle.McEstimate):
+                estimates = (estimates,)
+            results = [(e.mean, e.std_err, _binomial_z(e, analytic))
+                       for (_, analytic), e in zip(cases, estimates)]
+        for (label, analytic, *_), (mc_mean, std_err, z) in zip(cases, results):
+            rows.append({"quantity": label, "analytic": analytic, "mc_mean": mc_mean,
+                         "std_err": std_err, "z": z})
     return rows
 
 

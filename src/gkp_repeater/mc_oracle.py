@@ -80,15 +80,8 @@ class TrialConfig:
 
     def batches(self) -> list[tuple[int, int]]:
         """(batch_index, batch_trials) partition covering n_trials exactly."""
-        sizes = []
-        remaining = self.n_trials
-        index = 0
-        while remaining > 0:
-            take = min(self.batch_size, remaining)
-            sizes.append((index, take))
-            remaining -= take
-            index += 1
-        return sizes
+        n, b = self.n_trials, self.batch_size
+        return [(i, min(b, n - i * b)) for i in range(-(-n // b))]
 
     def rng(self, batch_index: int) -> np.random.Generator:
         import numpy as np
@@ -141,6 +134,22 @@ def _nearest_multiple(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     k = np.divide(x, SQRT_PI, out=out)
     return np.rint(k, out=k)
+
+
+def _residues(
+    rng: np.random.Generator, sigmas, x: np.ndarray, k: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """Draw the sum of N(0, s^2) for s in sigmas into x, put its nearest
+    multiple of sqrt(pi) into k, and leave the residue's magnitude in x,
+    which is returned; t is a scratch array of x's shape."""
+    import numpy as np
+
+    _normal(rng, sigmas[0], out=x)
+    for s in sigmas[1:]:
+        x += _normal(rng, s, out=t)
+    _nearest_multiple(x, out=k)
+    x -= np.multiply(k, SQRT_PI, out=t)
+    return np.abs(x, out=x)
 
 
 def _odd(k: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
@@ -262,9 +271,7 @@ def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEs
     def sample_batch(rng: np.random.Generator, n: int, work):
         x, k, t = (a[:n] for a in work[0])
         accepted, errors = (a[:n] for a in work[1])
-        _nearest_multiple(_normal(rng, sigma, out=x), out=k)
-        x -= np.multiply(k, SQRT_PI, out=t)
-        np.less(np.abs(x, out=x), v_up, out=accepted)
+        np.less(_residues(rng, (sigma,), x, k, t), v_up, out=accepted)
         _odd(k, out=errors, tmp=t)
         errors &= accepted
         return int(np.count_nonzero(accepted)), int(np.count_nonzero(errors))
@@ -309,12 +316,7 @@ def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEst
         for _ in range(rounds):
             # q outcome decides the flip; the p outcome only gates acceptance.
             for quad in range(2):
-                _normal(rng, sigmas[0], out=x)
-                for s in sigmas[1:]:
-                    x += _normal(rng, s, out=t)
-                _nearest_multiple(x, out=k)
-                x -= np.multiply(k, SQRT_PI, out=t)
-                accepted &= np.less(np.abs(x, out=x), v_up, out=bits)
+                accepted &= np.less(_residues(rng, sigmas, x, k, t), v_up, out=bits)
                 if quad == 0:
                     flips ^= _odd(k, out=bits, tmp=t)
         flips &= accepted
@@ -369,9 +371,7 @@ def simulate_path_selection(
         bits = work[1][0][: x.size].reshape(shape)
         pair_ok = work[1][1][: m * n_pairs].reshape(m, n_pairs)
         trial_ok, wrong = (a[:m] for a in work[1][2:])
-        _nearest_multiple(_normal(rng, sigma, out=x), out=k)
-        x -= np.multiply(k, SQRT_PI, out=t[: x.size].reshape(shape))
-        np.less(np.abs(x, out=x), v_up, out=bits)
+        np.less(_residues(rng, (sigma,), x, k, t[: x.size].reshape(shape)), v_up, out=bits)
         # Contiguous, so that argmin reads it without a copy.
         squares = np.square(x, out=x)
         norm2 = np.add(squares[..., 0], squares[..., 1], out=t[: m * n_pairs].reshape(m, n_pairs))
@@ -490,18 +490,6 @@ def simulate_tree_repeater(
         config, sample_batch, floats=[size] * 2, bools=[size, size, 3 * size]
     )
     return McEstimate.from_counts(n_fail, config.n_trials)
-
-
-def enumerate_majority3(e: float) -> float:
-    """Exact majority-vote failure by summing all 2**3 flip patterns."""
-    total = 0.0
-    for pattern in product((0, 1), repeat=3):
-        if sum(pattern) >= 2:
-            prob = 1.0
-            for bit in pattern:
-                prob *= e if bit else (1.0 - e)
-            total += prob
-    return total
 
 
 def enumerate_encoded_x_error(e_b_p: float) -> float:

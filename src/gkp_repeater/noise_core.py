@@ -39,15 +39,12 @@ class AmplifierMode(str, Enum):
     CC_PAIR     (1-eta)/(2*eta)        homodyne-outcome rescaling by 1/eta,
                                        noise split over both modes of an EPR
                                        measurement
-    CC_SINGLE   (1-eta)/eta            same rescaling with both modes' noise
-                                       pushed onto a single input
     ==========  =====================  ==========================================
     """
 
     POST = "post"
     PRE = "pre"
     CC_PAIR = "cc_pair"
-    CC_SINGLE = "cc_single"
 
 
 @dataclass(frozen=True)
@@ -79,33 +76,6 @@ class SqueezingSpec:
     @classmethod
     def from_sigma2(cls, sigma2: float) -> "SqueezingSpec":
         return cls(sigma2_to_db(sigma2), sigma2)
-
-
-def pfail(sigma2: float) -> float:
-    """Probability of misidentifying the bit value of a GKP qubit.
-
-    This is the mass of a centered Gaussian of variance sigma2 lying outside
-    the central bin [-sqrt(pi)/2, +sqrt(pi)/2]:
-
-        pfail = 1 - integral_{-sqrt(pi)/2}^{+sqrt(pi)/2} N(0, sigma2)
-              = erfc( sqrt(pi) / (2 * sqrt(2 * sigma2)) )
-
-    Evaluated through erfc, which is accurate to well below 1e-14 absolutely,
-    so error rates down to the 1e-12 scale relevant at 15 dB squeezing are not
-    dominated by integration error. The erfc is a pure-Python port of the
-    Cephes ndtr.c routine (see :func:`_erfc`), so the package computes it
-    with the standard library alone. Note this single-interval form counts any
-    excursion past the first bin boundary as an error; the mod-sqrt(pi)
-    lattice-sum variant (which credits displacements landing in a farther
-    even bin) lives in :mod:`gkp_repeater.hrm`. The two agree to double
-    precision for small variance and diverge for sigma2 approaching 1/2.
-    """
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
-    if sigma2 == 0:
-        return 0.0
-    p = _erfc(SQRT_PI / (2.0 * math.sqrt(2.0 * sigma2)))
-    return min(1.0, max(0.0, p))
 
 
 #: log(DBL_MAX): beyond |x| = sqrt(MAXLOG), exp(-x*x) underflows.
@@ -185,9 +155,7 @@ def amplifier_added_variance(eta: float, mode: AmplifierMode) -> float:
         return (1 - eta) / eta
     if mode is AmplifierMode.PRE:
         return 1 - eta
-    if mode is AmplifierMode.CC_PAIR:
-        return (1 - eta) / (2 * eta)
-    return (1 - eta) / eta  # CC_SINGLE: both modes' rescaling noise on one input
+    return (1 - eta) / (2 * eta)  # CC_PAIR
 
 
 def squeezing_db_to_sigma2(db: float) -> float:

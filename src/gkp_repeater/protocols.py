@@ -86,16 +86,6 @@ class Variant(Enum):
             raise ValueError(f"eta must be in (0, 1], got {eta}")
         return amplifier_added_variance(math.sqrt(eta) if self.half_segment else eta, self.mode)
 
-    @classmethod
-    def from_label(cls, label: str) -> "Variant":
-        for variant in cls:
-            if variant.value == label:
-                return variant
-        raise ValueError(
-            f"unknown protocol {label!r}; choose from "
-            + ", ".join(v.value for v in cls)
-        )
-
 
 ALL_VARIANTS = tuple(Variant)
 

@@ -9,7 +9,7 @@ from scipy import integrate, special
 
 from gkp_repeater import cli, hrm
 from gkp_repeater.hrm import HrmPolicy, e_hrm, p_cor, p_in, p_suc
-from gkp_repeater.noise_core import pfail
+from reference import pfail
 
 SQRT_PI = math.sqrt(math.pi)
 DELTA_GRID = [k * SQRT_PI / 20 for k in range(10)]

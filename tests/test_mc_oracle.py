@@ -21,14 +21,13 @@ from gkp_repeater.mc_oracle import (
     TrialConfig,
     _odd,
     enumerate_encoded_x_error,
-    enumerate_majority3,
     estimate_hrm,
     simulate_majority_vote,
     simulate_path_selection,
     simulate_segment,
     simulate_tree_repeater,
 )
-from gkp_repeater.noise_core import SqueezingSpec, pfail
+from gkp_repeater.noise_core import SqueezingSpec
 from gkp_repeater.protocols import ALL_VARIANTS, ProtocolSpec, Variant, segment_errors
 from gkp_repeater.tree_code import (
     DecodingMode,
@@ -40,6 +39,7 @@ from gkp_repeater.tree_code import (
     encoded_x_error,
 )
 from gkp_repeater.hrm import HrmPolicy
+from reference import enumerate_majority3, pfail
 
 SQRT_PI = math.sqrt(math.pi)
 SQ15 = SqueezingSpec.from_db(15.0)
@@ -65,11 +65,20 @@ class TestDeterminismAndBatching:
         b = estimate_hrm(0.2, 0.0, TrialConfig(300_000, seed=2))[0]
         assert a.mean != b.mean
 
-    def test_batch_partition_covers_trials(self):
-        config = TrialConfig(n_trials=1_000_001, batch_size=250_000)
-        batches = config.batches()
-        assert sum(n for _, n in batches) == 1_000_001
+    @pytest.mark.parametrize(
+        "n, batch",
+        [(1, 250_000), (250_000, 250_000), (500_000, 250_000), (1_000_001, 250_000), (7, 3)],
+    )
+    def test_batch_partition_covers_trials(self, n, batch):
+        batches = TrialConfig(n_trials=n, batch_size=batch).batches()
+        assert sum(size for _, size in batches) == n
         assert [i for i, _ in batches] == list(range(len(batches)))
+        # The loop the closed form replaced.
+        reference, remaining = [], n
+        while remaining > 0:
+            reference.append((len(reference), min(batch, remaining)))
+            remaining -= reference[-1][1]
+        assert batches == reference
 
     def test_batched_versus_single_batch_distribution(self):
         # Different partitions draw different streams; a two-proportion

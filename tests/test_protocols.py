@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gkp_repeater.hrm import HrmPolicy, e_hrm, p_suc
 from gkp_repeater.mc_oracle import _segment_component_sigmas
-from gkp_repeater.noise_core import SqueezingSpec, eta_from_distance, pfail
+from gkp_repeater.noise_core import SqueezingSpec, eta_from_distance
 from gkp_repeater.protocols import (
     ALL_VARIANTS,
     NoCrossingError,
@@ -26,6 +26,7 @@ from gkp_repeater.protocols import (
     segment_variance,
 )
 from gkp_repeater.tree_code import leaf_variance, single_qubit_variance
+from reference import pfail
 
 SQRT_PI = math.sqrt(math.pi)
 SQ15 = SqueezingSpec.from_db(15.0)
@@ -375,6 +376,6 @@ class TestProtocolSpec:
 
     def test_variant_labels_round_trip(self):
         for variant in ALL_VARIANTS:
-            assert Variant.from_label(variant.value) is variant
+            assert Variant(variant.value) is variant
         with pytest.raises(ValueError):
-            Variant.from_label("three-way")
+            Variant("three-way")
