@@ -21,7 +21,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 from . import hrm as hrm_mod
@@ -80,21 +79,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
-    outdir = os.environ.get("GKP_REPEATER_OUTDIR")
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
-
-
 def _emit(text: str, output: str | None) -> None:
+    """Write to stdout, or to --output, under GKP_REPEATER_OUTDIR when relative."""
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return
+    outdir = os.environ.get("GKP_REPEATER_OUTDIR")
+    if outdir and not os.path.isabs(output):
+        output = os.path.join(outdir, output)
+    with open(output, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _table(fmt: str, columns: list[str], rows: list[dict]) -> str:
@@ -126,19 +120,28 @@ def _split_list(text: str) -> list[str]:
 # rate
 
 
+def _check_inputs(args, counts=(), lengths=()) -> None:
+    """Reject the inputs that rate, resources, sweep and plob share: a
+    non-finite --squeezing-db, a negative station count in one of the
+    ``counts`` flags, a nonpositive length in one of the ``lengths`` flags.
+    A flag holds one value or a list; an absent one (None) passes."""
+    squeezing_db = getattr(args, "squeezing_db", 0.0)
+    if not math.isfinite(squeezing_db):
+        raise argparse.ArgumentTypeError(f"--squeezing-db must be finite, got {squeezing_db}")
+    for flags, rule, bad in ((counts, "nonnegative", lambda v: v < 0),
+                             (lengths, "positive", lambda v: v <= 0)):
+        for flag in flags:
+            values = getattr(args, flag[2:].replace("-", "_"))
+            for value in values if isinstance(values, list) else [values]:
+                if value is not None and bad(value):
+                    raise argparse.ArgumentTypeError(f"{flag} must be {rule}, got {value}")
+
+
 def _resolve_geometry(args) -> float:
     """Return l0 from --l0/--distance, enforcing consistency when both given."""
-    if not math.isfinite(args.squeezing_db):
-        raise argparse.ArgumentTypeError(
-            f"--squeezing-db must be finite, got {args.squeezing_db}"
-        )
     if args.l0 is None and args.distance is None:
         raise argparse.ArgumentTypeError("one of --l0 or --distance is required")
-    if args.nqr < 0:
-        raise argparse.ArgumentTypeError(f"--nqr must be nonnegative, got {args.nqr}")
-    for name, value in (("--l0", args.l0), ("--distance", args.distance)):
-        if value is not None and value <= 0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive, got {value}")
+    _check_inputs(args, counts=["--nqr"], lengths=["--l0", "--distance"])
     if args.l0 is not None and args.distance is not None:
         implied = (args.nqr + 1) * args.l0
         if abs(implied - args.distance) > 1e-9 * max(1.0, abs(args.distance)):
@@ -146,7 +149,6 @@ def _resolve_geometry(args) -> float:
                 f"--l0 {args.l0} with --nqr {args.nqr} implies distance {implied}, "
                 f"inconsistent with --distance {args.distance}"
             )
-        return args.l0
     if args.l0 is not None:
         return args.l0
     return args.distance / (args.nqr + 1)
@@ -186,7 +188,7 @@ def cmd_rate(args) -> int:
         "R": point.rate,
         "PLOB": point.plob,
     }
-    _emit(_record(args.format, record), _resolve_output(args.output))
+    _emit(_record(args.format, record), args.output)
     return 0
 
 
@@ -194,72 +196,27 @@ def cmd_rate(args) -> int:
 # sweep
 
 
-@dataclass(frozen=True)
-class SweepRequest:
-    """Validated parameter grids of one key-rate sweep.
-
-    Exactly one of l0_km / distance_km supplies the geometry grid; the other
-    coordinate is derived per station count.
-    """
-
-    protocols: list[str]
-    n_qr: list[int]
-    deltas: list[float]
-    l0_km: list[float] | None
-    distance_km: list[float] | None
-    squeezing_db: float = 15.0
-    latt_km: float = DEFAULT_ATTENUATION_KM
-    prep_delta: float = protocols.DEFAULT_PREP_DELTA
-
-    def __post_init__(self) -> None:
-        if not self.protocols:
-            raise ValueError("protocol list must be non-empty")
-        for protocol in self.protocols:
-            if protocol not in PROTOCOL_CHOICES:
-                raise ValueError(
-                    f"unknown protocol {protocol!r}; choose from "
-                    + ", ".join(PROTOCOL_CHOICES)
-                )
-        if not self.n_qr:
-            raise ValueError("n_qr list must be non-empty")
-        if any(n < 0 for n in self.n_qr):
-            raise ValueError("station counts must be nonnegative")
-        if not self.deltas:
-            raise ValueError("delta list must be non-empty")
-        if (self.l0_km is None) == (self.distance_km is None):
-            raise ValueError("exactly one of l0_km or distance_km is required")
-        grid = self.l0_km if self.l0_km is not None else self.distance_km
-        if not grid:
-            raise ValueError("distance grid must be non-empty")
-        if any(value <= 0 for value in grid):
-            raise ValueError("distances must be positive")
-        if not math.isfinite(self.squeezing_db):
-            raise ValueError(f"squeezing_db must be finite, got {self.squeezing_db}")
-
-    def geometry(self, n_qr: int) -> list[tuple[float, float]]:
-        """(l0, total distance) pairs for one station count."""
-        if self.l0_km is not None:
-            return [(l0, (n_qr + 1) * l0) for l0 in self.l0_km]
-        return [(d / (n_qr + 1), d) for d in self.distance_km]
-
-
-def _sweep_rows(request: SweepRequest) -> list[dict]:
+def _sweep_rows(args) -> list[dict]:
     rows = []
-    for protocol in request.protocols:
-        for nqr in request.n_qr:
-            for delta in request.deltas:
-                for l0, distance in request.geometry(nqr):
+    for protocol in args.protocols:
+        for nqr in args.nqr_list:
+            if args.l0_list:
+                geometry = [(l0, (nqr + 1) * l0) for l0 in args.l0_list]
+            else:
+                geometry = [(d / (nqr + 1), d) for d in args.distance_list]
+            for delta in args.delta_list:
+                for l0, distance in geometry:
                     row = {
                         "protocol": protocol,
                         "n_qr": nqr,
                         "l0_km": l0,
                         "L_AB_km": distance,
                         "delta": delta,
-                        "squeezing_db": request.squeezing_db,
+                        "squeezing_db": args.squeezing_db,
                     }
                     try:
-                        spec, point = _evaluate(protocol, nqr, l0, request.squeezing_db, delta,
-                                                request.latt_km, request.prep_delta)
+                        spec, point = _evaluate(protocol, nqr, l0, args.squeezing_db, delta,
+                                                args.latt, args.delta_prep)
                         values = [spec.eta, point.e_segment, point.ex_ab, point.p_suc, point.rate, point.plob]
                         error = ""
                     except ValueError as exc:
@@ -287,85 +244,65 @@ def _amp_variance_rows(n_points: int) -> list[dict]:
     return rows
 
 
-def _load_config(path: str) -> dict:
-    """Parse a key = value sweep config (comma-separated lists, # comments)."""
+#: Each sweep config key and the sweep flag it stands for.
+CONFIG_FLAGS = {
+    "quantity": "--quantity",
+    "protocols": "--protocols",
+    "nqr": "--nqr-list",
+    "delta": "--delta-list",
+    "l0_km": "--l0-list",
+    "distance_km": "--distance-list",
+    "squeezing_db": "--squeezing-db",
+    "latt_km": "--latt",
+    "eta_points": "--eta-points",
+    "delta_prep": "--delta-prep",
+    "seed": "--seed",
+    "format": "--format",
+    "output": "--output",
+}
+
+
+def _load_config(path: str) -> dict[str, str]:
+    """Parse a key = value sweep config (comma-separated lists, # comments)
+    into its raw values. A malformed line or an unknown key names path:lineno."""
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise argparse.ArgumentTypeError(
-                    f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}"
-                )
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, equals, value = (part.strip() for part in line.partition("="))
+            if not equals:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+            if key not in CONFIG_FLAGS:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = value
     return values
 
 
-def _apply_config(args, config: dict) -> None:
-    scalar = {
-        "squeezing_db": ("squeezing_db", float),
-        "latt_km": ("latt", float),
-        "quantity": ("quantity", str),
-        "format": ("format", str),
-        "output": ("output", str),
-        "eta_points": ("eta_points", int),
-        "delta_prep": ("delta_prep", parse_delta),
-        "seed": ("seed", int),
-    }
-    lists = {
-        "protocols": ("protocols", str),
-        "nqr": ("nqr_list", int),
-        "delta": ("delta_list", parse_delta),
-        "l0_km": ("l0_list", float),
-        "distance_km": ("distance_list", float),
-    }
-    for key, value in config.items():
-        if key in scalar:
-            dest, cast = scalar[key]
-            setattr(args, dest, cast(value))
-        elif key in lists:
-            dest, cast = lists[key]
-            setattr(args, dest, [cast(item) for item in _split_list(value)])
-        else:
-            raise argparse.ArgumentTypeError(f"unknown config key {key!r}")
-
-
 def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
-    if args.config:
-        try:
-            _apply_config(args, _load_config(args.config))
-        except (OSError, ValueError) as exc:
-            parser.error(f"bad --config {args.config}: {exc}")
     # No sweep draws a random number; the seed is validated and otherwise unused.
     if args.seed < 0:
-        parser.error("seed must be >= 0")
-    output = _resolve_output(args.output)
+        parser.error("--seed must be >= 0")
 
     if args.quantity == "amp-variance":
         if args.eta_points < 2:
             parser.error("--eta-points must be >= 2")
-        _emit(_table(args.format, AMP_VARIANCE_COLUMNS, _amp_variance_rows(args.eta_points)), output)
+        _emit(_table(args.format, AMP_VARIANCE_COLUMNS, _amp_variance_rows(args.eta_points)), args.output)
         return 0
 
-    try:
-        request = SweepRequest(
-            protocols=args.protocols,
-            n_qr=args.nqr_list,
-            deltas=args.delta_list,
-            l0_km=args.l0_list or None,
-            distance_km=args.distance_list or None,
-            squeezing_db=args.squeezing_db,
-            latt_km=args.latt,
-            prep_delta=args.delta_prep,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    for flag in ("--protocols", "--nqr-list", "--delta-list"):
+        if not getattr(args, flag[2:].replace("-", "_")):
+            parser.error(f"{flag} must be non-empty")
+    unknown = [name for name in args.protocols if name not in PROTOCOL_CHOICES]
+    if unknown:
+        parser.error(f"unknown protocol {unknown[0]!r}; choose from {', '.join(PROTOCOL_CHOICES)}")
+    if bool(args.l0_list) == bool(args.distance_list):
+        parser.error("exactly one of --l0-list or --distance-list is required")
+    _check_inputs(args, counts=["--nqr-list"], lengths=["--l0-list", "--distance-list"])
 
-    rows = _sweep_rows(request)
-    _emit(_table(args.format, SWEEP_COLUMNS + ["error"], rows), output)
+    rows = _sweep_rows(args)
+    _emit(_table(args.format, SWEEP_COLUMNS + ["error"], rows), args.output)
     return 0 if any(not row["error"] for row in rows) else 1
 
 
@@ -476,7 +413,7 @@ def cmd_mc_validate(args, parser: argparse.ArgumentParser) -> int:
         )
     verdict = "PASS" if not failures else "FAIL: " + ", ".join(failures)
     lines.append(f"RESULT: {verdict} ({len(rows)} quantities, gate |z| <= 4)")
-    _emit("\n".join(lines) + "\n", _resolve_output(args.output))
+    _emit("\n".join(lines) + "\n", args.output)
     return 0 if not failures else 1
 
 
@@ -503,7 +440,7 @@ def cmd_resources(args) -> int:
     }
     for distance, baseline in sorted(PHOTONIC_BASELINE_QUBITS.items()):
         record[f"photonic_baseline_qubits_{int(distance)}km"] = baseline
-    _emit(_record(args.format, record), _resolve_output(args.output))
+    _emit(_record(args.format, record), args.output)
     return 0
 
 
@@ -514,13 +451,12 @@ def cmd_resources(args) -> int:
 def cmd_plob(args, parser: argparse.ArgumentParser) -> int:
     if not args.distance_list:
         parser.error("--distance-list must be non-empty")
-    if any(d <= 0 for d in args.distance_list):
-        parser.error("distances must be positive")
+    _check_inputs(args, lengths=["--distance-list"])
     rows = [
         {"L_AB_km": d, "PLOB": protocols.plob_bound(d, args.latt)}
         for d in args.distance_list
     ]
-    _emit(_table(args.format, ["L_AB_km", "PLOB"], rows), _resolve_output(args.output))
+    _emit(_table(args.format, ["L_AB_km", "PLOB"], rows), args.output)
     return 0
 
 
@@ -573,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     sweep = sub.add_parser("sweep", help="tabulate rate points over parameter grids")
-    sweep.add_argument("--config", default=None, help="key = value config file")
+    sweep.add_argument("--config", default=None, help="key = value file of sweep flags")
     sweep.add_argument("--quantity", choices=["key-rate", "amp-variance"], default="key-rate")
     sweep.add_argument("--protocols", type=_split_list, default=[], help="comma-separated protocol list")
     sweep.add_argument("--nqr-list", type=_int_list, default=[], help="comma-separated station counts")
@@ -615,8 +551,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     for cache in hrm_mod.COMMAND_CACHES:
         cache.cache_clear()
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        # A config key comes after its flag, so it wins; argparse checks both.
+        # The ``=`` form keeps a value such as -1 from reading as an option.
+        try:
+            config = _load_config(args.config)
+        except (OSError, ValueError) as exc:
+            parser.error(f"bad --config {args.config}: {exc}")
+        args = parser.parse_args([*argv, *(f"{CONFIG_FLAGS[k]}={v}" for k, v in config.items())])
     try:
         if args.command == "rate":
             return cmd_rate(args)
@@ -629,10 +574,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_plob(args, parser)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -233,13 +233,12 @@ class RatePoint:
     """End-to-end performance of one configuration.
 
     e_segment is the error one segment (bare chains) or one station (tree
-    chains) contributes to the chain error ex_ab = ez_ab.
+    chains) contributes to the chain error ex_ab, which the Z error equals.
     """
 
     distance_km: float
     e_segment: float
     ex_ab: float
-    ez_ab: float
     p_suc: float
     rate: float
     plob: float
@@ -262,7 +261,6 @@ def secure_key_rate(spec: ProtocolSpec) -> RatePoint:
         distance_km=spec.l_ab_km,
         e_segment=errs.ex,
         ex_ab=e_ab,
-        ez_ab=e_ab,
         p_suc=ps,
         rate=max(0.0, rate),
         plob=plob_bound(spec.l_ab_km, spec.latt_km),

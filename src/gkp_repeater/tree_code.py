@@ -303,6 +303,14 @@ def station_acceptance(spec: ProtocolSpec, tree: TreeShape = TreeShape()) -> flo
     return 1.0 - (1.0 - p_pair) ** tree.n_pairs
 
 
+def _chain_acceptance(spec: ProtocolSpec, tree: TreeShape, mode: DecodingMode) -> float:
+    """Probability that every station accepts: 1 for path selection, which
+    never discards, and station_acceptance ** n_qr for postselected leaves."""
+    if DecodingMode(mode) is DecodingMode.PATH_SELECTION:
+        return 1.0
+    return station_acceptance(spec, tree) ** spec.n_qr
+
+
 def tree_key_rate(
     spec: ProtocolSpec,
     tree: TreeShape = TreeShape(),
@@ -322,16 +330,12 @@ def tree_key_rate(
     )
     e_qr = repeater_error(comps)
     e_ab = chain_error(min(e_qr, 0.5), spec.n_qr)
-    if DecodingMode(mode) is DecodingMode.PATH_SELECTION:
-        p_suc_total = 1.0
-    else:
-        p_suc_total = station_acceptance(spec, tree) ** spec.n_qr
+    p_suc_total = _chain_acceptance(spec, tree, mode)
     rate = p_suc_total * (1.0 - 2.0 * binary_entropy(e_ab))
     return RatePoint(
         distance_km=spec.l_ab_km,
         e_segment=e_qr,
         ex_ab=e_ab,
-        ez_ab=e_ab,
         p_suc=p_suc_total,
         rate=max(0.0, rate),
         plob=plob_bound(spec.l_ab_km, spec.latt_km),
@@ -380,11 +384,7 @@ def resource_count(
     n_clusters = spec.n_qr + 1
     per_cluster = tree.qubits_per_cluster
     if acceptance is None:
-        acceptance = (
-            1.0
-            if DecodingMode(mode) is DecodingMode.PATH_SELECTION
-            else station_acceptance(spec, tree) ** spec.n_qr
-        )
+        acceptance = _chain_acceptance(spec, tree, mode)
     overhead = (per_cluster + CONSTRUCTION_QUBITS_PER_CLUSTER) / per_cluster
     return ResourceCount(
         n_clusters=n_clusters,

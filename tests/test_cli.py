@@ -341,6 +341,61 @@ class TestSweep:
             cli.main(["sweep", "--config", str(tmp_path / "absent.cfg")])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("format = xml", "argument --format: invalid choice: 'xml'"),
+        ("quantity = bogus", "argument --quantity: invalid choice: 'bogus'"),
+        ("nqr = x", "argument --nqr-list:"),
+    ], ids=["format", "quantity", "nqr"])
+    def test_config_value_gets_its_flag_check(self, capsys, tmp_path, line, message):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"protocols = two-way-cc\nnqr = 1\ndelta = 0\nl0_km = 3\n{line}\n")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--config", str(config)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_config_key_overrides_its_flag(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("protocols = two-way-cc\nnqr = 1\ndelta = 0\nl0_km = 3\nformat = json\n")
+        code, out = run_cli(capsys, "sweep", "--format", "csv", "--nqr-list", "2,3",
+                            "--config", str(config))
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["n_qr"] == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("trials = 1000", "unknown config key 'trials'"),
+        ("nqr 1", "expected 'key = value'"),
+    ], ids=["unknown-key", "no-equals"])
+    def test_config_line_errors_name_the_line(self, capsys, tmp_path, line, message):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"# header\nprotocols = two-way-cc\n{line}\n")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--config", str(config)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{config}:3: {message}" in err
+
+    def test_missing_config_file_names_the_path(self, capsys, tmp_path):
+        path = tmp_path / "absent.cfg"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--config", str(path)])
+        assert excinfo.value.code == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_config_keys_are_the_sweep_flags(self):
+        flags = {
+            action.option_strings[0]
+            for action in build_subparser("sweep")._actions
+            if action.option_strings and action.dest not in ("help", "config")
+        }
+        assert sorted(cli.CONFIG_FLAGS.values()) == sorted(flags)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Sweep config files", 1)[1].split("\n## ", 1)[0]
+        table = dict(re.findall(r"^\| `(\w+)` +\| `(--[\w-]+)` +\|", section, re.MULTILINE))
+        assert table == cli.CONFIG_FLAGS
+
     def test_partial_failure_rows(self, capsys):
         # delta beyond the cutoff is a per-row domain error, recorded in the
         # error column; healthy rows keep the run's exit code at 0.
