@@ -141,7 +141,7 @@ def _resolve_geometry(args) -> float:
     """Return l0 from --l0/--distance, enforcing consistency when both given."""
     if args.l0 is None and args.distance is None:
         raise argparse.ArgumentTypeError("one of --l0 or --distance is required")
-    _check_inputs(args, counts=["--nqr"], lengths=["--l0", "--distance"])
+    _check_inputs(args, counts=["--nqr"], lengths=["--l0", "--distance", "--latt"])
     if args.l0 is not None and args.distance is not None:
         implied = (args.nqr + 1) * args.l0
         if abs(implied - args.distance) > 1e-9 * max(1.0, abs(args.distance)):
@@ -299,7 +299,7 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"unknown protocol {unknown[0]!r}; choose from {', '.join(PROTOCOL_CHOICES)}")
     if bool(args.l0_list) == bool(args.distance_list):
         parser.error("exactly one of --l0-list or --distance-list is required")
-    _check_inputs(args, counts=["--nqr-list"], lengths=["--l0-list", "--distance-list"])
+    _check_inputs(args, counts=["--nqr-list"], lengths=["--l0-list", "--distance-list", "--latt"])
 
     rows = _sweep_rows(args)
     _emit(_table(args.format, SWEEP_COLUMNS + ["error"], rows), args.output)
@@ -356,7 +356,6 @@ def _validation_cases(scope: str):
         for e in (0.01, 0.1):
             exact = mc_oracle.enumerate_encoded_x_error(e)
             yield None, [(f"tree.encoded_x[e={e:g}]", tree_code.encoded_x_error(e), exact)]
-        # The selection's acceptance estimate is 1 at margin 0 and has no row.
         pair = 1.0 - (1.0 - hrm_mod.e_hrm(0.25, 0.0)) ** 2
         yield partial(mc_oracle.simulate_path_selection, 0.25, 1), [("tree.bell_pair_error[s2=0.25]", pair)]
         station = spec(protocols.Variant.TWO_WAY_CC, 3.0)
@@ -451,7 +450,7 @@ def cmd_resources(args) -> int:
 def cmd_plob(args, parser: argparse.ArgumentParser) -> int:
     if not args.distance_list:
         parser.error("--distance-list must be non-empty")
-    _check_inputs(args, lengths=["--distance-list"])
+    _check_inputs(args, lengths=["--distance-list", "--latt"])
     rows = [
         {"L_AB_km": d, "PLOB": protocols.plob_bound(d, args.latt)}
         for d in args.distance_list
@@ -464,12 +463,20 @@ def cmd_plob(args, parser: argparse.ArgumentParser) -> int:
 # parser
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(item) for item in _split_list(text)]
+def _list_of(convert, noun: str):
+    """A list flag's type: comma-separated values, each read by convert."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(item) for item in _split_list(text)]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}") from None
+
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(item) for item in _split_list(text)]
+_float_list = _list_of(float, "numbers")
+_int_list = _list_of(int, "integers")
 
 
 def _delta_list(text: str) -> list[float]:

@@ -53,10 +53,7 @@ class HrmPolicy:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.delta < SQRT_PI / 2:
-            raise ValueError(
-                f"delta must lie in [0, sqrt(pi)/2), got {self.delta}"
-            )
+        _validate(0.0, self.delta)
 
     @property
     def v_up(self) -> float:

@@ -100,21 +100,15 @@ class McEstimate:
 
     mean: float
     std_err: float
-    n_accepted: int
     n_effective: int
 
     @classmethod
-    def from_counts(cls, successes: int, n_effective: int, n_accepted: int | None = None) -> "McEstimate":
+    def from_counts(cls, successes: int, n_effective: int) -> "McEstimate":
         if n_effective <= 0:
-            return cls(0.0, 0.0, 0, 0)
+            return cls(0.0, 0.0, 0)
         mean = successes / n_effective
         std_err = math.sqrt(mean * (1.0 - mean) / n_effective)
-        return cls(
-            mean=mean,
-            std_err=std_err,
-            n_accepted=n_accepted if n_accepted is not None else n_effective,
-            n_effective=n_effective,
-        )
+        return cls(mean=mean, std_err=std_err, n_effective=n_effective)
 
 
 def _normal(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
@@ -277,7 +271,7 @@ def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEs
         return int(np.count_nonzero(accepted)), int(np.count_nonzero(errors))
 
     n_accepted, n_errors = _run_batches(config, sample_batch, floats=[size] * 3, bools=[size] * 2)
-    err = McEstimate.from_counts(n_errors, n_accepted, n_accepted=n_accepted)
+    err = McEstimate.from_counts(n_errors, n_accepted)
     suc = McEstimate.from_counts(n_accepted, config.n_trials)
     return err, suc
 
@@ -323,15 +317,10 @@ def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEst
         return int(np.count_nonzero(accepted)), int(np.count_nonzero(flips))
 
     n_accepted, n_flips = _run_batches(config, sample_batch, floats=[size] * 3, bools=[size] * 3)
-    return McEstimate.from_counts(n_flips, n_accepted, n_accepted=n_accepted)
+    return McEstimate.from_counts(n_flips, n_accepted)
 
 
-def simulate_path_selection(
-    sigma_eff2: float,
-    n_pairs: int,
-    config: TrialConfig,
-    accept_margin: float = 0.0,
-) -> tuple[McEstimate, McEstimate]:
+def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig) -> McEstimate:
     """Error of the Bell-measurement pair chosen by maximum likelihood.
 
     Per trial, n_pairs Bell measurements each produce two outcomes with true
@@ -339,12 +328,8 @@ def simulate_path_selection(
     residues is maximal where the residue norm is minimal, so the selected
     pair is the argmin of residue_1^2 + residue_2^2 (ties resolve to the
     lowest index via argmin). A trial errs when either selected outcome sits
-    nearer an odd lattice multiple.
-
-    With accept_margin > 0 the selection runs only over pairs whose residues
-    both pass |residue| < sqrt(pi)/2 - accept_margin, and trials with no
-    surviving pair are discarded; the second estimate returned is the
-    at-least-one-pair acceptance probability (identically 1 at margin 0).
+    nearer an odd lattice multiple. No pair is discarded, so every trial
+    counts.
     """
     import numpy as np
 
@@ -352,9 +337,6 @@ def simulate_path_selection(
         raise ValueError(f"sigma_eff2 must be nonnegative, got {sigma_eff2}")
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    v_up = SQRT_PI / 2 - accept_margin
-    if v_up <= 0:
-        raise ValueError(f"accept_margin must be below sqrt(pi)/2, got {accept_margin}")
     sigma = math.sqrt(sigma_eff2)
     # Drawing a batch in chunks of whole trials keeps its stream (the draws
     # fill (trial, pair, outcome) in row-major order) and its memory at that
@@ -364,21 +346,15 @@ def simulate_path_selection(
     # Flat index of each trial's first outcome in a chunk's draws.
     trial_offsets = np.arange(0, chunk * 2 * n_pairs, 2 * n_pairs)
 
-    def sample_chunk(rng: np.random.Generator, m: int, work):
+    def sample_chunk(rng: np.random.Generator, m: int, work) -> int:
         shape = (m, n_pairs, 2)
         x, k = (a[: math.prod(shape)].reshape(shape) for a in work[0][:2])
         t = work[0][2]
         bits = work[1][0][: x.size].reshape(shape)
-        pair_ok = work[1][1][: m * n_pairs].reshape(m, n_pairs)
-        trial_ok, wrong = (a[:m] for a in work[1][2:])
-        np.less(_residues(rng, (sigma,), x, k, t[: x.size].reshape(shape)), v_up, out=bits)
+        wrong = work[1][1][:m]
         # Contiguous, so that argmin reads it without a copy.
-        squares = np.square(x, out=x)
+        squares = np.square(_residues(rng, (sigma,), x, k, t[: x.size].reshape(shape)), out=x)
         norm2 = np.add(squares[..., 0], squares[..., 1], out=t[: m * n_pairs].reshape(m, n_pairs))
-        np.logical_and(bits[..., 0], bits[..., 1], out=pair_ok)
-        np.any(pair_ok, axis=1, out=trial_ok)
-        # Rejected pairs rank below every accepted one.
-        np.copyto(norm2, np.inf, where=np.logical_not(pair_ok, out=bits[..., 0]))
         # x is spent: its memory holds the flat index of each selected pair.
         selected = np.argmin(norm2, axis=1, out=work[0][0].view(np.intp)[:m])
         selected *= 2
@@ -387,19 +363,13 @@ def simulate_path_selection(
         odd = _odd(k, out=bits, tmp=t[: k.size].reshape(shape))
         np.logical_or(odd[..., 0], odd[..., 1], out=odd[..., 0])
         np.take(odd.reshape(-1), selected, out=wrong, mode="clip")
-        wrong &= trial_ok
-        return int(np.count_nonzero(trial_ok)), int(np.count_nonzero(wrong))
+        return int(np.count_nonzero(wrong))
 
     def sample_batch(rng: np.random.Generator, n: int, work):
-        counts = [sample_chunk(rng, min(chunk, n - start), work) for start in range(0, n, chunk)]
-        return tuple(map(sum, zip(*counts)))
+        return (sum(sample_chunk(rng, min(chunk, n - start), work) for start in range(0, n, chunk)),)
 
-    n_accepted, n_errors = _run_batches(
-        config, sample_batch, floats=[size] * 3, bools=[size, size, chunk, chunk]
-    )
-    err = McEstimate.from_counts(n_errors, n_accepted, n_accepted=n_accepted)
-    acc = McEstimate.from_counts(n_accepted, config.n_trials)
-    return err, acc
+    (n_errors,) = _run_batches(config, sample_batch, floats=[size] * 3, bools=[size, chunk])
+    return McEstimate.from_counts(n_errors, config.n_trials)
 
 
 def simulate_majority_vote(e: float, config: TrialConfig) -> McEstimate:

@@ -49,33 +49,21 @@ class AmplifierMode(str, Enum):
 
 @dataclass(frozen=True)
 class SqueezingSpec:
-    """Squeezing level of the GKP teeth, kept in both dB and variance form.
+    """Squeezing level of the GKP teeth as the tooth variance sigma2.
 
-    The two fields are redundant on purpose (sweep configs are written in dB,
-    the math runs on sigma2) and must satisfy db = -10*log10(2*sigma2).
-    sigma2 = 0 (db = inf) is the ideal infinite-squeezing limit.
+    Sweep configs are written in dB (:meth:`from_db`); the math runs on
+    sigma2. sigma2 = 0 (infinite dB) is the ideal infinite-squeezing limit.
     """
 
-    db: float
     sigma2: float
 
     def __post_init__(self) -> None:
         if self.sigma2 < 0:
             raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
-        expected = squeezing_db_to_sigma2(self.db)
-        if abs(expected - self.sigma2) > 1e-12 * max(expected, self.sigma2):
-            raise ValueError(
-                f"inconsistent squeezing: {self.db} dB implies sigma2={expected!r}, "
-                f"got {self.sigma2!r}"
-            )
 
     @classmethod
     def from_db(cls, db: float) -> "SqueezingSpec":
-        return cls(db, squeezing_db_to_sigma2(db))
-
-    @classmethod
-    def from_sigma2(cls, sigma2: float) -> "SqueezingSpec":
-        return cls(sigma2_to_db(sigma2), sigma2)
+        return cls(squeezing_db_to_sigma2(db))
 
 
 #: log(DBL_MAX): beyond |x| = sqrt(MAXLOG), exp(-x*x) underflows.
@@ -160,7 +148,10 @@ def amplifier_added_variance(eta: float, mode: AmplifierMode) -> float:
 
 def squeezing_db_to_sigma2(db: float) -> float:
     """Tooth variance for a squeezing level in dB: sigma2 = 10**(-db/10) / 2."""
-    return 10.0 ** (-db / 10.0) / 2.0
+    try:
+        return 10.0 ** (-db / 10.0) / 2.0
+    except OverflowError:  # below about -3,082 dB
+        raise ValueError(f"squeezing of {db} dB is out of range: its tooth variance overflows") from None
 
 
 def sigma2_to_db(sigma2: float) -> float:

@@ -140,26 +140,21 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class SegmentErrors:
-    """Per-segment logical error probabilities and HRM acceptance.
+    """Per-segment logical error probability and HRM acceptance.
 
-    ex and ez are equal for every implemented variant (the noise is symmetric
-    in q and p); p_suc is the probability that one homodyne outcome passes
+    ex is the flip probability of either quadrature: the noise is symmetric
+    in q and p, so the X and Z errors are equal for every implemented
+    variant. p_suc is the probability that one homodyne outcome passes
     postselection.
     """
 
     ex: float
-    ez: float
     p_suc: float
 
     def __post_init__(self) -> None:
-        for name, value in (("ex", self.ex), ("ez", self.ez), ("p_suc", self.p_suc)):
+        for name, value in (("ex", self.ex), ("p_suc", self.p_suc)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value}")
-
-    @property
-    def p_accept(self) -> float:
-        """Probability that one Bell measurement passes: both outcomes do."""
-        return self.p_suc**2
 
 
 def segment_noise_variance(variant: Variant, eta: float) -> float:
@@ -185,7 +180,7 @@ def segment_errors(spec: ProtocolSpec) -> SegmentErrors:
     e = hrm_mod.e_hrm(v, delta)
     if spec.variant.second_sqec:
         e = min(0.5, 2 * e * (1 - e))
-    return SegmentErrors(ex=e, ez=e, p_suc=hrm_mod.p_suc(v, delta))
+    return SegmentErrors(ex=e, p_suc=hrm_mod.p_suc(v, delta))
 
 
 def chain_error(e_segment: float, n_qr: int) -> float:

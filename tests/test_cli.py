@@ -147,6 +147,25 @@ class TestRate:
         err = capsys.readouterr().err
         assert "--nqr must be nonnegative" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("latt", ["0", "-22"])
+    @pytest.mark.parametrize(
+        "command", [["rate", "--protocol", "two-way-cc"], ["resources", "--mode", "hrm"]], ids=["rate", "resources"]
+    )
+    def test_nonpositive_latt_exits_2(self, capsys, command, latt):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*command, "--nqr", "1", "--l0", "3", "--latt", latt])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--latt must be positive" in err and "Traceback" not in err
+
+    def test_huge_negative_squeezing_exits_1(self, capsys):
+        # 10**400 overflows a float below about -3,082 dB.
+        code = cli.main(["rate", "--protocol", "two-way-cc", "--nqr", "1", "--l0", "3",
+                         "--squeezing-db", "-4000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: squeezing of -4000.0 dB") and "Traceback" not in err
+
     def test_consistent_geometry_accepted(self, capsys):
         code, out = run_cli(
             capsys,
@@ -345,7 +364,8 @@ class TestSweep:
         ("format = xml", "argument --format: invalid choice: 'xml'"),
         ("quantity = bogus", "argument --quantity: invalid choice: 'bogus'"),
         ("nqr = x", "argument --nqr-list:"),
-    ], ids=["format", "quantity", "nqr"])
+        ("latt_km = 0", "--latt must be positive, got 0.0"),
+    ], ids=["format", "quantity", "nqr", "latt"])
     def test_config_value_gets_its_flag_check(self, capsys, tmp_path, line, message):
         config = tmp_path / "sweep.cfg"
         config.write_text(f"protocols = two-way-cc\nnqr = 1\ndelta = 0\nl0_km = 3\n{line}\n")
@@ -354,6 +374,34 @@ class TestSweep:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("latt", ["0", "-22"])
+    def test_nonpositive_latt_exits_2(self, capsys, latt):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--protocols", "two-way-cc", "--nqr-list", "1",
+                      "--delta-list", "0", "--l0-list", "3", f"--latt={latt}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--latt must be positive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("lists, flag, noun", [
+        (["--nqr-list", "x", "--l0-list", "3"], "--nqr-list", "integers"),
+        (["--nqr-list", "1", "--l0-list", "x"], "--l0-list", "numbers"),
+    ], ids=["nqr", "l0"])
+    def test_malformed_list_names_the_flag(self, capsys, lists, flag, noun):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--protocols", "two-way-cc", "--delta-list", "0", *lists])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected comma-separated {noun}, got 'x'" in err
+        assert "_int_list" not in err and "_float_list" not in err
+
+    def test_huge_negative_squeezing_is_a_row_error(self, capsys):
+        code, out = run_cli(capsys, "sweep", "--protocols", "two-way-cc", "--nqr-list", "1",
+                            "--delta-list", "0", "--l0-list", "3", "--squeezing-db", "-4000")
+        assert code == 1
+        (row,) = parse_csv(out)
+        assert row["error"].startswith("squeezing of -4000.0 dB") and row["R"] == ""
 
     def test_config_key_overrides_its_flag(self, capsys, tmp_path):
         config = tmp_path / "sweep.cfg"
@@ -803,6 +851,22 @@ class TestPlob:
         assert code == 0
         (row,) = parse_csv(out)
         assert float(row["PLOB"]) == pytest.approx(0.015396573030100614, abs=1e-9)
+
+    @pytest.mark.parametrize("latt", ["0", "-22"])
+    def test_nonpositive_latt_exits_2(self, capsys, latt):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["plob", "--distance-list", "10", f"--latt={latt}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--latt must be positive" in err and "Traceback" not in err
+
+    def test_malformed_distance_list_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["plob", "--distance-list", "x"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --distance-list: expected comma-separated numbers, got 'x'" in err
+        assert "_float_list" not in err
 
 
 class TestOutputHandling:

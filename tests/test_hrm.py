@@ -48,8 +48,9 @@ class TestPolicy:
 
     def test_bounds(self):
         HrmPolicy(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             HrmPolicy(-0.01)
+        assert str(excinfo.value) == "delta must lie in [0, sqrt(pi)/2), got -0.01"
         with pytest.raises(ValueError):
             HrmPolicy(SQRT_PI / 2)
 

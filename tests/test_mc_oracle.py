@@ -129,7 +129,7 @@ class TestEstimateHrm:
 class TestSimulateSegment:
     def test_noiseless_segment_never_flips(self):
         spec = ProtocolSpec(
-            Variant.TWO_WAY_CC, 1, 0.0, SqueezingSpec.from_sigma2(0.0)
+            Variant.TWO_WAY_CC, 1, 0.0, SqueezingSpec(0.0)
         )
         flips = simulate_segment(spec, TrialConfig(100_000, seed=7))
         assert flips.mean == 0.0
@@ -161,38 +161,27 @@ class TestSimulateSegment:
         )
         flips = simulate_segment(spec, TrialConfig(400_000, seed=21))
         assert abs(binomial_z(flips, segment_errors(spec).ex)) < 4
-        assert flips.n_accepted < 400_000
+        assert flips.n_effective < 400_000
 
 
 class TestSimulatePathSelection:
     def test_single_pair_reduces_to_bell_error(self):
         sigma2 = 0.25
-        err, acc = simulate_path_selection(sigma2, 1, TrialConfig(400_000, seed=11))
+        err = simulate_path_selection(sigma2, 1, TrialConfig(400_000, seed=11))
         single = e_hrm(sigma2, 0.0)
         assert abs(binomial_z(err, 1 - (1 - single) ** 2)) < 4
-        assert acc.mean == 1.0
+        assert err.n_effective == 400_000
 
     def test_zero_variance(self):
-        err, _ = simulate_path_selection(0.0, 5, TrialConfig(50_000, seed=12))
+        err = simulate_path_selection(0.0, 5, TrialConfig(50_000, seed=12))
         assert err.mean == 0.0
 
     def test_selection_beats_single_pair(self):
         config = TrialConfig(1_000_000, seed=13)
-        chosen, _ = simulate_path_selection(0.25, 5, config)
-        single, _ = simulate_path_selection(0.25, 1, TrialConfig(1_000_000, seed=14))
+        chosen = simulate_path_selection(0.25, 5, config)
+        single = simulate_path_selection(0.25, 1, TrialConfig(1_000_000, seed=14))
         separation = math.hypot(chosen.std_err, single.std_err)
         assert chosen.mean < single.mean - 3 * separation
-
-    def test_acceptance_margin_restricts_pool(self):
-        err, acc = simulate_path_selection(
-            0.25, 5, TrialConfig(400_000, seed=15), accept_margin=SQRT_PI / 6
-        )
-        assert acc.mean < 1.0
-        # Selecting among HRM survivors cannot do worse than the single
-        # postselected measurement error at the same margin.
-        postselected = e_hrm(0.25, SQRT_PI / 6)
-        pair_bound = 1 - (1 - postselected) ** 2
-        assert err.mean < pair_bound + 4 * err.std_err
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -240,7 +229,7 @@ class TestTreeOracles:
 
 
 def counts(estimate: McEstimate) -> tuple[int, int]:
-    return round(estimate.mean * estimate.n_effective), estimate.n_accepted
+    return round(estimate.mean * estimate.n_effective), estimate.n_effective
 
 
 class TestParityKernel:
@@ -286,9 +275,10 @@ class TestParityKernel:
 
 class TestPinnedCounts:
     """Counts at inputs the mc-validate digest does not reach: several batches
-    with an uneven last one, five pairs with a margin, a postselected second
-    round and the station sampler. Computed before the parity kernel was
-    rewritten; any change of stream or kernel moves them."""
+    with an uneven last one, five pairs, a postselected second round and the
+    station sampler. Computed before the parity kernel was rewritten (the
+    five-pair counts before path selection lost its margin); any change of
+    stream or kernel moves them."""
 
     UNEVEN = TrialConfig(20_000, seed=31, batch_size=7919)
 
@@ -310,16 +300,11 @@ class TestPinnedCounts:
         assert counts(simulate_segment(spec, TrialConfig(20_000, seed=32))) == (1292, 4222)
 
     def test_path_selection_with_margin(self):
-        err, acc = simulate_path_selection(
-            0.25, 5, TrialConfig(20_000, seed=33), accept_margin=SQRT_PI / 6
-        )
-        assert counts(err) == (449, 19842)
-        assert counts(acc) == (19842, 20000)
+        # The decoder has no margin: every trial keeps its likeliest pair.
+        assert counts(simulate_path_selection(0.25, 5, TrialConfig(20_000, seed=33))) == (482, 20000)
 
     def test_path_selection_uneven_batches(self):
-        err, acc = simulate_path_selection(0.25, 5, self.UNEVEN, accept_margin=SQRT_PI / 6)
-        assert counts(err) == (436, 19829)
-        assert counts(acc) == (19829, 20000)
+        assert counts(simulate_path_selection(0.25, 5, self.UNEVEN)) == (465, 20000)
 
     def test_majority_vote_uneven_batches(self):
         assert counts(simulate_majority_vote(0.1, self.UNEVEN)) == (559, 20000)
@@ -330,31 +315,25 @@ class TestPinnedCounts:
         assert counts(simulate_tree_repeater(0.12, 0.12, 0.01, self.UNEVEN)) == (845, 20000)
 
 
-def unchunked_path_selection(sigma2, n_pairs, config, accept_margin):
+def unchunked_path_selection(sigma2, n_pairs, config):
     """The path-selection kernel drawing each batch in one piece."""
-    v_up = SQRT_PI / 2 - accept_margin
-    accepted = errors = 0
+    errors = 0
     for index, n in config.batches():
         x = config.rng(index).normal(0.0, math.sqrt(sigma2), size=(n, n_pairs, 2))
         k = np.rint(x / SQRT_PI)
         residue = x - k * SQRT_PI
-        pair_ok = np.all(np.abs(residue) < v_up, axis=2)
-        norm2 = np.where(pair_ok, np.sum(residue**2, axis=2), np.inf)
-        selected = np.argmin(norm2, axis=1)
+        selected = np.argmin(np.sum(residue**2, axis=2), axis=1)
         k_sel = np.take_along_axis(k, selected[:, None, None], axis=1)[:, 0, :]
-        trial_ok = np.any(pair_ok, axis=1)
-        accepted += int(trial_ok.sum())
-        errors += int((trial_ok & np.any(np.abs(k_sel) % 2 == 1, axis=1)).sum())
-    return errors, accepted
+        errors += int(np.any(np.abs(k_sel) % 2 == 1, axis=1).sum())
+    return errors, config.n_trials
 
 
 class TestPathSelectionChunks:
     @pytest.mark.parametrize("batch_size", [1, 3, 64, 1001])
     def test_counts_equal_one_draw_per_batch(self, batch_size):
         config = TrialConfig(3_000, seed=35, batch_size=batch_size)
-        for margin in (0.0, SQRT_PI / 6):
-            err, _ = simulate_path_selection(0.3, 5, config, accept_margin=margin)
-            assert counts(err) == unchunked_path_selection(0.3, 5, config, margin)
+        err = simulate_path_selection(0.3, 5, config)
+        assert counts(err) == unchunked_path_selection(0.3, 5, config)
 
     def test_memory_does_not_grow_with_pairs(self):
         def peak(n_pairs):
@@ -483,7 +462,7 @@ class TestThreadPool:
         )
         mc_oracle.estimate_hrm(0.25, SQRT_PI / 6, config)
         mc_oracle.simulate_segment(spec, config)
-        mc_oracle.simulate_path_selection(0.25, 5, config, accept_margin=SQRT_PI / 6)
+        mc_oracle.simulate_path_selection(0.25, 5, config)
         mc_oracle.simulate_majority_vote(0.1, config)
         mc_oracle.simulate_tree_repeater(0.12, 0.12, 0.01, config)
 
@@ -512,8 +491,8 @@ class TestWorkArrays:
         "simulate_segment": lambda c: simulate_segment(
             ProtocolSpec(Variant.TWO_WAY_PRE_SECOND_SQEC, 1, 3.0, SQ15, hrm=HrmPolicy(SQRT_PI / 12)), c
         ),
-        "simulate_path_selection_1": lambda c: simulate_path_selection(0.25, 1, c, SQRT_PI / 6),
-        "simulate_path_selection_5": lambda c: simulate_path_selection(0.25, 5, c, SQRT_PI / 6),
+        "simulate_path_selection_1": lambda c: simulate_path_selection(0.25, 1, c),
+        "simulate_path_selection_5": lambda c: simulate_path_selection(0.25, 5, c),
         "simulate_majority_vote": lambda c: simulate_majority_vote(0.1, c),
         "simulate_tree_repeater": lambda c: simulate_tree_repeater(0.12, 0.12, 0.01, c),
     }

@@ -233,10 +233,16 @@ class TestSqueezing:
         assert sigma2_to_db(0.0) == math.inf
         assert squeezing_db_to_sigma2(math.inf) == 0.0
 
+    def test_overflowing_squeezing_is_a_value_error(self):
+        with pytest.raises(ValueError, match="squeezing of -4000.0 dB is out of range"):
+            squeezing_db_to_sigma2(-4000.0)
+        with pytest.raises(ValueError, match="squeezing of -4000.0 dB"):
+            SqueezingSpec.from_db(-4000.0)
+
     def test_spec_consistency_enforced(self):
-        SqueezingSpec(15.0, 0.015811388300841897)
-        with pytest.raises(ValueError):
-            SqueezingSpec(15.0, 0.0159)
+        assert SqueezingSpec.from_db(15.0) == SqueezingSpec(0.015811388300841897)
+        with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+            SqueezingSpec(-0.0159)
 
 
 # Reference copy of the erfc as it was first ported: the Cephes coefficient

@@ -291,7 +291,7 @@ class TestPathSelectionQuadrature:
     def test_agrees_with_the_sampler(self, db, l0, n_pairs):
         v_leaf = leaf_variance_at(db, l0)
         p = leaf_error(v_leaf, n_pairs)
-        estimate, _ = simulate_path_selection(v_leaf, n_pairs, TrialConfig(200_000, seed=29))
+        estimate = simulate_path_selection(v_leaf, n_pairs, TrialConfig(200_000, seed=29))
         n = estimate.n_effective
         k = round(estimate.mean * n)
         assert abs(k - n * p) <= 4 * math.sqrt(n * p * (1 - p)), (k, n * p)
@@ -310,7 +310,7 @@ class TestTreeKeyRate:
 
     def test_perfect_limit(self):
         spec = ProtocolSpec(
-            Variant.TWO_WAY_CC, 10, 0.0, SqueezingSpec.from_sigma2(0.0)
+            Variant.TWO_WAY_CC, 10, 0.0, SqueezingSpec(0.0)
         )
         point = tree_key_rate(spec)
         assert point.rate == 1.0
