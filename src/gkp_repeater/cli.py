@@ -123,13 +123,13 @@ def _split_list(text: str) -> list[str]:
 def _check_inputs(args, counts=(), lengths=()) -> None:
     """Reject the inputs that rate, resources, sweep and plob share: a
     non-finite --squeezing-db, a negative station count in one of the
-    ``counts`` flags, a nonpositive length in one of the ``lengths`` flags.
+    ``counts`` flags, a nonpositive or NaN length in a ``lengths`` flag.
     A flag holds one value or a list; an absent one (None) passes."""
     squeezing_db = getattr(args, "squeezing_db", 0.0)
     if not math.isfinite(squeezing_db):
         raise argparse.ArgumentTypeError(f"--squeezing-db must be finite, got {squeezing_db}")
-    for flags, rule, bad in ((counts, "nonnegative", lambda v: v < 0),
-                             (lengths, "positive", lambda v: v <= 0)):
+    for flags, rule, bad in ((counts, "nonnegative", lambda v: not v >= 0),
+                             (lengths, "positive", lambda v: not v > 0)):
         for flag in flags:
             values = getattr(args, flag[2:].replace("-", "_"))
             for value in values if isinstance(values, list) else [values]:
@@ -361,7 +361,7 @@ def _validation_cases(scope: str):
         station = spec(protocols.Variant.TWO_WAY_CC, 3.0)
         mode = tree_code.DecodingMode.HRM_POSTSELECTED
         comps = tree_code.component_errors(station, mode=mode, prep_delta=0.0)
-        variances = tree_code.leaf_variance(station), tree_code.single_qubit_variance(station)
+        variances = protocols.segment_variance(station), tree_code.single_qubit_variance(station)
         cases = [("tree.station_error[l0=3,delta=0]", tree_code.repeater_error(comps))]
         yield partial(mc_oracle.simulate_tree_repeater, *variances, comps.e_prep), cases
 

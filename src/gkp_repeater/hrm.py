@@ -62,7 +62,7 @@ class HrmPolicy:
 
 
 def _validate(sigma2: float, delta: float) -> None:
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     if not 0.0 <= delta < SQRT_PI / 2:
         raise ValueError(f"delta must lie in [0, sqrt(pi)/2), got {delta}")

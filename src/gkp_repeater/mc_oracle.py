@@ -24,6 +24,9 @@ calling thread; the workers only draw and count.
 
 Kernels
 -------
+``estimate_hrm`` and ``simulate_segment`` sample one postselected
+experiment through one kernel, ``_postselected``.
+
 Most of a sampler's time goes to the normal draws. Two primitives beside
 them are built from cheaper exact arithmetic that gives the same booleans
 as the numpy calls they replace, so the counts do not change. Parity
@@ -41,9 +44,9 @@ worker allocates only small per-trial results. A sampler call thus holds
 the work arrays of each worker, whatever the threads' timing.
 ``simulate_path_selection``, ``simulate_majority_vote`` and the ancilla and
 node outcomes of ``simulate_tree_repeater`` draw several values per trial,
-so they draw each batch in chunks of whole trials that fill a work array;
-the chunks consume the generator in the order of one whole-batch draw, so
-the counts are those of drawing the batch at once.
+so they draw each batch in chunks of whole trials that fill a work array
+(``_chunks``); the chunks consume the generator in the order of one
+whole-batch draw, so the counts are those of drawing the batch at once.
 
 numpy is imported inside the samplers, so importing this module loads the
 standard library only. No rate reads a sampler: they cross-check the analytic
@@ -58,6 +61,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
+from . import hrm as hrm_mod
 from . import protocols
 from .noise_core import SQRT_PI
 
@@ -244,33 +248,50 @@ def _largest_batch(config: TrialConfig, values_per_trial: int = 1) -> int:
     return max(min(config.batch_size, config.n_trials), values_per_trial)
 
 
+def _chunks(n: int, size: int, values_per_trial: int) -> list[tuple[int, int]]:
+    """(start, trials) of the chunks of whole trials a batch of n trials is
+    drawn in, each filling at most size values of a work array. Drawn in
+    order, the chunks consume the generator as one whole-batch draw does."""
+    chunk = size // values_per_trial
+    return [(start, min(chunk, n - start)) for start in range(0, n, chunk)]
+
+
+def _postselected(config: TrialConfig, draws, v_up: float) -> tuple[int, int]:
+    """(accepted, flipped) counts. Each (sigmas, decides) entry of draws
+    draws one outcome per trial, the sum of N(0, s^2) over sigmas; a trial is
+    accepted when every residue magnitude is below v_up, and flips when the
+    parities of the outcomes whose entry decides xor to odd."""
+    import numpy as np
+
+    size = _largest_batch(config)
+
+    def sample_batch(rng: np.random.Generator, n: int, work):
+        x, k, t = (a[:n] for a in work[0])
+        accepted, flipped, bits = (a[:n] for a in work[1])
+        accepted.fill(True)
+        flipped.fill(False)
+        for sigmas, decides in draws:
+            accepted &= np.less(_residues(rng, sigmas, x, k, t), v_up, out=bits)
+            if decides:
+                flipped ^= _odd(k, out=bits, tmp=t)
+        flipped &= accepted
+        return int(np.count_nonzero(accepted)), int(np.count_nonzero(flipped))
+
+    return _run_batches(config, sample_batch, floats=[size] * 3, bools=[size] * 3)
+
+
 def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEstimate, McEstimate]:
     """Sample the postselected measurement: (e_hrm estimate, p_suc estimate).
 
     Per trial a true deviation ~ N(0, sigma2) is reduced to its nearest
     lattice multiple; the outcome is accepted when the residue magnitude is
-    below v_up = sqrt(pi)/2 - delta and is in error when the accepted multiple
-    is odd.
+    below the cutoff ``HrmPolicy(delta).v_up`` and is in error when the
+    accepted multiple is odd.
     """
-    import numpy as np
-
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
-    v_up = SQRT_PI / 2 - delta
-    if v_up <= 0:
-        raise ValueError(f"delta must be below sqrt(pi)/2, got {delta}")
-    sigma = math.sqrt(sigma2)
-    size = _largest_batch(config)
-
-    def sample_batch(rng: np.random.Generator, n: int, work):
-        x, k, t = (a[:n] for a in work[0])
-        accepted, errors = (a[:n] for a in work[1])
-        np.less(_residues(rng, (sigma,), x, k, t), v_up, out=accepted)
-        _odd(k, out=errors, tmp=t)
-        errors &= accepted
-        return int(np.count_nonzero(accepted)), int(np.count_nonzero(errors))
-
-    n_accepted, n_errors = _run_batches(config, sample_batch, floats=[size] * 3, bools=[size] * 2)
+    v_up = hrm_mod.HrmPolicy(delta).v_up
+    n_accepted, n_errors = _postselected(config, [((math.sqrt(sigma2),), True)], v_up)
     err = McEstimate.from_counts(n_errors, n_accepted)
     suc = McEstimate.from_counts(n_accepted, config.n_trials)
     return err, suc
@@ -295,28 +316,10 @@ def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEst
     flips when exactly one round does. The estimate is conditioned on all
     postselections passing, matching the analytic segment_errors.
     """
-    import numpy as np
-
     sigmas = _segment_component_sigmas(spec)
-    v_up = spec.hrm.v_up
-    rounds = spec.variant.rounds
-    size = _largest_batch(config)
-
-    def sample_batch(rng: np.random.Generator, n: int, work):
-        x, k, t = (a[:n] for a in work[0])
-        flips, accepted, bits = (a[:n] for a in work[1])
-        flips.fill(False)
-        accepted.fill(True)
-        for _ in range(rounds):
-            # q outcome decides the flip; the p outcome only gates acceptance.
-            for quad in range(2):
-                accepted &= np.less(_residues(rng, sigmas, x, k, t), v_up, out=bits)
-                if quad == 0:
-                    flips ^= _odd(k, out=bits, tmp=t)
-        flips &= accepted
-        return int(np.count_nonzero(accepted)), int(np.count_nonzero(flips))
-
-    n_accepted, n_flips = _run_batches(config, sample_batch, floats=[size] * 3, bools=[size] * 3)
+    # Per round the q outcome decides the flip; the p outcome only gates.
+    draws = [(sigmas, True), (sigmas, False)] * spec.variant.rounds
+    n_accepted, n_flips = _postselected(config, draws, spec.hrm.v_up)
     return McEstimate.from_counts(n_flips, n_accepted)
 
 
@@ -333,7 +336,7 @@ def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig
     """
     import numpy as np
 
-    if sigma_eff2 < 0:
+    if not sigma_eff2 >= 0:
         raise ValueError(f"sigma_eff2 must be nonnegative, got {sigma_eff2}")
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -366,7 +369,7 @@ def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig
         return int(np.count_nonzero(wrong))
 
     def sample_batch(rng: np.random.Generator, n: int, work):
-        return (sum(sample_chunk(rng, min(chunk, n - start), work) for start in range(0, n, chunk)),)
+        return (sum(sample_chunk(rng, m, work) for _, m in _chunks(n, size, 2 * n_pairs)),)
 
     (n_errors,) = _run_batches(config, sample_batch, floats=[size] * 3, bools=[size, chunk])
     return McEstimate.from_counts(n_errors, config.n_trials)
@@ -380,18 +383,16 @@ def simulate_majority_vote(e: float, config: TrialConfig) -> McEstimate:
         raise ValueError(f"e must be a probability, got {e}")
     # Chunks of whole trials keep the stream of one (n, 3) draw.
     size = _largest_batch(config, 3)
-    chunk = size // 3
 
     def sample_batch(rng: np.random.Generator, n: int, work):
         n_fail = 0
-        for start in range(0, n, chunk):
-            m = min(chunk, n - start)
+        for _, m in _chunks(n, size, 3):
             u = rng.random(out=work[0][0][: 3 * m].reshape(m, 3))
             flips = np.less(u, e, out=work[1][0][: 3 * m].reshape(m, 3))
             n_fail += int(np.count_nonzero(_majority(flips, out=work[1][1][:m])))
         return (n_fail,)
 
-    (n_fail,) = _run_batches(config, sample_batch, floats=[size], bools=[size, chunk])
+    (n_fail,) = _run_batches(config, sample_batch, floats=[size], bools=[size, size // 3])
     return McEstimate.from_counts(n_fail, config.n_trials)
 
 
@@ -415,19 +416,13 @@ def simulate_tree_repeater(
     import numpy as np
 
     for name, value in (("v_leaf", v_leaf), ("v_single", v_single)):
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     if not 0.0 <= e_prep <= 1.0:
         raise ValueError(f"e_prep must be a probability, got {e_prep}")
     s_leaf = math.sqrt(v_leaf)
     s_single = math.sqrt(v_single)
     size = _largest_batch(config, 9)
-
-    def chunks(n: int, shape: tuple) -> list[tuple[int, int]]:
-        """(start, trials) of the chunks of whole trials a batch's (n, *shape)
-        v_single outcomes are drawn in; they keep the stream of one draw."""
-        chunk = size // math.prod(shape)
-        return [(start, min(chunk, n - start)) for start in range(0, n, chunk)]
 
     def parities(rng: np.random.Generator, m: int, shape: tuple, work) -> np.ndarray:
         """Parities of m trials of v_single outcomes of the given shape."""
@@ -443,15 +438,15 @@ def simulate_tree_repeater(
         fail |= np.less(rng.random(out=x), e_prep, out=bits)
         # Bit-flip-protected encoded measurement: any of 3 ancilla-triple
         # majorities wrong.
-        for start, m in chunks(n, (3, 3)):
+        for start, m in _chunks(n, size, 9):
             anc = parities(rng, m, (3, 3), work)
             _or_last(_majority(anc), out=fail[start : start + m])
         # Four phase-flip-protected encoded measurements: majority over 3
         # blocks, each block wrong when its node or any of 3 ancillas is.
         for _ in range(4):
-            for start, m in chunks(n, (3,)):
+            for start, m in _chunks(n, size, 3):
                 block_wrong[start : start + m] = parities(rng, m, (3,), work)
-            for start, m in chunks(n, (3, 3)):
+            for start, m in _chunks(n, size, 9):
                 _or_last(parities(rng, m, (3, 3), work), out=block_wrong[start : start + m])
             fail |= _majority(block_wrong, out=bits)
         return (int(np.count_nonzero(fail)),)

@@ -58,7 +58,7 @@ class SqueezingSpec:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:
             raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
 
     @classmethod
@@ -122,9 +122,9 @@ def _erfc(a: float) -> float:
 
 def eta_from_distance(l_km: float, latt_km: float = DEFAULT_ATTENUATION_KM) -> float:
     """Transmittance of a fiber of length l_km: eta = exp(-l_km / latt_km)."""
-    if l_km < 0:
+    if not l_km >= 0:
         raise ValueError(f"l_km must be nonnegative, got {l_km}")
-    if latt_km <= 0:
+    if not latt_km > 0:
         raise ValueError(f"latt_km must be positive, got {latt_km}")
     return math.exp(-l_km / latt_km)
 
@@ -159,7 +159,7 @@ def sigma2_to_db(sigma2: float) -> float:
 
     sigma2 = 0 maps to +inf (ideal code states).
     """
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     if sigma2 == 0:
         return math.inf

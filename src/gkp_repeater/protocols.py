@@ -122,9 +122,9 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         if self.n_qr < 0:
             raise ValueError(f"n_qr must be nonnegative, got {self.n_qr}")
-        if self.l0_km < 0:
+        if not self.l0_km >= 0:
             raise ValueError(f"l0_km must be nonnegative, got {self.l0_km}")
-        if self.latt_km <= 0:
+        if not self.latt_km > 0:
             raise ValueError(f"latt_km must be positive, got {self.latt_km}")
 
     @property
@@ -277,11 +277,13 @@ def crossover_eta(
     same 2*sigma2 tooth term, so the crossing point does not depend on
     sigma2.
 
-    Raises NoCrossingError if the gap has constant sign on (0, 1).
+    Raises NoCrossingError if the gap has the same sign at both ends of
+    (1e-9, 1 - 1e-6). Every pair meets at eta = 1, where rounding would fake
+    a sign change; at 1 - 1e-6 each pair's gap is still >= ~2.5e-13.
     """
     if variant_a.second_sqec or variant_b.second_sqec:
         raise ValueError("crossover_eta compares single-round variants only")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
 
     def gap(eta: float) -> float:
@@ -289,25 +291,13 @@ def crossover_eta(
             variant_b, eta
         )
 
-    lo, hi = 1e-9, 1.0 - 1e-12
-    grid = [lo + (hi - lo) * i / 4096 for i in range(4097)]
-    bracket = None
-    prev_eta, prev_gap = grid[0], gap(grid[0])
-    for eta in grid[1:]:
-        g = gap(eta)
-        if g == 0.0:
-            return eta
-        if prev_gap * g < 0:
-            bracket = (prev_eta, eta)
-            break
-        prev_eta, prev_gap = eta, g
-    if bracket is None:
+    a, b = 1e-9, 1.0 - 1e-6
+    ga = gap(a)
+    if ga * gap(b) >= 0:
         raise NoCrossingError(
             f"no crossing: {variant_a.value} vs {variant_b.value} variance gap "
             "has constant sign on (0, 1)"
         )
-    a, b = bracket
-    ga = gap(a)
     while b - a > tol:
         mid = 0.5 * (a + b)
         gm = gap(mid)

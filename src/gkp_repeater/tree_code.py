@@ -174,15 +174,6 @@ def repeater_error(components: ComponentErrors) -> float:
     )
 
 
-def leaf_variance(spec: ProtocolSpec) -> float:
-    """Variance of one homodyne outcome of a leaf-pair Bell measurement.
-
-    Both leaves traveled l0/2 with outcome rescaling, so this is the bare
-    two-way-cc segment variance: two tooth variances plus two inputs' noise.
-    """
-    return segment_variance(spec)
-
-
 def single_qubit_variance(spec: ProtocolSpec) -> float:
     """Variance of a single transmitted node/ancilla homodyne outcome: one
     tooth variance plus one input's channel noise."""
@@ -276,7 +267,8 @@ def component_errors(
     """
     _check_tree_spec(spec)
     mode = DecodingMode(mode)
-    v_leaf = leaf_variance(spec)
+    # Both leaves of a pair crossed l0/2: the bare two-way-cc segment variance.
+    v_leaf = segment_variance(spec)
     v_single = single_qubit_variance(spec)
     e_single = hrm_mod.e_hrm(v_single, 0.0)
     if mode is DecodingMode.HRM_POSTSELECTED:
@@ -299,7 +291,7 @@ def station_acceptance(spec: ProtocolSpec, tree: TreeShape = TreeShape()) -> flo
     independent pairs: 1 - (1 - p_suc(v_leaf, delta)**2)**n_pairs.
     """
     _check_tree_spec(spec)
-    p_pair = hrm_mod.p_suc(leaf_variance(spec), spec.hrm.delta) ** 2
+    p_pair = hrm_mod.p_suc(segment_variance(spec), spec.hrm.delta) ** 2
     return 1.0 - (1.0 - p_pair) ** tree.n_pairs
 
 

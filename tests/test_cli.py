@@ -22,7 +22,7 @@ import gkp_repeater
 from gkp_repeater import cli, hrm, tree_code
 from gkp_repeater.hrm import HrmPolicy
 from gkp_repeater.noise_core import SqueezingSpec
-from gkp_repeater.protocols import ProtocolSpec, Variant, secure_key_rate
+from gkp_repeater.protocols import ProtocolSpec, Variant, secure_key_rate, segment_variance
 
 SQRT_PI = math.sqrt(math.pi)
 RECIPES = Path(__file__).resolve().parents[1] / "recipes"
@@ -157,6 +157,21 @@ class TestRate:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "--latt must be positive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("geometry, flag", [
+        (["--l0", "nan"], "--l0"),
+        (["--distance", "nan"], "--distance"),
+        (["--l0", "3", "--latt", "nan"], "--latt"),
+    ], ids=["l0", "distance", "latt"])
+    @pytest.mark.parametrize(
+        "command", [["rate", "--protocol", "two-way-cc"], ["resources", "--mode", "hrm"]], ids=["rate", "resources"]
+    )
+    def test_nan_length_exits_2(self, capsys, command, geometry, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*command, "--nqr", "1", *geometry])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be positive, got nan" in err and "Traceback" not in err
 
     def test_huge_negative_squeezing_exits_1(self, capsys):
         # 10**400 overflows a float below about -3,082 dB.
@@ -384,6 +399,19 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "--latt must be positive" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("geometry, flag", [
+        (["--l0-list", "3,nan"], "--l0-list"),
+        (["--distance-list", "nan"], "--distance-list"),
+        (["--l0-list", "3", "--latt", "nan"], "--latt"),
+    ], ids=["l0", "distance", "latt"])
+    def test_nan_length_exits_2(self, capsys, geometry, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--protocols", "two-way-cc", "--nqr-list", "1",
+                      "--delta-list", "0", *geometry])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be positive, got nan" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("lists, flag, noun", [
         (["--nqr-list", "x", "--l0-list", "3"], "--nqr-list", "integers"),
         (["--nqr-list", "1", "--l0-list", "x"], "--l0-list", "numbers"),
@@ -591,7 +619,7 @@ class TestSharedLeafEstimate:
                 hrm=HrmPolicy(float(row["delta"])),
             )
             e_leaf = tree_code._path_selection_leaf_error.__wrapped__(
-                tree_code.leaf_variance(spec), tree_code.TreeShape().n_pairs
+                segment_variance(spec), tree_code.TreeShape().n_pairs
             )
             comps = dataclasses.replace(
                 tree_code.component_errors(spec, mode=tree_code.DecodingMode.HRM_POSTSELECTED),
@@ -859,6 +887,17 @@ class TestPlob:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "--latt must be positive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--distance-list", "nan"], "--distance-list"),
+        (["--distance-list", "10", "--latt", "nan"], "--latt"),
+    ], ids=["distance", "latt"])
+    def test_nan_length_exits_2(self, capsys, flags, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["plob", *flags])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be positive, got nan" in err and "Traceback" not in err
 
     def test_malformed_distance_list_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

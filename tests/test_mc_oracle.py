@@ -28,11 +28,10 @@ from gkp_repeater.mc_oracle import (
     simulate_tree_repeater,
 )
 from gkp_repeater.noise_core import SqueezingSpec
-from gkp_repeater.protocols import ALL_VARIANTS, ProtocolSpec, Variant, segment_errors
+from gkp_repeater.protocols import ALL_VARIANTS, ProtocolSpec, Variant, segment_errors, segment_variance
 from gkp_repeater.tree_code import (
     DecodingMode,
     component_errors,
-    leaf_variance,
     majority3,
     repeater_error,
     single_qubit_variance,
@@ -124,6 +123,11 @@ class TestEstimateHrm:
         # pfail(2 * 0.0158) ~ 1e-7-scale: the binomial check still applies.
         err, _ = estimate_hrm(0.05, 0.0, TrialConfig(1_000_000, seed=6))
         assert abs(binomial_z(err, pfail(0.05))) < 4
+
+    def test_negative_margin_is_rejected_as_the_policy_rejects_it(self):
+        with pytest.raises(ValueError) as excinfo:
+            estimate_hrm(0.25, -0.1, TrialConfig(1_000, seed=7))
+        assert str(excinfo.value) == "delta must lie in [0, sqrt(pi)/2), got -0.1"
 
 
 class TestSimulateSegment:
@@ -220,7 +224,7 @@ class TestTreeOracles:
             spec, mode=DecodingMode.HRM_POSTSELECTED, prep_delta=0.0
         )
         estimate = simulate_tree_repeater(
-            leaf_variance(spec),
+            segment_variance(spec),
             single_qubit_variance(spec),
             comps.e_prep,
             TrialConfig(1_000_000, seed=19),

@@ -1,5 +1,6 @@
 """Segment budgets, chain accumulation, key rates, and crossing points."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkp_repeater.hrm import HrmPolicy, e_hrm, p_suc
-from gkp_repeater.mc_oracle import _segment_component_sigmas
-from gkp_repeater.noise_core import SqueezingSpec, eta_from_distance
+from gkp_repeater.mc_oracle import (
+    TrialConfig,
+    _segment_component_sigmas,
+    estimate_hrm,
+    simulate_path_selection,
+    simulate_tree_repeater,
+)
+from gkp_repeater.noise_core import SqueezingSpec, eta_from_distance, sigma2_to_db
 from gkp_repeater.protocols import (
     ALL_VARIANTS,
     NoCrossingError,
@@ -25,7 +32,7 @@ from gkp_repeater.protocols import (
     segment_noise_variance,
     segment_variance,
 )
-from gkp_repeater.tree_code import leaf_variance, single_qubit_variance
+from gkp_repeater.tree_code import single_qubit_variance
 from reference import pfail
 
 SQRT_PI = math.sqrt(math.pi)
@@ -134,7 +141,7 @@ class TestSegmentVariance:
             for squeezing in (SQ0, SQ15, SqueezingSpec.from_db(8.0)):
                 spec = spec_for(Variant.TWO_WAY_CC, l0=l0, squeezing=squeezing)
                 sigma2, root = squeezing.sigma2, math.sqrt(spec.eta)
-                assert leaf_variance(spec).hex() == (2.0 * sigma2 + (1.0 - root) / root).hex()
+                assert segment_variance(spec).hex() == (2.0 * sigma2 + (1.0 - root) / root).hex()
                 assert single_qubit_variance(spec).hex() == (
                     sigma2 + (1.0 - root) / (2.0 * root)
                 ).hex()
@@ -352,6 +359,24 @@ class TestOrderingAndCrossings:
         with pytest.raises(NoCrossingError):
             crossover_eta(Variant.ONE_WAY_POST, Variant.ONE_WAY_PRE, 0.0)
 
+    def test_only_the_interior_crossings_are_roots(self):
+        # All 20 ordered pairs meet at eta = 1. Below it the variance ratio
+        # of, e.g., two-way-post to one-way-post is (1 + sqrt(eta)) /
+        # (2 sqrt(eta)) > 1, so rounding in sqrt(eta) near 1 is not a root.
+        single = [v for v in ALL_VARIANTS if not v.second_sqec]
+        roots = {}
+        for a, b in itertools.permutations(single, 2):
+            try:
+                roots[a, b] = crossover_eta(a, b, 0.0)
+            except NoCrossingError:
+                pass
+        golden = ((math.sqrt(5.0) - 1.0) / 2.0) ** 2
+        cc, pre, two_pre = Variant.TWO_WAY_CC, Variant.ONE_WAY_PRE, Variant.TWO_WAY_PRE
+        expected = {(cc, pre): golden, (pre, cc): golden, (cc, two_pre): 0.25, (two_pre, cc): 0.25}
+        assert roots.keys() == expected.keys()
+        for pair, root in expected.items():
+            assert roots[pair] == pytest.approx(root, abs=1e-9)
+
     def test_second_round_variants_rejected(self):
         with pytest.raises(ValueError):
             crossover_eta(Variant.TWO_WAY_CC, Variant.TWO_WAY_POST_SECOND_SQEC, 0.0)
@@ -375,3 +400,31 @@ class TestProtocolSpec:
             assert Variant(variant.value) is variant
         with pytest.raises(ValueError):
             Variant("three-way")
+
+
+NAN = float("nan")
+CONFIG = TrialConfig(100, seed=1)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: SqueezingSpec(NAN), "sigma2"),
+    (lambda: spec_for(Variant.ONE_WAY_POST, l0=NAN), "l0_km"),
+    (lambda: spec_for(Variant.ONE_WAY_POST, latt=NAN), "latt_km"),
+    (lambda: eta_from_distance(NAN), "l_km"),
+    (lambda: eta_from_distance(1.0, NAN), "latt_km"),
+    (lambda: sigma2_to_db(NAN), "sigma2"),
+    (lambda: e_hrm(NAN), "sigma2"),
+    (lambda: estimate_hrm(NAN, 0.0, CONFIG), "sigma2"),
+    (lambda: simulate_path_selection(NAN, 1, CONFIG), "sigma_eff2"),
+    (lambda: simulate_tree_repeater(NAN, 0.1, 0.0, CONFIG), "v_leaf"),
+    (lambda: simulate_tree_repeater(0.1, NAN, 0.0, CONFIG), "v_single"),
+    (lambda: crossover_eta(Variant.TWO_WAY_CC, Variant.ONE_WAY_PRE, NAN), "sigma2"),
+], ids=[
+    "SqueezingSpec", "ProtocolSpec.l0_km", "ProtocolSpec.latt_km", "eta_from_distance.l_km",
+    "eta_from_distance.latt_km", "sigma2_to_db", "e_hrm", "estimate_hrm",
+    "simulate_path_selection", "simulate_tree_repeater.v_leaf", "simulate_tree_repeater.v_single",
+    "crossover_eta",
+])
+def test_nan_is_rejected_where_negatives_are(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be \w+, got nan$"):
+        call()

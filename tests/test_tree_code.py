@@ -13,7 +13,7 @@ from gkp_repeater import hrm as hrm_mod
 from gkp_repeater.hrm import HrmPolicy, e_hrm
 from gkp_repeater.mc_oracle import TrialConfig, simulate_path_selection
 from gkp_repeater.noise_core import SqueezingSpec
-from gkp_repeater.protocols import ProtocolSpec, Variant
+from gkp_repeater.protocols import ProtocolSpec, Variant, segment_variance
 from gkp_repeater import tree_code
 from gkp_repeater.tree_code import (
     ComponentErrors,
@@ -22,7 +22,6 @@ from gkp_repeater.tree_code import (
     component_errors,
     encoded_x_error,
     encoded_z_error,
-    leaf_variance,
     majority3,
     prep_error,
     repeater_error,
@@ -221,7 +220,7 @@ class TestComponentVariances:
         # Bell-measurement outcome carries 2*sigma2 + (1-sqrt(eta))/sqrt(eta).
         spec = cc_spec(l0=3.0)
         root = math.sqrt(spec.eta)
-        assert leaf_variance(spec) == pytest.approx(
+        assert segment_variance(spec) == pytest.approx(
             2 * SQ15.sigma2 + (1 - root) / root, rel=1e-14
         )
         assert single_qubit_variance(spec) == pytest.approx(
@@ -232,7 +231,7 @@ class TestComponentVariances:
         spec = cc_spec(delta=SQRT_PI / 10)
         comps = component_errors(spec, mode=DecodingMode.HRM_POSTSELECTED)
         assert comps.e_leaf == pytest.approx(
-            e_hrm(leaf_variance(spec), SQRT_PI / 10), rel=1e-13
+            e_hrm(segment_variance(spec), SQRT_PI / 10), rel=1e-13
         )
         # Node and ancilla measurements are never postselected.
         e_single = e_hrm(single_qubit_variance(spec), 0.0)
@@ -250,7 +249,7 @@ def leaf_error(v_leaf: float, n_pairs: int) -> float:
 
 
 def leaf_variance_at(db: float, l0: float) -> float:
-    return leaf_variance(
+    return segment_variance(
         ProtocolSpec(Variant.TWO_WAY_CC, 1, l0, SqueezingSpec.from_db(db))
     )
 
@@ -325,7 +324,7 @@ class TestTreeKeyRate:
         from gkp_repeater.hrm import p_suc as hrm_p_suc
 
         spec = cc_spec(delta=SQRT_PI / 6)
-        p_pair = hrm_p_suc(leaf_variance(spec), SQRT_PI / 6) ** 2
+        p_pair = hrm_p_suc(segment_variance(spec), SQRT_PI / 6) ** 2
         assert station_acceptance(spec) == pytest.approx(
             1 - (1 - p_pair) ** 5, rel=1e-12
         )
