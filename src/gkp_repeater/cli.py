@@ -2,7 +2,9 @@
 validation, resource counts, and the repeaterless bound.
 
 Exit codes: 0 success, 1 domain error (e.g. a margin at or past sqrt(pi)/2,
-or a failed validation run), 2 malformed flags or config.
+or a failed validation run), 2 malformed flags or config. A rule on one
+value lives in its flag's type, which argparse applies alike to a flag and
+to a config key; a rule across flags lives in its command.
 
 All output is deterministic for fixed flags and seeds: floats are printed
 with 17 significant digits (which round-trip exactly through float parsing)
@@ -120,28 +122,10 @@ def _split_list(text: str) -> list[str]:
 # rate
 
 
-def _check_inputs(args, counts=(), lengths=()) -> None:
-    """Reject the inputs that rate, resources, sweep and plob share: a
-    non-finite --squeezing-db, a negative station count in one of the
-    ``counts`` flags, a nonpositive or NaN length in a ``lengths`` flag.
-    A flag holds one value or a list; an absent one (None) passes."""
-    squeezing_db = getattr(args, "squeezing_db", 0.0)
-    if not math.isfinite(squeezing_db):
-        raise argparse.ArgumentTypeError(f"--squeezing-db must be finite, got {squeezing_db}")
-    for flags, rule, bad in ((counts, "nonnegative", lambda v: not v >= 0),
-                             (lengths, "positive", lambda v: not v > 0)):
-        for flag in flags:
-            values = getattr(args, flag[2:].replace("-", "_"))
-            for value in values if isinstance(values, list) else [values]:
-                if value is not None and bad(value):
-                    raise argparse.ArgumentTypeError(f"{flag} must be {rule}, got {value}")
-
-
 def _resolve_geometry(args) -> float:
     """Return l0 from --l0/--distance, enforcing consistency when both given."""
     if args.l0 is None and args.distance is None:
         raise argparse.ArgumentTypeError("one of --l0 or --distance is required")
-    _check_inputs(args, counts=["--nqr"], lengths=["--l0", "--distance", "--latt"])
     if args.l0 is not None and args.distance is not None:
         implied = (args.nqr + 1) * args.l0
         if abs(implied - args.distance) > 1e-9 * max(1.0, abs(args.distance)):
@@ -280,26 +264,16 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
-    # No sweep draws a random number; the seed is validated and otherwise unused.
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
-
+def cmd_sweep(args) -> int:
     if args.quantity == "amp-variance":
-        if args.eta_points < 2:
-            parser.error("--eta-points must be >= 2")
         _emit(_table(args.format, AMP_VARIANCE_COLUMNS, _amp_variance_rows(args.eta_points)), args.output)
         return 0
 
     for flag in ("--protocols", "--nqr-list", "--delta-list"):
         if not getattr(args, flag[2:].replace("-", "_")):
-            parser.error(f"{flag} must be non-empty")
-    unknown = [name for name in args.protocols if name not in PROTOCOL_CHOICES]
-    if unknown:
-        parser.error(f"unknown protocol {unknown[0]!r}; choose from {', '.join(PROTOCOL_CHOICES)}")
+            raise argparse.ArgumentTypeError(f"{flag} must be non-empty")
     if bool(args.l0_list) == bool(args.distance_list):
-        parser.error("exactly one of --l0-list or --distance-list is required")
-    _check_inputs(args, counts=["--nqr-list"], lengths=["--l0-list", "--distance-list", "--latt"])
+        raise argparse.ArgumentTypeError("exactly one of --l0-list or --distance-list is required")
 
     rows = _sweep_rows(args)
     _emit(_table(args.format, SWEEP_COLUMNS + ["error"], rows), args.output)
@@ -391,11 +365,7 @@ def _validation_rows(scope: str, trials: int, seed: int) -> list[dict]:
     return rows
 
 
-def cmd_mc_validate(args, parser: argparse.ArgumentParser) -> int:
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
+def cmd_mc_validate(args) -> int:
     rows = _validation_rows(args.scope, args.trials, args.seed)
     lines = [
         f"mc-validate scope={args.scope} trials={args.trials} seed={args.seed}",
@@ -447,10 +417,7 @@ def cmd_resources(args) -> int:
 # plob
 
 
-def cmd_plob(args, parser: argparse.ArgumentParser) -> int:
-    if not args.distance_list:
-        parser.error("--distance-list must be non-empty")
-    _check_inputs(args, lengths=["--distance-list", "--latt"])
+def cmd_plob(args) -> int:
     rows = [
         {"L_AB_km": d, "PLOB": protocols.plob_bound(d, args.latt)}
         for d in args.distance_list
@@ -463,24 +430,38 @@ def cmd_plob(args, parser: argparse.ArgumentParser) -> int:
 # parser
 
 
-def _list_of(convert, noun: str):
-    """A list flag's type: comma-separated values, each read by convert."""
+class _Unreadable(argparse.ArgumentTypeError, ValueError):
+    """A value its flag type cannot convert. Being a ValueError, it lets a
+    list flag report the whole list rather than the item."""
 
-    def parse(text: str) -> list:
+
+def _checked(convert, noun: str, rule: str, ok):
+    """A flag type: the text read by convert, which must satisfy ok."""
+
+    def parse(text: str):
         try:
-            return [convert(item) for item in _split_list(text)]
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}") from None
+            raise _Unreadable(f"expected {noun}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
 
     return parse
 
 
-_float_list = _list_of(float, "numbers")
-_int_list = _list_of(int, "integers")
+def _list_of(parse, noun: str):
+    """A list flag's type: one or more comma-separated items, each read by parse."""
+    return _checked(lambda text: [parse(item) for item in _split_list(text)],
+                    f"comma-separated {noun}", "non-empty", bool)
 
 
-def _delta_list(text: str) -> list[float]:
-    return [parse_delta(item) for item in _split_list(text)]
+_count = _checked(int, "an integer", "nonnegative", lambda v: v >= 0)
+_length = _checked(float, "a number", "positive and finite", lambda v: 0 < v < math.inf)
+_finite = _checked(float, "a number", "finite", math.isfinite)
+_lengths = _list_of(_length, "numbers")
+_protocol = _checked(str, "a protocol", f"one of {', '.join(PROTOCOL_CHOICES)}",
+                     PROTOCOL_CHOICES.__contains__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,46 +479,53 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=PROTOCOL_CHOICES,
                 help="protocol variant, or a tree-encoded protocol",
             )
-        p.add_argument("--nqr", type=int, default=0, help="repeater stations between the end points")
-        p.add_argument("--l0", type=float, default=None, help="segment length in km")
-        p.add_argument("--distance", type=float, default=None, help="end-to-end distance in km")
-        p.add_argument("--squeezing-db", type=float, default=15.0, help="initial squeezing in dB")
+        p.add_argument("--nqr", type=_count, default=0, help="repeater stations between the end points")
+        p.add_argument("--l0", type=_length, default=None, help="segment length in km")
+        p.add_argument("--distance", type=_length, default=None, help="end-to-end distance in km")
+        p.add_argument("--squeezing-db", type=_finite, default=15.0, help="initial squeezing in dB")
         p.add_argument(
             "--delta",
             type=parse_delta,
             default=0.0,
             help="postselection margin (number or fraction like sqrt_pi/10)",
         )
-        p.add_argument("--latt", type=float, default=DEFAULT_ATTENUATION_KM, help="attenuation length in km")
+        p.add_argument("--latt", type=_length, default=DEFAULT_ATTENUATION_KM, help="attenuation length in km")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     rate = sub.add_parser("rate", help="one rate point for one configuration")
     add_common(rate)
     rate.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    rate.set_defaults(run=cmd_rate)
 
     sweep = sub.add_parser("sweep", help="tabulate rate points over parameter grids")
     sweep.add_argument("--config", default=None, help="key = value file of sweep flags")
     sweep.add_argument("--quantity", choices=["key-rate", "amp-variance"], default="key-rate")
-    sweep.add_argument("--protocols", type=_split_list, default=[], help="comma-separated protocol list")
-    sweep.add_argument("--nqr-list", type=_int_list, default=[], help="comma-separated station counts")
-    sweep.add_argument("--delta-list", type=_delta_list, default=[], help="comma-separated margins")
-    sweep.add_argument("--l0-list", type=_float_list, default=[], help="comma-separated segment lengths (km)")
-    sweep.add_argument("--distance-list", type=_float_list, default=[], help="comma-separated distances (km)")
-    sweep.add_argument("--squeezing-db", type=float, default=15.0)
-    sweep.add_argument("--latt", type=float, default=DEFAULT_ATTENUATION_KM)
-    sweep.add_argument("--eta-points", type=int, default=1000, help="grid size for --quantity amp-variance")
+    sweep.add_argument("--protocols", type=_list_of(_protocol, "protocols"), default=[],
+                       help="comma-separated protocol list")
+    sweep.add_argument("--nqr-list", type=_list_of(_count, "integers"), default=[],
+                       help="comma-separated station counts")
+    sweep.add_argument("--delta-list", type=_list_of(parse_delta, "margins"), default=[],
+                       help="comma-separated margins")
+    sweep.add_argument("--l0-list", type=_lengths, default=[], help="comma-separated segment lengths (km)")
+    sweep.add_argument("--distance-list", type=_lengths, default=[], help="comma-separated distances (km)")
+    sweep.add_argument("--squeezing-db", type=_finite, default=15.0)
+    sweep.add_argument("--latt", type=_length, default=DEFAULT_ATTENUATION_KM)
+    sweep.add_argument("--eta-points", type=_checked(int, "an integer", ">= 2", lambda v: v >= 2),
+                       default=1000, help="grid size for --quantity amp-variance")
     sweep.add_argument("--delta-prep", type=parse_delta, default=protocols.DEFAULT_PREP_DELTA,
                        help="construction-fusion margin for tree protocols")
-    sweep.add_argument("--seed", type=int, default=0,
+    sweep.add_argument("--seed", type=_count, default=0,
                        help="accepted and unused: every rate is deterministic")
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.add_argument("--output", default=None)
+    sweep.set_defaults(run=cmd_sweep)
 
     validate = sub.add_parser("mc-validate", help="Monte Carlo vs analytic cross checks")
-    validate.add_argument("--trials", type=int, required=True)
-    validate.add_argument("--seed", type=int, default=0)
+    validate.add_argument("--trials", type=_checked(int, "an integer", ">= 1", lambda v: v >= 1), required=True)
+    validate.add_argument("--seed", type=_count, default=0)
     validate.add_argument("--scope", choices=["hrm", "segments", "tree", "all"], default="all")
     validate.add_argument("--output", default=None)
+    validate.set_defaults(run=cmd_mc_validate)
 
     resources = sub.add_parser("resources", help="expected GKP-qubit cost of the tree protocol")
     add_common(resources, with_protocol=False)
@@ -545,12 +533,14 @@ def build_parser() -> argparse.ArgumentParser:
                            required=True)
     resources.add_argument("--delta-prep", type=parse_delta, default=protocols.DEFAULT_PREP_DELTA)
     resources.add_argument("--format", choices=["text", "json"], default="text")
+    resources.set_defaults(run=cmd_resources)
 
     plob = sub.add_parser("plob", help="repeaterless secret-key bound")
-    plob.add_argument("--distance-list", type=_float_list, required=True)
-    plob.add_argument("--latt", type=float, default=DEFAULT_ATTENUATION_KM)
+    plob.add_argument("--distance-list", type=_lengths, required=True)
+    plob.add_argument("--latt", type=_length, default=DEFAULT_ATTENUATION_KM)
     plob.add_argument("--format", choices=["csv", "json"], default="csv")
     plob.add_argument("--output", default=None)
+    plob.set_defaults(run=cmd_plob)
 
     return parser
 
@@ -570,15 +560,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"bad --config {args.config}: {exc}")
         args = parser.parse_args([*argv, *(f"{CONFIG_FLAGS[k]}={v}" for k, v in config.items())])
     try:
-        if args.command == "rate":
-            return cmd_rate(args)
-        if args.command == "sweep":
-            return cmd_sweep(args, parser)
-        if args.command == "mc-validate":
-            return cmd_mc_validate(args, parser)
-        if args.command == "resources":
-            return cmd_resources(args)
-        return cmd_plob(args, parser)
+        return args.run(args)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     except (ValueError, OSError) as exc:

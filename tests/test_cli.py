@@ -145,7 +145,7 @@ class TestRate:
             cli.main([*command, "--nqr", "-1", *geometry])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--nqr must be nonnegative" in err and "Traceback" not in err
+        assert "argument --nqr: must be nonnegative, got -1" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("latt", ["0", "-22"])
     @pytest.mark.parametrize(
@@ -156,22 +156,27 @@ class TestRate:
             cli.main([*command, "--nqr", "1", "--l0", "3", "--latt", latt])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--latt must be positive" in err and "Traceback" not in err
+        assert f"argument --latt: must be positive and finite, got {float(latt)}" in err
+        assert "Traceback" not in err
 
-    @pytest.mark.parametrize("geometry, flag", [
-        (["--l0", "nan"], "--l0"),
-        (["--distance", "nan"], "--distance"),
-        (["--l0", "3", "--latt", "nan"], "--latt"),
-    ], ids=["l0", "distance", "latt"])
+    @pytest.mark.parametrize("geometry, flag, value", [
+        (["--l0", "nan"], "--l0", "nan"),
+        (["--distance", "nan"], "--distance", "nan"),
+        (["--l0", "3", "--latt", "nan"], "--latt", "nan"),
+        (["--l0", "inf"], "--l0", "inf"),
+        (["--distance", "inf"], "--distance", "inf"),
+        (["--l0", "3", "--latt", "inf"], "--latt", "inf"),
+    ], ids=["l0", "distance", "latt", "l0-inf", "distance-inf", "latt-inf"])
     @pytest.mark.parametrize(
         "command", [["rate", "--protocol", "two-way-cc"], ["resources", "--mode", "hrm"]], ids=["rate", "resources"]
     )
-    def test_nan_length_exits_2(self, capsys, command, geometry, flag):
+    def test_nan_length_exits_2(self, capsys, command, geometry, flag, value):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([*command, "--nqr", "1", *geometry])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"{flag} must be positive, got nan" in err and "Traceback" not in err
+        assert f"argument {flag}: must be positive and finite, got {value}" in err
+        assert "Traceback" not in err
 
     def test_huge_negative_squeezing_exits_1(self, capsys):
         # 10**400 overflows a float below about -3,082 dB.
@@ -226,6 +231,29 @@ class TestRateTreeProtocols:
 
     def test_choices_are_the_sweep_protocols(self):
         assert option(build_subparser("rate"), "protocol").choices == cli.PROTOCOL_CHOICES
+
+
+class TestSharedFlags:
+    """A flag declared on several commands reads and defaults alike on each,
+    so none of its declarations can skip the rule in its type."""
+
+    COMMANDS = ("rate", "sweep", "mc-validate", "resources", "plob")
+
+    def test_same_type_and_default_everywhere(self):
+        declared = {}
+        for command in self.COMMANDS:
+            for action in build_subparser(command)._actions:
+                for flag in action.option_strings:
+                    declared.setdefault(flag, []).append(action)
+        shared = {flag: actions for flag, actions in declared.items() if len(actions) > 1}
+        assert {"--latt", "--squeezing-db", "--seed", "--delta-prep", "--output"} <= set(shared)
+        for flag, actions in shared.items():
+            assert len({action.type for action in actions}) == 1, flag
+            # Each command picks its own output formats, and plob requires
+            # its --distance-list, so neither has a default to share.
+            if flag != "--format":
+                defaults = {repr(action.default) for action in actions if not action.required}
+                assert len(defaults) <= 1, flag
 
 
 class TestSweep:
@@ -379,8 +407,17 @@ class TestSweep:
         ("format = xml", "argument --format: invalid choice: 'xml'"),
         ("quantity = bogus", "argument --quantity: invalid choice: 'bogus'"),
         ("nqr = x", "argument --nqr-list:"),
-        ("latt_km = 0", "--latt must be positive, got 0.0"),
-    ], ids=["format", "quantity", "nqr", "latt"])
+        ("latt_km = 0", "argument --latt: must be positive and finite, got 0.0"),
+        ("nqr = -1", "argument --nqr-list: must be nonnegative, got -1"),
+        ("l0_km = inf", "argument --l0-list: must be positive and finite, got inf"),
+        ("latt_km = nan", "argument --latt: must be positive and finite, got nan"),
+        ("seed = -1", "argument --seed: must be nonnegative, got -1"),
+        ("eta_points = 1", "argument --eta-points: must be >= 2, got 1"),
+        ("squeezing_db = nan", "argument --squeezing-db: must be finite, got nan"),
+        ("protocols = carrier-pigeon",
+         f"argument --protocols: must be one of {', '.join(cli.PROTOCOL_CHOICES)}, got carrier-pigeon"),
+    ], ids=["format", "quantity", "nqr", "latt", "nqr-negative", "l0-inf", "latt-nan", "seed",
+            "eta-points", "squeezing-nan", "protocols"])
     def test_config_value_gets_its_flag_check(self, capsys, tmp_path, line, message):
         config = tmp_path / "sweep.cfg"
         config.write_text(f"protocols = two-way-cc\nnqr = 1\ndelta = 0\nl0_km = 3\n{line}\n")
@@ -397,20 +434,25 @@ class TestSweep:
                       "--delta-list", "0", "--l0-list", "3", f"--latt={latt}"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--latt must be positive" in err and "Traceback" not in err
+        assert f"argument --latt: must be positive and finite, got {float(latt)}" in err
+        assert "Traceback" not in err
 
-    @pytest.mark.parametrize("geometry, flag", [
-        (["--l0-list", "3,nan"], "--l0-list"),
-        (["--distance-list", "nan"], "--distance-list"),
-        (["--l0-list", "3", "--latt", "nan"], "--latt"),
-    ], ids=["l0", "distance", "latt"])
-    def test_nan_length_exits_2(self, capsys, geometry, flag):
+    @pytest.mark.parametrize("geometry, flag, value", [
+        (["--l0-list", "3,nan"], "--l0-list", "nan"),
+        (["--distance-list", "nan"], "--distance-list", "nan"),
+        (["--l0-list", "3", "--latt", "nan"], "--latt", "nan"),
+        (["--l0-list", "3,inf"], "--l0-list", "inf"),
+        (["--distance-list", "inf"], "--distance-list", "inf"),
+        (["--l0-list", "3", "--latt", "inf"], "--latt", "inf"),
+    ], ids=["l0", "distance", "latt", "l0-inf", "distance-inf", "latt-inf"])
+    def test_nan_length_exits_2(self, capsys, geometry, flag, value):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["sweep", "--protocols", "two-way-cc", "--nqr-list", "1",
                       "--delta-list", "0", *geometry])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"{flag} must be positive, got nan" in err and "Traceback" not in err
+        assert f"argument {flag}: must be positive and finite, got {value}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("lists, flag, noun", [
         (["--nqr-list", "x", "--l0-list", "3"], "--nqr-list", "integers"),
@@ -886,18 +928,21 @@ class TestPlob:
             cli.main(["plob", "--distance-list", "10", f"--latt={latt}"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "--latt must be positive" in err and "Traceback" not in err
+        assert f"argument --latt: must be positive and finite, got {float(latt)}" in err
+        assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flags, flag", [
-        (["--distance-list", "nan"], "--distance-list"),
-        (["--distance-list", "10", "--latt", "nan"], "--latt"),
-    ], ids=["distance", "latt"])
-    def test_nan_length_exits_2(self, capsys, flags, flag):
+    @pytest.mark.parametrize("flags, flag, value", [
+        (["--distance-list", "nan"], "--distance-list", "nan"),
+        (["--distance-list", "10", "--latt", "nan"], "--latt", "nan"),
+        (["--distance-list", "10,inf"], "--distance-list", "inf"),
+    ], ids=["distance", "latt", "distance-inf"])
+    def test_nan_length_exits_2(self, capsys, flags, flag, value):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["plob", *flags])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"{flag} must be positive, got nan" in err and "Traceback" not in err
+        assert f"argument {flag}: must be positive and finite, got {value}" in err
+        assert "Traceback" not in err
 
     def test_malformed_distance_list_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
