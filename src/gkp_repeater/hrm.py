@@ -37,7 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .noise_core import SQRT_PI, _erfc
+from .noise_core import SQRT_PI, _erfc, _require
 
 # Beyond this tooth variance the wrapped Gaussian is uniform on the 2*sqrt(pi)
 # period to double precision (theta-function tail < exp(-pi * 400 / 2)).
@@ -62,10 +62,8 @@ class HrmPolicy:
 
 
 def _validate(sigma2: float, delta: float) -> None:
-    if not sigma2 >= 0:
-        raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
-    if not 0.0 <= delta < SQRT_PI / 2:
-        raise ValueError(f"delta must lie in [0, sqrt(pi)/2), got {delta}")
+    _require("sigma2", sigma2, "be nonnegative", sigma2 >= 0)
+    _require("delta", delta, "lie in [0, sqrt(pi)/2)", 0.0 <= delta < SQRT_PI / 2)
 
 
 def _pairwise_sum(terms: list[float]) -> float:

@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING
 
 from . import hrm as hrm_mod
 from . import protocols
-from .noise_core import SQRT_PI
+from .noise_core import SQRT_PI, _require
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,10 +77,8 @@ class TrialConfig:
     batch_size: int = 250_000
 
     def __post_init__(self) -> None:
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        _require("n_trials", self.n_trials, "be >= 1", self.n_trials >= 1)
+        _require("batch_size", self.batch_size, "be >= 1", self.batch_size >= 1)
 
     def batches(self) -> list[tuple[int, int]]:
         """(batch_index, batch_trials) partition covering n_trials exactly."""
@@ -288,8 +286,7 @@ def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEs
     below the cutoff ``HrmPolicy(delta).v_up`` and is in error when the
     accepted multiple is odd.
     """
-    if not sigma2 >= 0:
-        raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
+    _require("sigma2", sigma2, "be nonnegative", sigma2 >= 0)
     v_up = hrm_mod.HrmPolicy(delta).v_up
     n_accepted, n_errors = _postselected(config, [((math.sqrt(sigma2),), True)], v_up)
     err = McEstimate.from_counts(n_errors, n_accepted)
@@ -336,10 +333,8 @@ def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig
     """
     import numpy as np
 
-    if not sigma_eff2 >= 0:
-        raise ValueError(f"sigma_eff2 must be nonnegative, got {sigma_eff2}")
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    _require("sigma_eff2", sigma_eff2, "be nonnegative", sigma_eff2 >= 0)
+    _require("n_pairs", n_pairs, "be >= 1", n_pairs >= 1)
     sigma = math.sqrt(sigma_eff2)
     # Drawing a batch in chunks of whole trials keeps its stream (the draws
     # fill (trial, pair, outcome) in row-major order) and its memory at that
@@ -379,8 +374,7 @@ def simulate_majority_vote(e: float, config: TrialConfig) -> McEstimate:
     """Empirical failure rate of a majority vote over 3 Bernoulli(e) flips."""
     import numpy as np
 
-    if not 0.0 <= e <= 1.0:
-        raise ValueError(f"e must be a probability, got {e}")
+    _require("e", e, "be a probability", 0.0 <= e <= 1.0)
     # Chunks of whole trials keep the stream of one (n, 3) draw.
     size = _largest_batch(config, 3)
 
@@ -416,10 +410,8 @@ def simulate_tree_repeater(
     import numpy as np
 
     for name, value in (("v_leaf", v_leaf), ("v_single", v_single)):
-        if not value >= 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-    if not 0.0 <= e_prep <= 1.0:
-        raise ValueError(f"e_prep must be a probability, got {e_prep}")
+        _require(name, value, "be nonnegative", value >= 0)
+    _require("e_prep", e_prep, "be a probability", 0.0 <= e_prep <= 1.0)
     s_leaf = math.sqrt(v_leaf)
     s_single = math.sqrt(v_single)
     size = _largest_batch(config, 9)

@@ -26,6 +26,16 @@ SQRT_PI = math.sqrt(math.pi)
 DEFAULT_ATTENUATION_KM = 22.0
 
 
+def _require(name: str, value, rule: str, ok: bool) -> None:
+    """Raise ``ValueError("<name> must <rule>, got <value>")`` unless ok.
+
+    ok is the condition that must hold, so a NaN, which fails every
+    comparison, is rejected by construction.
+    """
+    if not ok:
+        raise ValueError(f"{name} must {rule}, got {value}")
+
+
 class AmplifierMode(str, Enum):
     """How channel loss is converted into additive Gaussian displacement noise.
 
@@ -58,8 +68,7 @@ class SqueezingSpec:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not self.sigma2 >= 0:
-            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
+        _require("sigma2", self.sigma2, "be nonnegative", self.sigma2 >= 0)
 
     @classmethod
     def from_db(cls, db: float) -> "SqueezingSpec":
@@ -122,10 +131,8 @@ def _erfc(a: float) -> float:
 
 def eta_from_distance(l_km: float, latt_km: float = DEFAULT_ATTENUATION_KM) -> float:
     """Transmittance of a fiber of length l_km: eta = exp(-l_km / latt_km)."""
-    if not l_km >= 0:
-        raise ValueError(f"l_km must be nonnegative, got {l_km}")
-    if not latt_km > 0:
-        raise ValueError(f"latt_km must be positive, got {latt_km}")
+    _require("l_km", l_km, "be nonnegative", l_km >= 0)
+    _require("latt_km", latt_km, "be positive", latt_km > 0)
     return math.exp(-l_km / latt_km)
 
 
@@ -136,8 +143,7 @@ def amplifier_added_variance(eta: float, mode: AmplifierMode) -> float:
     strategies remove the amplitude rescaling of the loss channel and leave
     behind only this additive Gaussian displacement noise.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    _require("eta", eta, "be in (0, 1]", 0.0 < eta <= 1.0)
     mode = AmplifierMode(mode)
     if mode is AmplifierMode.POST:
         return (1 - eta) / eta
@@ -159,8 +165,7 @@ def sigma2_to_db(sigma2: float) -> float:
 
     sigma2 = 0 maps to +inf (ideal code states).
     """
-    if not sigma2 >= 0:
-        raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
+    _require("sigma2", sigma2, "be nonnegative", sigma2 >= 0)
     if sigma2 == 0:
         return math.inf
     return -10.0 * math.log10(2.0 * sigma2)

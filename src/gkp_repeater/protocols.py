@@ -45,6 +45,7 @@ from .noise_core import (
     DEFAULT_ATTENUATION_KM,
     AmplifierMode,
     SqueezingSpec,
+    _require,
     amplifier_added_variance,
     eta_from_distance,
 )
@@ -82,8 +83,7 @@ class Variant(Enum):
 
     def input_noise(self, eta: float) -> float:
         """Channel noise carried by one noisy input, for segment transmittance eta."""
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {eta}")
+        _require("eta", eta, "be in (0, 1]", 0.0 < eta <= 1.0)
         return amplifier_added_variance(math.sqrt(eta) if self.half_segment else eta, self.mode)
 
 
@@ -120,12 +120,11 @@ class ProtocolSpec:
     latt_km: float = DEFAULT_ATTENUATION_KM
 
     def __post_init__(self) -> None:
-        if self.n_qr < 0:
-            raise ValueError(f"n_qr must be nonnegative, got {self.n_qr}")
-        if not self.l0_km >= 0:
-            raise ValueError(f"l0_km must be nonnegative, got {self.l0_km}")
-        if not self.latt_km > 0:
-            raise ValueError(f"latt_km must be positive, got {self.latt_km}")
+        _require("n_qr", self.n_qr, "be nonnegative", self.n_qr >= 0)
+        _require("l0_km", self.l0_km, "be nonnegative", self.l0_km >= 0)
+        _require("latt_km", self.latt_km, "be positive", self.latt_km > 0)
+        _require("l0_km", self.l0_km, "leave a nonzero transmittance exp(-l0_km / latt_km)",
+                 self.eta > 0)
 
     @property
     def l_ab_km(self) -> float:
@@ -153,8 +152,7 @@ class SegmentErrors:
 
     def __post_init__(self) -> None:
         for name, value in (("ex", self.ex), ("p_suc", self.p_suc)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {value}")
+            _require(name, value, "be a probability", 0.0 <= value <= 1.0)
 
 
 def segment_noise_variance(variant: Variant, eta: float) -> float:
@@ -193,10 +191,8 @@ def chain_error(e_segment: float, n_qr: int) -> float:
     absorbed into the segment budget, so a repeaterless hop contributes no
     chain error under this convention.
     """
-    if not 0.0 <= e_segment <= 0.5:
-        raise ValueError(f"e_segment must be in [0, 1/2], got {e_segment}")
-    if n_qr < 0:
-        raise ValueError(f"n_qr must be nonnegative, got {n_qr}")
+    _require("e_segment", e_segment, "be in [0, 1/2]", 0.0 <= e_segment <= 0.5)
+    _require("n_qr", n_qr, "be nonnegative", n_qr >= 0)
     if n_qr == 0 or e_segment == 0.0:
         return 0.0  # the log form would give -0.0
     if e_segment == 0.5:
@@ -206,8 +202,7 @@ def chain_error(e_segment: float, n_qr: int) -> float:
 
 def binary_entropy(x: float) -> float:
     """Binary entropy h(x) in bits, with h(0) = h(1) = 0 by continuity."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
+    _require("x", x, "be in [0, 1]", 0.0 <= x <= 1.0)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -238,6 +233,14 @@ class RatePoint:
     rate: float
     plob: float
 
+    @classmethod
+    def of(cls, spec: ProtocolSpec, e_segment: float, ex_ab: float, p_suc: float,
+           rate: float) -> "RatePoint":
+        """The point of spec: its total distance and PLOB bound attached, the
+        rate clipped at 0."""
+        return cls(spec.l_ab_km, e_segment, ex_ab, p_suc, max(0.0, rate),
+                   plob_bound(spec.l_ab_km, spec.latt_km))
+
 
 def secure_key_rate(spec: ProtocolSpec) -> RatePoint:
     """Secure key rate R = max(0, P_suc * (1 - h(E_AB^X) - h(E_AB^Z))).
@@ -252,14 +255,7 @@ def secure_key_rate(spec: ProtocolSpec) -> RatePoint:
     e_ab = chain_error(errs.ex, spec.n_qr)
     ps = errs.p_suc ** (2 * spec.variant.rounds * spec.n_qr)
     rate = ps * (1.0 - binary_entropy(e_ab) - binary_entropy(e_ab))
-    return RatePoint(
-        distance_km=spec.l_ab_km,
-        e_segment=errs.ex,
-        ex_ab=e_ab,
-        p_suc=ps,
-        rate=max(0.0, rate),
-        plob=plob_bound(spec.l_ab_km, spec.latt_km),
-    )
+    return RatePoint.of(spec, errs.ex, e_ab, ps, rate)
 
 
 def crossover_eta(
@@ -283,8 +279,7 @@ def crossover_eta(
     """
     if variant_a.second_sqec or variant_b.second_sqec:
         raise ValueError("crossover_eta compares single-round variants only")
-    if not sigma2 >= 0:
-        raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
+    _require("sigma2", sigma2, "be nonnegative", sigma2 >= 0)
 
     def gap(eta: float) -> float:
         return segment_noise_variance(variant_a, eta) - segment_noise_variance(

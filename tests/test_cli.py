@@ -26,6 +26,8 @@ from gkp_repeater.protocols import ProtocolSpec, Variant, secure_key_rate, segme
 
 SQRT_PI = math.sqrt(math.pi)
 RECIPES = Path(__file__).resolve().parents[1] / "recipes"
+#: A 20,000 km segment's transmittance exp(-20000/22) rounds to 0.
+UNDERFLOW = "l0_km must leave a nonzero transmittance exp(-l0_km / latt_km), got 20000.0"
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +179,17 @@ class TestRate:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be positive and finite, got {value}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("geometry", [["--l0", "20000"], ["--distance", "20000"]], ids=["l0", "distance"])
+    @pytest.mark.parametrize("command", [
+        ["rate", "--protocol", "two-way-cc"],
+        ["rate", "--protocol", "tree-hrm"],
+        ["resources", "--mode", "path-selection"],
+    ], ids=["rate", "tree-hrm", "resources"])
+    def test_underflowing_segment_exits_1_naming_its_length(self, capsys, command, geometry):
+        code = cli.main([*command, "--nqr", "0", *geometry])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {UNDERFLOW}\n"
 
     def test_huge_negative_squeezing_exits_1(self, capsys):
         # 10**400 overflows a float below about -3,082 dB.
@@ -466,6 +479,13 @@ class TestSweep:
         assert f"argument {flag}: expected comma-separated {noun}, got 'x'" in err
         assert "_int_list" not in err and "_float_list" not in err
 
+    def test_underflowing_segment_is_a_row_error(self, capsys):
+        code, out = run_cli(capsys, "sweep", "--protocols", "two-way-cc", "--nqr-list", "0",
+                            "--delta-list", "0", "--distance-list", "100,20000")
+        assert code == 0
+        near, far = parse_csv(out)
+        assert near["error"] == "" and far["error"] == UNDERFLOW and far["R"] == ""
+
     def test_huge_negative_squeezing_is_a_row_error(self, capsys):
         code, out = run_cli(capsys, "sweep", "--protocols", "two-way-cc", "--nqr-list", "1",
                             "--delta-list", "0", "--l0-list", "3", "--squeezing-db", "-4000")
@@ -647,6 +667,20 @@ class TestSharedLeafEstimate:
         assert first == second
         info = tree_code._path_selection_leaf_error.cache_info()
         assert (info.misses, info.hits) == (1, 3 * 2 - 1)
+
+    def test_memo_keeps_every_spacing_of_a_long_sweep(self, capsys, monkeypatch, request):
+        # A sweep visits its spacings once per margin, a cycle that an LRU
+        # bound below the spacing count evicts whole. The stub stands in for
+        # the cell sums, which would take ~60 ms per spacing.
+        request.addfinalizer(tree_code._path_selection_leaf_error.cache_clear)
+        monkeypatch.setattr(tree_code, "_selected_pair_error", lambda v_leaf, n_pairs, m: 0.25)
+        spacings = ",".join(f"{1 + i / 100:g}" for i in range(300))
+        code, out = run_cli(capsys, "sweep", "--protocols", "tree-path-selection", "--nqr-list", "1",
+                            "--delta-list", "0,sqrt_pi/6", "--l0-list", spacings)
+        assert code == 0
+        assert len(parse_csv(out)) == 300 * 2
+        info = tree_code._path_selection_leaf_error.cache_info()
+        assert (info.misses, info.hits) == (300, 300)
 
     def test_rows_match_a_direct_quadrature(self, capsys):
         _, out = run_cli(capsys, *self.ARGV)
@@ -921,6 +955,14 @@ class TestPlob:
         assert code == 0
         (row,) = parse_csv(out)
         assert float(row["PLOB"]) == pytest.approx(0.015396573030100614, abs=1e-9)
+
+    def test_underflow_prints_the_rounded_value(self, capsys):
+        # Beyond ~16,400 km the bound is below the smallest double, so 0 is
+        # its correctly rounded value (~1e-395 at 20,000 km).
+        code, out = run_cli(capsys, "plob", "--distance-list", "16000,20000")
+        assert code == 0
+        near, far = parse_csv(out)
+        assert float(near["PLOB"]) > 0.0 and far["PLOB"] == "0"
 
     @pytest.mark.parametrize("latt", ["0", "-22"])
     def test_nonpositive_latt_exits_2(self, capsys, latt):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,17 @@ from gkp_repeater.mc_oracle import (
     TrialConfig,
     _segment_component_sigmas,
     estimate_hrm,
+    simulate_majority_vote,
     simulate_path_selection,
     simulate_tree_repeater,
 )
-from gkp_repeater.noise_core import SqueezingSpec, eta_from_distance, sigma2_to_db
+from gkp_repeater.noise_core import (
+    AmplifierMode,
+    SqueezingSpec,
+    amplifier_added_variance,
+    eta_from_distance,
+    sigma2_to_db,
+)
 from gkp_repeater.protocols import (
     ALL_VARIANTS,
     NoCrossingError,
@@ -32,7 +40,13 @@ from gkp_repeater.protocols import (
     segment_noise_variance,
     segment_variance,
 )
-from gkp_repeater.tree_code import single_qubit_variance
+from gkp_repeater.tree_code import (
+    ComponentErrors,
+    encoded_x_error,
+    encoded_z_error,
+    majority3,
+    single_qubit_variance,
+)
 from reference import pfail
 
 SQRT_PI = math.sqrt(math.pi)
@@ -428,3 +442,57 @@ CONFIG = TrialConfig(100, seed=1)
 def test_nan_is_rejected_where_negatives_are(call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be \w+, got nan$"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: majority3(NAN), "e must be a probability"),
+    (lambda: encoded_x_error(NAN), "e_b_p must be a probability"),
+    (lambda: encoded_z_error(NAN, 0.0), "e_a_p must be a probability"),
+    (lambda: encoded_z_error(0.0, NAN), "e_b_q must be a probability"),
+    (lambda: ComponentErrors(NAN, 0.0, 0.0, 0.0, 0.0), "e_leaf must be a probability"),
+    (lambda: ComponentErrors(0.0, 0.0, 0.0, 0.0, NAN), "e_prep must be a probability"),
+    (lambda: SegmentErrors(NAN, 1.0), "ex must be a probability"),
+    (lambda: SegmentErrors(0.0, NAN), "p_suc must be a probability"),
+    (lambda: chain_error(NAN, 3), "e_segment must be in [0, 1/2]"),
+    (lambda: chain_error(0.1, NAN), "n_qr must be nonnegative"),
+    (lambda: spec_for(Variant.ONE_WAY_POST, n_qr=NAN), "n_qr must be nonnegative"),
+    (lambda: binary_entropy(NAN), "x must be in [0, 1]"),
+    (lambda: amplifier_added_variance(NAN, AmplifierMode.POST), "eta must be in (0, 1]"),
+    (lambda: Variant.TWO_WAY_CC.input_noise(NAN), "eta must be in (0, 1]"),
+    (lambda: HrmPolicy(NAN), "delta must lie in [0, sqrt(pi)/2)"),
+    (lambda: TrialConfig(NAN), "n_trials must be >= 1"),
+    (lambda: simulate_majority_vote(NAN, CONFIG), "e must be a probability"),
+    (lambda: simulate_path_selection(0.1, NAN, CONFIG), "n_pairs must be >= 1"),
+    (lambda: simulate_tree_repeater(0.1, 0.1, NAN, CONFIG), "e_prep must be a probability"),
+], ids=[
+    "majority3", "encoded_x_error", "encoded_z_error.e_a_p", "encoded_z_error.e_b_q",
+    "ComponentErrors.e_leaf", "ComponentErrors.e_prep", "SegmentErrors.ex", "SegmentErrors.p_suc",
+    "chain_error.e_segment", "chain_error.n_qr", "ProtocolSpec.n_qr", "binary_entropy",
+    "amplifier_added_variance", "Variant.input_noise", "HrmPolicy", "TrialConfig.n_trials",
+    "simulate_majority_vote", "simulate_path_selection.n_pairs", "simulate_tree_repeater.e_prep",
+])
+def test_nan_fails_every_range_check(call, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}, got nan$"):
+        call()
+
+
+class TestSegmentUnderflow:
+    """A segment whose transmittance rounds to 0 is rejected by its length."""
+
+    def test_spec_names_the_segment_length(self):
+        message = "l0_km must leave a nonzero transmittance exp(-l0_km / latt_km), got 20000.0"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            spec_for(Variant.TWO_WAY_CC, n_qr=0, l0=20000.0)
+
+    def test_limit_scales_with_the_attenuation_length(self):
+        spec_for(Variant.TWO_WAY_CC, l0=20000.0, latt=30.0)
+        with pytest.raises(ValueError, match="^l0_km must leave"):
+            spec_for(Variant.TWO_WAY_CC, l0=2000.0, latt=2.0)
+
+    @pytest.mark.parametrize("variant", [Variant.TWO_WAY_CC, Variant.ONE_WAY_POST])
+    def test_a_16000_km_segment_still_evaluates(self, variant):
+        spec = spec_for(variant, n_qr=0, l0=16000.0)
+        assert 0.0 < spec.eta < 1e-300
+        point = secure_key_rate(spec)
+        assert point.e_segment == 0.5
+        assert 0.0 < point.plob < 1e-300

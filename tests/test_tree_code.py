@@ -197,6 +197,15 @@ class TestTreeShape:
         with pytest.raises(ValueError):
             TreeShape(n_leaf=9)
 
+    @pytest.mark.parametrize("n_leaf, message", [
+        (0, "n_leaf must be >= 1, got 0"),
+        (3, "n_leaf must be even: leaves are consumed in pairs, got 3"),
+    ])
+    def test_leaf_count_errors_name_the_value(self, n_leaf, message):
+        with pytest.raises(ValueError) as excinfo:
+            TreeShape(n_leaf)
+        assert str(excinfo.value) == message
+
     def test_leaf_count_changes_cost_and_rate_in_both_modes(self):
         wide = TreeShape(n_leaf=12)
         assert wide.qubits_per_cluster == 132
