@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -366,6 +367,9 @@ def _validation_rows(scope: str, trials: int, seed: int) -> list[dict]:
 
 
 def cmd_mc_validate(args) -> int:
+    if importlib.util.find_spec("numpy") is None:
+        print("error: mc-validate needs numpy: pip install 'gkp-repeater[mc]'", file=sys.stderr)
+        return 1
     rows = _validation_rows(args.scope, args.trials, args.seed)
     lines = [
         f"mc-validate scope={args.scope} trials={args.trials} seed={args.seed}",

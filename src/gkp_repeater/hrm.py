@@ -23,12 +23,13 @@ omitted term below 1e-18 of the total mass. Interval masses are evaluated
 from erfc tail differences rather than erf differences so that probabilities
 down to ~1e-300 survive without catastrophic cancellation.
 
-The module needs only the standard library. erfc is the Cephes ndtr.c port in
-:mod:`gkp_repeater.noise_core`. The window masses fall into three groups:
-windows right of the origin, left of it, and the one containing it. Each
-group is summed in NumPy's float64 pairwise order (see :func:`_pairwise_sum`),
-so every lattice sum equals the NumPy array form bit for bit; the tests keep
-that form as the reference.
+The module needs only the standard library: the tails come from
+:func:`math.erfc`, and :func:`math.fsum` adds the window masses with a single
+rounding. A tail that falls below 2.2e-308 survives as a subnormal, with
+fewer significant bits. With delta within a few ulps of sqrt(pi)/2 each
+window is that narrow, and its erfc difference keeps only an absolute
+accuracy of ~1e-16. The tests check the sums against a 60-digit mpmath form
+of the same windows.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .noise_core import SQRT_PI, _erfc, _require
+from .noise_core import SQRT_PI, _require
 
 # Beyond this tooth variance the wrapped Gaussian is uniform on the 2*sqrt(pi)
 # period to double precision (theta-function tail < exp(-pi * 400 / 2)).
-# Below it kmax <= ceil(10*20/sqrt(pi)) + 2 = 115, so a window group holds at
-# most 116 terms and _pairwise_sum never needs NumPy's recursive branch.
+# Below it kmax <= ceil(10*20/sqrt(pi)) + 2 = 115, so a sum has at most 231
+# windows.
 _UNIFORM_LIMIT_SIGMA2 = 400.0
 
 
@@ -66,58 +67,25 @@ def _validate(sigma2: float, delta: float) -> None:
     _require("delta", delta, "lie in [0, sqrt(pi)/2)", 0.0 <= delta < SQRT_PI / 2)
 
 
-def _pairwise_sum(terms: list[float]) -> float:
-    """Sum up to 128 floats in the order of NumPy's float64 ``np.sum``.
-
-    Fewer than 8 terms add in sequence; otherwise eight strided accumulators
-    combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the remainder follows,
-    all added to the reduction's starting 0.0. Beyond 128 terms NumPy would
-    split the array in halves; this loop keeps going, so it is still a sum,
-    just in another order.
-    """
-    n = len(terms)
-    if n < 8:
-        total = 0.0
-        for t in terms:
-            total += t
-        return total
-    r = terms[:8]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        for j in range(8):
-            r[j] += terms[i + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for t in terms[tail:]:
-        total += t
-    return 0.0 + total
-
-
 def _window_mass(centers: list[float], half_width: float, sigma: float) -> float:
     """Total N(0, sigma^2) mass of the windows centers[i] +- half_width.
 
     Intervals not containing the origin are computed as differences of erfc
     tails, which stay accurate for masses far below double epsilon of 1.
     """
-    erfc = _erfc
+    erfc = math.erfc
     scale = sigma * math.sqrt(2.0)
-    pos, neg, mid = [], [], []
+    masses = []
     for c in centers:
         lo = (c - half_width) / scale
         hi = (c + half_width) / scale
         if lo >= 0:
-            pos.append(erfc(lo) - erfc(hi))
+            masses.append(0.5 * (erfc(lo) - erfc(hi)))
         elif hi <= 0:
-            neg.append(erfc(-hi) - erfc(-lo))
+            masses.append(0.5 * (erfc(-hi) - erfc(-lo)))
         else:
-            mid.append(1.0 - 0.5 * erfc(hi) - 0.5 * erfc(-lo))
-    total = 0.0
-    if pos:
-        total += 0.5 * _pairwise_sum(pos)
-    if neg:
-        total += 0.5 * _pairwise_sum(neg)
-    if mid:
-        total += _pairwise_sum(mid)
-    return total
+            masses.append(1.0 - 0.5 * erfc(hi) - 0.5 * erfc(-lo))
+    return math.fsum(masses)
 
 
 # Distinct (sigma2, delta, parity) lattice sums kept per command; the bare

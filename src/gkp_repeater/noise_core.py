@@ -75,60 +75,6 @@ class SqueezingSpec:
         return cls(squeezing_db_to_sigma2(db))
 
 
-#: log(DBL_MAX): beyond |x| = sqrt(MAXLOG), exp(-x*x) underflows.
-_MAXLOG = 7.09782712893383996843e2
-
-
-def _erfc(a: float) -> float:
-    """Complementary error function, bit-identical to the compiled Cephes erfc.
-
-    Cephes ndtr.c (S. L. Moshier): 1 - erf(a) for |a| < 1, with erf an odd
-    rational function; otherwise exp(-a*a) times a rational function of |a|
-    (one for |a| < 8, one beyond), reflected as 2 - erfc(|a|) for negative a.
-    Where exp(-a*a) would underflow it returns 0 or 2. NaN propagates.
-
-    The rational functions are Cephes' polevl/p1evl Horner loops written out
-    with literal coefficients, operation for operation: erf's T/U, and
-    erfc's P/Q below 8 and R/S beyond. The denominators U, Q and S are monic,
-    so p1evl starts at x + c[1]. The port thus reproduces the compiled erfc
-    bit for bit (the tests compare the two); math.erfc differs from it in the
-    last bit on most inputs, which would change printed 17-digit rows.
-    """
-    x = abs(a)
-    if x < 1.0:
-        z = a * a
-        t = ((((9.60497373987051638749e0 * z + 9.00260197203842689217e1) * z
-               + 2.23200534594684319226e3) * z + 7.00332514112805075473e3) * z
-             + 5.55923013010394962768e4)
-        u = (((((z + 3.35617141647503099647e1) * z + 5.21357949780152679795e2) * z
-               + 4.59432382970980127987e3) * z + 2.26290000613890934246e4) * z
-             + 4.92673942608635921086e4)
-        return 1.0 - a * t / u
-    z = -a * a
-    if z < -_MAXLOG:
-        return 2.0 if a < 0 else 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        p = ((((((((2.46196981473530512524e-10 * x + 5.64189564831068821977e-1) * x
-                   + 7.46321056442269912687e0) * x + 4.86371970985681366614e1) * x
-                 + 1.96520832956077098242e2) * x + 5.26445194995477358631e2) * x
-               + 9.34528527171957607540e2) * x + 1.02755188689515710272e3) * x
-             + 5.57535335369399327526e2)
-        q = ((((((((x + 1.32281951154744992508e1) * x + 8.67072140885989742329e1) * x
-                  + 3.54937778887819891062e2) * x + 9.75708501743205489753e2) * x
-                + 1.82390916687909736289e3) * x + 2.24633760818710981792e3) * x
-              + 1.65666309194161350182e3) * x + 5.57535340817727675546e2)
-    else:
-        p = (((((5.64189583547755073984e-1 * x + 1.27536670759978104416e0) * x
-                + 5.01905042251180477414e0) * x + 6.16021097993053585195e0) * x
-              + 7.40974269950448939160e0) * x + 2.97886665372100240670e0)
-        q = ((((((x + 2.26052863220117276590e0) * x + 9.39603524938001434673e0) * x
-                + 1.20489539808096656605e1) * x + 1.70814450747565897222e1) * x
-              + 9.60896809063285878198e0) * x + 3.36907645100081516050e0)
-    y = (z * p) / q
-    return 2.0 - y if a < 0 else y
-
-
 def eta_from_distance(l_km: float, latt_km: float = DEFAULT_ATTENUATION_KM) -> float:
     """Transmittance of a fiber of length l_km: eta = exp(-l_km / latt_km)."""
     _require("l_km", l_km, "be nonnegative", l_km >= 0)

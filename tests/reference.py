@@ -1,15 +1,17 @@
 """Reference implementations used only by the tests.
 
-The package computes neither of these quantities on any path: the lattice
-sums of :mod:`gkp_repeater.hrm` replace the single-interval error, and the
-tree code evaluates majority votes in closed form. Both stay here as
-independent oracles for the code that does.
+The package computes neither the single-interval error nor a majority vote by
+enumeration on any path: the lattice sums of :mod:`gkp_repeater.hrm` replace
+the former, and the tree code evaluates majority votes in closed form. Both
+stay here as independent oracles for the code that does. The lattice sums
+themselves are checked against :func:`lattice_mass_mp`, the same windows
+summed at 60 digits with mpmath, which is imported only when it is called.
 """
 
 import math
 from itertools import product
 
-from gkp_repeater.noise_core import SQRT_PI, _erfc
+from gkp_repeater.noise_core import SQRT_PI
 
 
 def pfail(sigma2: float) -> float:
@@ -31,8 +33,37 @@ def pfail(sigma2: float) -> float:
         raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
     if sigma2 == 0:
         return 0.0
-    p = _erfc(SQRT_PI / (2.0 * math.sqrt(2.0 * sigma2)))
+    p = math.erfc(SQRT_PI / (2.0 * math.sqrt(2.0 * sigma2)))
     return min(1.0, max(0.0, p))
+
+
+def lattice_mass_mp(sigma2: float, delta: float, odd: bool) -> float:
+    """Lattice sum of :mod:`gkp_repeater.hrm` at 60 significant digits.
+
+    The same windows, centered on the multiples of the package's SQRT_PI with
+    half-width SQRT_PI/2 - delta, and the same erfc-tail forms, summed over
+    |k| <= ceil(12*sigma/sqrt(pi)) + 3 with mpmath. erfc tails, not erf
+    differences, keep the far windows' masses exact at small variance.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        spacing = mpmath.mpf(SQRT_PI)
+        half_width = spacing / 2 - mpmath.mpf(delta)
+        scale = mpmath.sqrt(2 * mpmath.mpf(sigma2))
+        kmax = math.ceil(12.0 * math.sqrt(sigma2) / SQRT_PI) + 3
+        total = mpmath.mpf(0)
+        for k in range(-kmax, kmax + 1):
+            center = (2 * k + 1) * spacing if odd else 2 * k * spacing
+            lo = (center - half_width) / scale
+            hi = (center + half_width) / scale
+            if lo >= 0:
+                total += (mpmath.erfc(lo) - mpmath.erfc(hi)) / 2
+            elif hi <= 0:
+                total += (mpmath.erfc(-hi) - mpmath.erfc(-lo)) / 2
+            else:
+                total += 1 - mpmath.erfc(hi) / 2 - mpmath.erfc(-lo) / 2
+        return float(total)
 
 
 def enumerate_majority3(e: float) -> float:

@@ -760,11 +760,11 @@ class TestOutputFreeze:
     CASES = {
         "bare_key_rates": (
             ["sweep", "--config", str(RECIPES / "bare_key_rates.cfg")],
-            "1a34cf947c4a0cdd884a423d7b8fca301f743e6a1dcbd1a3f4462222f807180e",
+            "55263d8137be0d8b5f927e212d74e7e75feef544343dc91e50c1181a6ef080b6",
         ),
         "segment_error_comparison": (
             ["sweep", "--config", str(RECIPES / "segment_error_comparison.cfg")],
-            "4a9846b13915307e0b41e3970350a10b4e99ce13c3691e52c8d26aca994d91ae",
+            "6d9ec06cf2acd833a37439998c2ffb20417b2b743c8c85216ccd6043e5d6095d",
         ),
         "amp_variance_curves": (
             ["sweep", "--config", str(RECIPES / "amp_variance_curves.cfg")],
@@ -777,7 +777,7 @@ class TestOutputFreeze:
         "rate": (
             ["rate", "--protocol", "two-way-cc", "--nqr", "10", "--l0", "3",
              "--squeezing-db", "15", "--format", "json"],
-            "a27d5a9ab13efb296a592019fced5a99405919a1324e5c10f2ce4949c16a9ab0",
+            "8a2e0713e2607b210f750e231f80b3d239f003d56759540bd26d37363374a54b",
         ),
         "resources": (
             ["resources", "--mode", "hrm", "--nqr", "332", "--l0", "3", "--format", "json"],
@@ -808,39 +808,51 @@ class TestImportBoundary:
     SCRIPT = """
 import contextlib, io, sys
 from gkp_repeater import cli
-print(sorted({"numpy", "scipy"} & set(sys.modules)))
+def loaded():
+    return sorted(m for m in ("numpy", "scipy") if sys.modules.get(m))
+print(loaded())
 for argv in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv.split())
-    print(code, sorted({"numpy", "scipy"} & set(sys.modules)))
+    print(code, loaded())
 """
 
-    def loaded(self, *commands):
+    ANALYTIC = (
+        "plob --distance-list 100,1000",
+        "rate --protocol two-way-cc --nqr 10 --l0 3 --delta sqrt_pi/10",
+        "sweep --protocols two-way-cc,two-way-post-2sqec --nqr-list 1,10 "
+        "--delta-list 0,sqrt_pi/6 --l0-list 3,40 --squeezing-db 12",
+        "sweep --quantity amp-variance --eta-points 50",
+        "sweep --protocols tree-path-selection,tree-hrm --nqr-list 10,100 "
+        "--delta-list 0,sqrt_pi/6 --l0-list 3,5",
+        "resources --mode path-selection --nqr 332 --l0 3",
+    )
+
+    def loaded(self, *commands, block_numpy=False):
+        """Run the commands in one child; return its stdout lines and stderr."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        script = ("import sys; sys.modules['numpy'] = None\n" if block_numpy else "") + self.SCRIPT
         child = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, *commands],
+            [sys.executable, "-c", script, *commands],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert child.returncode == 0, child.stderr
-        return child.stdout.splitlines()
+        return child.stdout.splitlines(), child.stderr
 
     def test_analytic_commands_load_neither(self):
-        lines = self.loaded(
-            "plob --distance-list 100,1000",
-            "rate --protocol two-way-cc --nqr 10 --l0 3 --delta sqrt_pi/10",
-            "sweep --protocols two-way-cc,two-way-post-2sqec --nqr-list 1,10 "
-            "--delta-list 0,sqrt_pi/6 --l0-list 3,40 --squeezing-db 12",
-            "sweep --quantity amp-variance --eta-points 50",
-            "sweep --protocols tree-path-selection,tree-hrm --nqr-list 10,100 "
-            "--delta-list 0,sqrt_pi/6 --l0-list 3,5",
-            "resources --mode path-selection --nqr 332 --l0 3",
-        )
+        lines, _ = self.loaded(*self.ANALYTIC)
         assert lines == ["[]"] + ["0 []"] * 6
 
     def test_mc_validate_loads_numpy_only(self):
-        lines = self.loaded("mc-validate --trials 2000 --seed 1")
+        lines, _ = self.loaded("mc-validate --trials 2000 --seed 1")
         assert lines == ["[]", "0 ['numpy']"]
+
+    def test_without_numpy_only_mc_validate_fails_in_one_line(self):
+        lines, err = self.loaded(*self.ANALYTIC, "mc-validate --trials 2000 --seed 1",
+                                 block_numpy=True)
+        assert lines == ["[]"] + ["0 []"] * 6 + ["1 []"]
+        assert err == "error: mc-validate needs numpy: pip install 'gkp-repeater[mc]'\n"
 
 
 class TestLazySubmodules:

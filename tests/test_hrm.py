@@ -1,15 +1,16 @@
 """Postselected-binning statistics against quadrature and sampling oracles."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from gkp_repeater import cli, hrm
 from gkp_repeater.hrm import HrmPolicy, e_hrm, p_cor, p_in, p_suc
-from reference import pfail
+from reference import lattice_mass_mp, pfail
 
 SQRT_PI = math.sqrt(math.pi)
 DELTA_GRID = [k * SQRT_PI / 20 for k in range(10)]
@@ -178,58 +179,56 @@ class TestLatticeMemo:
         assert info.hits + info.misses == 5_544
 
 
-def lattice_mass_arrays(sigma2: float, delta: float, odd: bool) -> float:
-    """The array form of the lattice sum (numpy windows, scipy erfc), kept as
-    the reference that the list-based sum must equal bit for bit."""
-    half_width = SQRT_PI / 2 - delta
-    sigma = math.sqrt(sigma2)
-    kmax = math.ceil(10.0 * sigma / SQRT_PI) + 2
-    k = np.arange(-kmax, kmax + 1, dtype=float)
-    centers = (2.0 * k + 1.0) * SQRT_PI if odd else 2.0 * k * SQRT_PI
-    lo = (centers - half_width) / (sigma * math.sqrt(2.0))
-    hi = (centers + half_width) / (sigma * math.sqrt(2.0))
-    total = 0.0
-    pos = lo >= 0
-    neg = hi <= 0
-    mid = ~(pos | neg)
-    if np.any(pos):
-        total += 0.5 * float(np.sum(special.erfc(lo[pos]) - special.erfc(hi[pos])))
-    if np.any(neg):
-        total += 0.5 * float(np.sum(special.erfc(-hi[neg]) - special.erfc(-lo[neg])))
-    if np.any(mid):
-        total += float(
-            np.sum(1.0 - 0.5 * special.erfc(hi[mid]) - 0.5 * special.erfc(-lo[mid]))
-        )
-    return min(1.0, total)
-
-
-class TestStdlibLatticeSum:
-    """The list-based lattice sum reproduces the array form bit for bit."""
-
-    @pytest.mark.parametrize("n", range(1, 129))
-    def test_pairwise_sum_matches_numpy_sum(self, n):
-        rng = np.random.default_rng(n)
-        for scale in (1.0, 1e-150, 1e150):
-            values = scale * np.copysign(
-                10.0 ** rng.uniform(-20.0, 20.0, n), rng.uniform(-1.0, 1.0, n)
-            )
-            positive = 10.0 ** rng.uniform(-300.0, 0.0, n)
-            for array in (values, positive, np.full(n, -0.0)):
-                got = hrm._pairwise_sum(array.tolist())
-                assert got.hex() == float(np.sum(array)).hex()
+class TestMpmathReference:
+    """The lattice sum against its 60-digit mpmath form (reference.py)."""
 
     SIGMA2 = [1e-6, 1e-3, 0.0158, 0.05, 0.25, 0.5, 1.0, 3.0, 17.0, 120.0, 399.0]
-    DELTAS = [0.0, SQRT_PI / 14, SQRT_PI / 6, SQRT_PI / 4, math.nextafter(SQRT_PI / 2, 0.0)]
+    DELTAS = [0.0, SQRT_PI / 14, SQRT_PI / 6, SQRT_PI / 4]
+    _rng = np.random.default_rng(21)
+    RANDOM = list(
+        zip(
+            (10.0 ** _rng.uniform(-4.0, 2.0, 40)).tolist(),
+            _rng.uniform(0.0, SQRT_PI / 2, 40).tolist(),
+            (_rng.uniform(0.0, 1.0, 40) < 0.5).tolist(),
+        )
+    )
+
+    @staticmethod
+    def check(sigma2, delta, odd):
+        want = lattice_mass_mp(sigma2, delta, odd)
+        got = hrm._lattice_mass.__wrapped__(sigma2, delta, odd)
+        if want > 1e-300:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (sigma2, delta, odd)
+        else:
+            assert got <= 1e-300, (sigma2, delta, odd)
 
     @pytest.mark.parametrize("sigma2", SIGMA2)
-    def test_lattice_mass_matches_array_form(self, sigma2):
-        uncached = hrm._lattice_mass.__wrapped__
+    def test_grid(self, sigma2):
+        pytest.importorskip("mpmath")
         for delta in self.DELTAS:
             for odd in (False, True):
-                want = lattice_mass_arrays(sigma2, delta, odd)
-                assert uncached(sigma2, delta, odd).hex() == want.hex()
+                self.check(sigma2, delta, odd)
 
-    def test_largest_window_group_fits_one_pairwise_block(self):
-        sigma = math.sqrt(math.nextafter(hrm._UNIFORM_LIMIT_SIGMA2, 0.0))
-        kmax = math.ceil(10.0 * sigma / SQRT_PI) + 2
-        assert kmax + 1 <= 128
+    @pytest.mark.parametrize("sigma2,delta,odd", RANDOM)
+    def test_random(self, sigma2, delta, odd):
+        pytest.importorskip("mpmath")
+        self.check(sigma2, delta, odd)
+
+    def test_ulp_wide_windows_are_accurate_to_absolute_roundoff(self):
+        # At delta one ulp below sqrt(pi)/2 each window is one ulp wide and
+        # its erfc difference cancels, so only an absolute bound holds.
+        pytest.importorskip("mpmath")
+        delta = math.nextafter(SQRT_PI / 2, 0.0)
+        for sigma2 in self.SIGMA2:
+            for odd in (False, True):
+                want = lattice_mass_mp(sigma2, delta, odd)
+                got = hrm._lattice_mass.__wrapped__(sigma2, delta, odd)
+                assert abs(got - want) <= 2 * sys.float_info.epsilon, (sigma2, odd)
+
+    def test_subnormal_tail_survives(self):
+        pytest.importorskip("mpmath")
+        sigma2, delta = 0.001045576543089023, 0.34246312461662776
+        want = lattice_mass_mp(sigma2, delta, True)
+        assert 0.0 < want < sys.float_info.min
+        got = hrm._lattice_mass.__wrapped__(sigma2, delta, True)
+        assert got == pytest.approx(want, rel=1e-8, abs=0.0)

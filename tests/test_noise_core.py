@@ -6,9 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
 
-from gkp_repeater import noise_core
 from gkp_repeater.noise_core import (
     AmplifierMode,
     SqueezingSpec,
@@ -65,39 +63,6 @@ class TestPfail:
         grid = np.linspace(0.01, 3.0, 300)
         values = [pfail(s2) for s2 in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-
-class TestErfc:
-    """The stdlib erfc port equals the compiled Cephes erfc in scipy bitwise."""
-
-    MAXLOG_EDGE = math.sqrt(noise_core._MAXLOG)
-
-    EDGES = [
-        0.0, -0.0, 1.0, -1.0, 8.0, -8.0,
-        math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
-        math.nextafter(-1.0, 0.0), math.nextafter(8.0, 0.0), math.nextafter(8.0, 9.0),
-        MAXLOG_EDGE, math.nextafter(MAXLOG_EDGE, 0.0), math.nextafter(MAXLOG_EDGE, 30.0),
-        -MAXLOG_EDGE, 26.55, 26.65, 27.3, 30.0, -30.0, 1e3, -1e3, 1e300, -1e300,
-        5e-324, -5e-324, 1e-300, 2.2e-16, math.inf, -math.inf, math.nan,
-    ]
-
-    def test_bitwise_equal_on_dense_grid_and_branch_edges(self):
-        rng = np.random.default_rng(20)
-        grid = np.concatenate(
-            [
-                np.linspace(-30.0, 30.0, 240_001),
-                rng.uniform(-30.0, 30.0, 20_000),
-                np.copysign(10.0 ** rng.uniform(-30.0, 1.5, 20_000), rng.uniform(-1, 1, 20_000)),
-                self.EDGES,
-            ]
-        )
-        expected = special.erfc(grid)
-        mismatches = [
-            (x, noise_core._erfc(x), want)
-            for x, want in zip(grid.tolist(), expected.tolist())
-            if noise_core._erfc(x).hex() != want.hex()
-        ]
-        assert mismatches == []
 
 
 class TestEtaFromDistance:
@@ -243,85 +208,3 @@ class TestSqueezing:
         assert SqueezingSpec.from_db(15.0) == SqueezingSpec(0.015811388300841897)
         with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
             SqueezingSpec(-0.0159)
-
-
-# Reference copy of the erfc as it was first ported: the Cephes coefficient
-# arrays P/Q/R/S/T/U as tuples and one generic Horner loop. The unrolled
-# noise_core._erfc must reproduce it bit for bit.
-_REF_ERFC_P = (
-    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
-)
-_REF_ERFC_Q = (
-    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-    1.65666309194161350182e3, 5.57535340817727675546e2,
-)
-_REF_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_REF_ERFC_S = (
-    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
-_REF_ERF_T = (
-    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-    7.00332514112805075473e3, 5.55923013010394962768e4,
-)
-_REF_ERF_U = (
-    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-    2.26290000613890934246e4, 4.92673942608635921086e4,
-)
-
-
-def _ref_polevl(x, coef):
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ref_erfc(a):
-    x = abs(a)
-    if x < 1.0:
-        z = a * a
-        return 1.0 - a * _ref_polevl(z, _REF_ERF_T) / _ref_polevl(z, _REF_ERF_U)
-    z = -a * a
-    if z < -7.09782712893383996843e2:
-        return 2.0 if a < 0 else 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        y = (z * _ref_polevl(x, _REF_ERFC_P)) / _ref_polevl(x, _REF_ERFC_Q)
-    else:
-        y = (z * _ref_polevl(x, _REF_ERFC_R)) / _ref_polevl(x, _REF_ERFC_S)
-    return 2.0 - y if a < 0 else y
-
-
-class TestUnrolledErfc:
-    """The written-out Horner forms equal the coefficient-table loop bitwise."""
-
-    def test_bitwise_equal_to_the_table_loop(self):
-        rng = np.random.default_rng(20)
-        grid = np.concatenate(
-            [
-                np.linspace(-30.0, 30.0, 240_001),
-                rng.uniform(-30.0, 30.0, 20_000),
-                np.copysign(10.0 ** rng.uniform(-30.0, 1.5, 20_000), rng.uniform(-1, 1, 20_000)),
-                TestErfc.EDGES,
-            ]
-        ).tolist()
-        mismatches = [
-            (x, noise_core._erfc(x), _ref_erfc(x))
-            for x in grid
-            if noise_core._erfc(x).hex() != _ref_erfc(x).hex()
-        ]
-        assert mismatches == []
-
-    def test_branch_edges_and_specials(self):
-        for x in (1.0, 8.0, 0.0, -0.0, TestErfc.MAXLOG_EDGE, math.inf, -math.inf, math.nan):
-            for a in (x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)):
-                assert noise_core._erfc(a).hex() == _ref_erfc(a).hex(), a
-        assert math.copysign(1.0, noise_core._erfc(-0.0)) == 1.0
-        assert math.isnan(noise_core._erfc(math.nan))
