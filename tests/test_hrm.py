@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from gkp_repeater import cli, hrm
 from gkp_repeater.hrm import HrmPolicy, e_hrm, p_cor, p_in, p_suc
@@ -232,3 +232,78 @@ class TestMpmathReference:
         assert 0.0 < want < sys.float_info.min
         got = hrm._lattice_mass.__wrapped__(sigma2, delta, True)
         assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+def window_mass_arrays(centers, half_width: float, sigma: float) -> tuple[float, float]:
+    """The array form of a window sum (scipy erfc, numpy sum) and its error scale.
+
+    The scale weights each erfc tail by 1 + x^2: an erfc evaluation carries a
+    few ulp of its tail, and Cephes, which scipy uses, loses up to x^2 ulp more
+    in exp(-x^2) deep in the tail. Windows containing the origin add their 1.
+    """
+    c = np.asarray(centers, dtype=float)
+    lo = (c - half_width) / (sigma * math.sqrt(2.0))
+    hi = (c + half_width) / (sigma * math.sqrt(2.0))
+    pos = lo >= 0
+    neg = hi <= 0
+    mid = ~(pos | neg)
+    erfc = special.erfc
+    masses = np.concatenate(
+        [
+            0.5 * (erfc(lo[pos]) - erfc(hi[pos])),
+            0.5 * (erfc(-hi[neg]) - erfc(-lo[neg])),
+            1.0 - 0.5 * erfc(hi[mid]) - 0.5 * erfc(-lo[mid]),
+        ]
+    )
+
+    def tail(x):
+        return float(np.sum(0.5 * (1.0 + x * x) * erfc(x)))
+
+    scale = (
+        tail(lo[pos]) + tail(hi[pos]) + tail(-hi[neg]) + tail(-lo[neg])
+        + float(np.count_nonzero(mid)) + tail(hi[mid]) + tail(-lo[mid])
+    )
+    return float(np.sum(masses)), scale
+
+
+def lattice_mass_arrays(sigma2: float, delta: float, odd: bool) -> tuple[float, float]:
+    """The array form of the lattice sum (numpy windows, scipy erfc)."""
+    sigma = math.sqrt(sigma2)
+    kmax = math.ceil(10.0 * sigma / SQRT_PI) + 2
+    k = np.arange(-kmax, kmax + 1, dtype=float)
+    centers = (2.0 * k + 1.0) * SQRT_PI if odd else 2.0 * k * SQRT_PI
+    total, scale = window_mass_arrays(centers, SQRT_PI / 2 - delta, sigma)
+    return min(1.0, total), scale
+
+
+class TestStdlibLatticeSum:
+    """The math.erfc/math.fsum window sums agree with the numpy/scipy array
+    form to within the two erfc implementations' rounding."""
+
+    EPS = sys.float_info.epsilon
+    DELTAS = TestMpmathReference.DELTAS + [math.nextafter(SQRT_PI / 2, 0.0)]
+
+    @pytest.mark.parametrize("n", range(1, 129))
+    def test_pairwise_sum_matches_numpy_sum(self, n):
+        # n windows anywhere within 10 sigma of the origin, on either side
+        # of it or across it, against numpy's pairwise sum of the same masses.
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            sigma = 10.0 ** rng.uniform(-1.5, 1.5)
+            half_width = rng.uniform(0.0, SQRT_PI / 2)
+            centers = rng.uniform(-10.0 * sigma, 10.0 * sigma, n).tolist()
+            want, scale = window_mass_arrays(centers, half_width, sigma)
+            got = hrm._window_mass(centers, half_width, sigma)
+            assert abs(got - want) <= 8 * self.EPS * scale, (sigma, half_width)
+
+    @pytest.mark.parametrize("sigma2", TestMpmathReference.SIGMA2)
+    def test_lattice_mass_matches_array_form(self, sigma2):
+        # scipy's erfc underflows to 0 below the smallest normal double,
+        # where math.erfc keeps a subnormal tail.
+        uncached = hrm._lattice_mass.__wrapped__
+        for delta in self.DELTAS:
+            for odd in (False, True):
+                want, scale = lattice_mass_arrays(sigma2, delta, odd)
+                got = uncached(sigma2, delta, odd)
+                tol = 8 * self.EPS * scale + sys.float_info.min
+                assert abs(got - want) <= tol, (delta, odd, got, want)
