@@ -181,23 +181,29 @@ def segment_errors(spec: ProtocolSpec) -> SegmentErrors:
     return SegmentErrors(ex=e, p_suc=hrm_mod.p_suc(v, delta))
 
 
+def _any_fails(*events: tuple[float, int]) -> float:
+    """1 - prod (1 - p)**k: the chance that any of independent events fails,
+    each event (p, k) being k trials that fail with probability p. Evaluated as
+    -expm1(sum of k*log1p(-p)) so that small p does not cancel; k = 0 events
+    drop out, p >= 1 with k > 0 gives 1, and no failure gives +0.0."""
+    if any(p >= 1.0 and k for p, k in events):
+        return 1.0
+    return 0.0 - math.expm1(math.fsum(k * math.log1p(-p) for p, k in events if k))
+
+
 def chain_error(e_segment: float, n_qr: int) -> float:
     """Accumulated end-to-end flip probability over n_qr independent segments.
 
     An odd number of flips among n_qr segments survives:
         E_AB = (1 - (1 - 2*e)**n_qr) / 2,
-    evaluated as -expm1(n_qr * log1p(-2e)) / 2 so that small e does not cancel.
+    evaluated as ``_any_fails((2e, n_qr)) / 2`` so that small e does not cancel.
     n_qr = 0 gives 0: the end points' own preparation and measurement are
     absorbed into the segment budget, so a repeaterless hop contributes no
     chain error under this convention.
     """
     _require("e_segment", e_segment, "be in [0, 1/2]", 0.0 <= e_segment <= 0.5)
     _require("n_qr", n_qr, "be nonnegative", n_qr >= 0)
-    if n_qr == 0 or e_segment == 0.0:
-        return 0.0  # the log form would give -0.0
-    if e_segment == 0.5:
-        return 0.5  # log1p(-1) is a domain error
-    return -0.5 * math.expm1(n_qr * math.log1p(-2.0 * e_segment))
+    return 0.5 * _any_fails((2.0 * e_segment, n_qr))
 
 
 def binary_entropy(x: float) -> float:
@@ -234,28 +240,24 @@ class RatePoint:
     plob: float
 
     @classmethod
-    def of(cls, spec: ProtocolSpec, e_segment: float, ex_ab: float, p_suc: float,
-           rate: float) -> "RatePoint":
-        """The point of spec: its total distance and PLOB bound attached, the
-        rate clipped at 0."""
-        return cls(spec.l_ab_km, e_segment, ex_ab, p_suc, max(0.0, rate),
+    def of(cls, spec: ProtocolSpec, e_segment: float, p_suc: float) -> "RatePoint":
+        """The point of spec whose segments (stations) err with e_segment and
+        whose chain succeeds with p_suc: E_AB^X = E_AB^Z = chain_error(
+        min(e_segment, 1/2), n_qr), R = max(0, p_suc * (1 - h(E_AB^X) -
+        h(E_AB^Z))), and the PLOB bound at the total distance."""
+        e_ab = chain_error(min(e_segment, 0.5), spec.n_qr)
+        h = binary_entropy(e_ab)
+        return cls(spec.l_ab_km, e_segment, e_ab, p_suc, max(0.0, p_suc * (1.0 - h - h)),
                    plob_bound(spec.l_ab_km, spec.latt_km))
 
 
 def secure_key_rate(spec: ProtocolSpec) -> RatePoint:
-    """Secure key rate R = max(0, P_suc * (1 - h(E_AB^X) - h(E_AB^Z))).
-
-    E_AB^X = E_AB^Z accumulate over the chain. P_suc is the probability that
-    every postselected outcome of the chain is accepted: each station runs
-    one Bell measurement (two outcomes) per correction round, so
-    P_suc = p_suc**(2 * rounds * n_qr), which is 1 when delta = 0. The PLOB
-    repeaterless bound at the same total distance is attached for comparison.
-    """
+    """Secure key rate of a bare chain (``RatePoint.of``). P_suc is the
+    probability that every postselected outcome of the chain is accepted: each
+    station runs one Bell measurement (two outcomes) per correction round, so
+    P_suc = p_suc**(2 * rounds * n_qr), which is 1 when delta = 0."""
     errs = segment_errors(spec)
-    e_ab = chain_error(errs.ex, spec.n_qr)
-    ps = errs.p_suc ** (2 * spec.variant.rounds * spec.n_qr)
-    rate = ps * (1.0 - binary_entropy(e_ab) - binary_entropy(e_ab))
-    return RatePoint.of(spec, errs.ex, e_ab, ps, rate)
+    return RatePoint.of(spec, errs.ex, errs.p_suc ** (2 * spec.variant.rounds * spec.n_qr))
 
 
 def crossover_eta(

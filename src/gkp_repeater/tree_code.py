@@ -21,6 +21,8 @@ Per-station error composition (all components assumed independent):
 
 where E_X protects against bit flips via three ancilla-triple majority votes
 and E_Z against phase flips via a majority over three node+ancilla blocks.
+This 1 - product, and those inside E_X, E_Z and the station acceptance, are
+evaluated by ``protocols._any_fails``, so small component errors do not cancel.
 Cluster construction by HRM-checked fusions contributes
 
     e_prep = 34 * e_hrm(3 sigma2, delta) + 26 * e_hrm(2 sigma2, delta),
@@ -41,8 +43,7 @@ from enum import Enum
 from . import hrm as hrm_mod
 from .noise_core import SQRT_PI, _require
 from .protocols import (
-    DEFAULT_PREP_DELTA, ProtocolSpec, RatePoint, Variant, binary_entropy, chain_error,
-    segment_variance,
+    DEFAULT_PREP_DELTA, ProtocolSpec, RatePoint, Variant, _any_fails, segment_variance,
 )
 
 
@@ -108,16 +109,20 @@ def encoded_x_error(e_b_p: float, printed_formula: bool = False) -> float:
     three ancilla outcomes and the encoded measurement fails if any node's
     vote does:
 
-        E_X = 1 - (1 - majority3(e_b_p))**3      ~ 9*e_b_p**2 for small error.
+        E_X = 1 - (1 - majority3(e_b_p))**3      ~ 9*e_b_p**2 for small error,
+
+    evaluated as ``_any_fails((majority3(e_b_p), 3))``.
 
     ``printed_formula=True`` switches the per-node term to 3*(1-e_b_p)**2.
     That expression tends to 3 as the error vanishes and exceeds 1 already at
     e_b_p = 0.01, so it is non-physical; it is kept only for auditing against
-    the majority-vote form and must not be used in rate calculations.
+    the majority-vote form, evaluated literally so that its value above 1
+    shows, and must not be used in rate calculations.
     """
     _require("e_b_p", e_b_p, "be a probability", 0.0 <= e_b_p <= 1.0)
-    per_node = 3.0 * (1.0 - e_b_p) ** 2 if printed_formula else majority3(e_b_p)
-    return 1.0 - (1.0 - per_node) ** 3
+    if printed_formula:
+        return 1.0 - (1.0 - 3.0 * (1.0 - e_b_p) ** 2) ** 3
+    return _any_fails((majority3(e_b_p), 3))
 
 
 def encoded_z_error(e_a_p: float, e_b_q: float) -> float:
@@ -126,16 +131,15 @@ def encoded_z_error(e_a_p: float, e_b_q: float) -> float:
     Each of three blocks combines one node outcome with its three ancilla
     outcomes and is wrong when any of the four is:
 
-        p_block = 1 - (1 - e_a_p) * (1 - e_b_q)**3
+        p_block = 1 - (1 - e_a_p) * (1 - e_b_q)**3,
 
-    The encoded value is a majority over the three blocks, so
-    E_Z = majority3(p_block), whose leading order 3*p_block**2 matches the
-    small-error expansion.
+    evaluated as ``_any_fails((e_a_p, 1), (e_b_q, 3))``. The encoded value is
+    a majority over the three blocks, so E_Z = majority3(p_block), whose
+    leading order 3*p_block**2 matches the small-error expansion.
     """
     for name, value in (("e_a_p", e_a_p), ("e_b_q", e_b_q)):
         _require(name, value, "be a probability", 0.0 <= value <= 1.0)
-    p_block = 1.0 - (1.0 - e_a_p) * (1.0 - e_b_q) ** 3
-    return majority3(p_block)
+    return majority3(_any_fails((e_a_p, 1), (e_b_q, 3)))
 
 
 def prep_error(sigma2: float, delta: float = DEFAULT_PREP_DELTA) -> float:
@@ -156,16 +160,11 @@ def repeater_error(components: ComponentErrors) -> float:
     """Per-station error of the encoded measurement chain.
 
     E_QR = 1 - (1-e_leaf)(1-e_prep)(1-E_X)(1-E_Z)**4 with E_X and E_Z built
-    from the component errors.
+    from the component errors, evaluated by ``_any_fails``.
     """
     e_x = encoded_x_error(components.e_b_p)
     e_z = encoded_z_error(components.e_a_p, components.e_b_q)
-    return 1.0 - (
-        (1.0 - components.e_leaf)
-        * (1.0 - components.e_prep)
-        * (1.0 - e_x)
-        * (1.0 - e_z) ** 4
-    )
+    return _any_fails((components.e_leaf, 1), (components.e_prep, 1), (e_x, 1), (e_z, 4))
 
 
 def single_qubit_variance(spec: ProtocolSpec) -> float:
@@ -285,11 +284,12 @@ def station_acceptance(spec: ProtocolSpec, tree: TreeShape = TreeShape()) -> flo
     """Probability that at least one leaf pair of a station passes the HRM.
 
     One pair passes when both of its homodyne outcomes do, so with n_pairs
-    independent pairs: 1 - (1 - p_suc(v_leaf, delta)**2)**n_pairs.
+    independent pairs: 1 - (1 - p_suc(v_leaf, delta)**2)**n_pairs, evaluated
+    by ``_any_fails`` with a pair's pass as its event.
     """
     _check_tree_spec(spec)
     p_pair = hrm_mod.p_suc(segment_variance(spec), spec.hrm.delta) ** 2
-    return 1.0 - (1.0 - p_pair) ** tree.n_pairs
+    return _any_fails((p_pair, tree.n_pairs))
 
 
 def _chain_acceptance(spec: ProtocolSpec, tree: TreeShape, mode: DecodingMode) -> float:
@@ -309,19 +309,15 @@ def tree_key_rate(
 ) -> RatePoint:
     """Secure key rate of the tree-encoded two-way protocol.
 
-    E_AB accumulates the per-station error over n_qr stations exactly like the
-    bare chain; the success probability is 1 for path selection and the
-    every-station-accepts probability for the postselected mode. Passing
-    precomputed ``components`` skips the component evaluation.
+    E_AB accumulates the per-station error E_QR over n_qr stations like the
+    bare chain (``RatePoint.of``); the success probability is 1 for path
+    selection and the every-station-accepts probability for the postselected
+    mode. Passing precomputed ``components`` skips the component evaluation.
     """
     comps = components if components is not None else component_errors(
         spec, tree, mode, prep_delta
     )
-    e_qr = repeater_error(comps)
-    e_ab = chain_error(min(e_qr, 0.5), spec.n_qr)
-    p_suc_total = _chain_acceptance(spec, tree, mode)
-    rate = p_suc_total * (1.0 - 2.0 * binary_entropy(e_ab))
-    return RatePoint.of(spec, e_qr, e_ab, p_suc_total, rate)
+    return RatePoint.of(spec, repeater_error(comps), _chain_acceptance(spec, tree, mode))
 
 
 #: Fusing the cluster consumes two GKP qubits per Bell measurement. The 60

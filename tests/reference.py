@@ -6,6 +6,10 @@ the former, and the tree code evaluates majority votes in closed form. Both
 stay here as independent oracles for the code that does. The lattice sums
 themselves are checked against :func:`lattice_mass_mp`, the same windows
 summed at 60 digits with mpmath, which is imported only when it is called.
+The ``*_mp`` composition forms below write each 1 - product of independent
+survivals literally, as the docstrings of :mod:`gkp_repeater.tree_code` and
+``protocols.chain_error`` state it, and return mpmath numbers good to at
+least 60 significant digits.
 """
 
 import math
@@ -76,3 +80,62 @@ def enumerate_majority3(e: float) -> float:
                 prob *= e if bit else (1.0 - e)
             total += prob
     return total
+
+
+#: Working digits of the composition forms. 1 - x then resolves every x down
+#: to 1e-640, so inputs down to 1e-300, whose quadratic terms reach 1e-600,
+#: keep 60 significant digits through the literal, cancelling forms.
+COMPOSITION_DPS = 700
+
+
+def majority3_mp(e):
+    """Majority-of-three failure 3 e**2 (1 - e) + e**3."""
+    import mpmath
+
+    with mpmath.workdps(COMPOSITION_DPS):
+        e = mpmath.mpf(e)
+        return 3 * e**2 * (1 - e) + e**3
+
+
+def encoded_x_error_mp(e_b_p):
+    """E_X = 1 - (1 - majority3(e_b_p))**3."""
+    import mpmath
+
+    with mpmath.workdps(COMPOSITION_DPS):
+        return 1 - (1 - majority3_mp(e_b_p)) ** 3
+
+
+def encoded_z_error_mp(e_a_p, e_b_q):
+    """E_Z = majority3(p_block), p_block = 1 - (1 - e_a_p) (1 - e_b_q)**3."""
+    import mpmath
+
+    with mpmath.workdps(COMPOSITION_DPS):
+        return majority3_mp(1 - (1 - mpmath.mpf(e_a_p)) * (1 - mpmath.mpf(e_b_q)) ** 3)
+
+
+def repeater_error_mp(components):
+    """E_QR = 1 - (1 - e_leaf)(1 - e_prep)(1 - E_X)(1 - E_Z)**4 of a
+    ``tree_code.ComponentErrors``."""
+    import mpmath
+
+    with mpmath.workdps(COMPOSITION_DPS):
+        e_x = encoded_x_error_mp(components.e_b_p)
+        e_z = encoded_z_error_mp(components.e_a_p, components.e_b_q)
+        survive = (1 - mpmath.mpf(components.e_leaf)) * (1 - mpmath.mpf(components.e_prep))
+        return 1 - survive * (1 - e_x) * (1 - e_z) ** 4
+
+
+def station_acceptance_mp(p_pair, n_pairs):
+    """At least one of n_pairs pairs passes: 1 - (1 - p_pair)**n_pairs."""
+    import mpmath
+
+    with mpmath.workdps(COMPOSITION_DPS):
+        return 1 - (1 - mpmath.mpf(p_pair)) ** n_pairs
+
+
+def chain_error_mp(e, n_qr):
+    """Odd number of flips over n_qr segments: (1 - (1 - 2e)**n_qr) / 2."""
+    import mpmath
+
+    with mpmath.workdps(COMPOSITION_DPS):
+        return (1 - (1 - 2 * mpmath.mpf(e)) ** n_qr) / 2

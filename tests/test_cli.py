@@ -17,12 +17,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gkp_repeater
 from gkp_repeater import cli, hrm, tree_code
 from gkp_repeater.hrm import HrmPolicy
-from gkp_repeater.noise_core import SqueezingSpec
-from gkp_repeater.protocols import ProtocolSpec, Variant, secure_key_rate, segment_variance
+from gkp_repeater.noise_core import DEFAULT_ATTENUATION_KM, SqueezingSpec
+from gkp_repeater.protocols import (
+    ProtocolSpec, Variant, plob_bound, secure_key_rate, segment_variance,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 RECIPES = Path(__file__).resolve().parents[1] / "recipes"
@@ -244,6 +248,34 @@ class TestRateTreeProtocols:
 
     def test_choices_are_the_sweep_protocols(self):
         assert option(build_subparser("rate"), "protocol").choices == cli.PROTOCOL_CHOICES
+
+
+class TestLinkCapacity:
+    """No printed row beats the secret-key capacity -log2(1 - eta) of its
+    weakest link: l0 for the one-way variants, l0/2 for the two-way variants
+    and the tree, whose mid-segment sources are nodes of the chain."""
+
+    # n_qr starts at 1: a repeaterless hop reads E_AB = 0 and R = 1 by
+    # chain_error's convention (ROADMAP item 2), which cannot change before
+    # bench/refcheck.py, the benchmark's reference checker, learns the new
+    # single-hop convention. Each tree-path-selection example at a new leaf
+    # variance costs a ~50 ms cell sum, so the examples stay few.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        protocol=st.sampled_from(cli.PROTOCOL_CHOICES),
+        squeezing_db=st.floats(min_value=10.0, max_value=40.0),
+        delta=st.floats(min_value=0.0, max_value=SQRT_PI / 4),
+        nqr=st.integers(min_value=1, max_value=1700),
+        distance=st.floats(min_value=1.0, max_value=5000.0),
+    )
+    def test_rate_is_below_the_weakest_link(self, protocol, squeezing_db, delta, nqr, distance):
+        spec, point = cli._evaluate(
+            protocol, nqr, distance / (nqr + 1), squeezing_db, delta, DEFAULT_ATTENUATION_KM
+        )
+        link = spec.l0_km / 2 if spec.variant.half_segment else spec.l0_km
+        assert point.rate <= plob_bound(link, spec.latt_km)
+        assert point.rate <= 1.0
+        assert 0.0 <= point.ex_ab <= 0.5
 
 
 class TestSharedFlags:
@@ -781,11 +813,11 @@ class TestOutputFreeze:
         ),
         "resources": (
             ["resources", "--mode", "hrm", "--nqr", "332", "--l0", "3", "--format", "json"],
-            "dbab73316954ea8dc4b0b7667e0b7290fb25c4c00049199cc9e4d1a40a63fde5",
+            "2daaa984c6335c1cedeee3441e2b8c8079dc3d441b3d0e0d84fd5536b204d1bc",
         ),
         "tree_key_rates": (
             ["sweep", "--config", str(RECIPES / "tree_key_rates.cfg")],
-            "8807d6c5a078f23ebaa23d976637e97cbf89beda2bd844a0fd5d10cf2d7e3039",
+            "e482100671964c73c03ad449e2cd26abb518e2d16b0384911dddc06c4bc19a29",
         ),
         "mc_validate": (
             ["mc-validate", "--trials", "20000", "--seed", "7", "--scope", "all"],
@@ -828,17 +860,27 @@ for argv in sys.argv[1:]:
         "resources --mode path-selection --nqr 332 --l0 3",
     )
 
-    def loaded(self, *commands, block_numpy=False):
-        """Run the commands in one child; return its stdout lines and stderr."""
+    RECIPE_SCRIPT = """
+import sys
+from gkp_repeater import cli
+sys.exit(max(cli.main(["sweep", "--config", path]) for path in sys.argv[1:]))
+"""
+
+    def child(self, script, *args, block_numpy=False):
+        """Run script with args in a child; return its stdout and stderr bytes."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        script = ("import sys; sys.modules['numpy'] = None\n" if block_numpy else "") + self.SCRIPT
+        script = ("import sys; sys.modules['numpy'] = None\n" if block_numpy else "") + script
         child = subprocess.run(
-            [sys.executable, "-c", script, *commands],
-            capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, "-c", script, *args], capture_output=True, env=env, timeout=120,
         )
-        assert child.returncode == 0, child.stderr
-        return child.stdout.splitlines(), child.stderr
+        assert child.returncode == 0, child.stderr.decode()
+        return child.stdout, child.stderr
+
+    def loaded(self, *commands, block_numpy=False):
+        """Run the commands in one child; return its stdout lines and stderr."""
+        out, err = self.child(self.SCRIPT, *commands, block_numpy=block_numpy)
+        return out.decode().splitlines(), err.decode()
 
     def test_analytic_commands_load_neither(self):
         lines, _ = self.loaded(*self.ANALYTIC)
@@ -853,6 +895,13 @@ for argv in sys.argv[1:]:
                                  block_numpy=True)
         assert lines == ["[]"] + ["0 []"] * 6 + ["1 []"]
         assert err == "error: mc-validate needs numpy: pip install 'gkp-repeater[mc]'\n"
+
+    def test_recipes_print_the_same_bytes_without_numpy(self):
+        recipes = sorted(str(path) for path in RECIPES.glob("*.cfg"))
+        assert len(recipes) == 4
+        out, err = self.child(self.RECIPE_SCRIPT, *recipes)
+        assert out.count(b"\n") > 2_000 and err == b""
+        assert self.child(self.RECIPE_SCRIPT, *recipes, block_numpy=True) == (out, err)
 
 
 class TestLazySubmodules:

@@ -31,6 +31,7 @@ from gkp_repeater.protocols import (
     ProtocolSpec,
     SegmentErrors,
     Variant,
+    _any_fails,
     binary_entropy,
     chain_error,
     crossover_eta,
@@ -47,7 +48,7 @@ from gkp_repeater.tree_code import (
     majority3,
     single_qubit_variance,
 )
-from reference import pfail
+from reference import chain_error_mp, pfail
 
 SQRT_PI = math.sqrt(math.pi)
 SQ15 = SqueezingSpec.from_db(15.0)
@@ -207,6 +208,29 @@ class TestSegmentErrors:
                 assert segment_errors(spec_for(variant, l0=l0)).ex <= 0.5 + 1e-15
 
 
+def is_plus_zero(value: float) -> bool:
+    return value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+class TestAnyFails:
+    def test_no_trials_is_plus_zero(self):
+        # log1p(-1) is a domain error, so a p = 1 event with k = 0 must drop out.
+        assert is_plus_zero(_any_fails((1.0, 0)))
+        assert is_plus_zero(_any_fails((1.0, 0), (0.3, 0)))
+
+    def test_certain_failure_is_one(self):
+        assert _any_fails((1.0, 2)) == 1.0
+        assert _any_fails((1e-3, 5), (1.0, 1)) == 1.0
+
+    def test_no_failure_is_plus_zero(self):
+        assert is_plus_zero(_any_fails())
+        assert is_plus_zero(_any_fails((0.0, 3)))
+        assert is_plus_zero(_any_fails((0.0, 1), (0.0, 4)))
+
+    def test_repeaterless_hop_at_half(self):
+        assert chain_error(0.5, 0) == 0
+
+
 class TestChainError:
     def test_single_segment_passthrough(self):
         assert chain_error(0.037, 1) == pytest.approx(0.037, rel=1e-15)
@@ -247,17 +271,15 @@ class TestChainError:
     )
     def test_against_mpmath(self, e, n):
         # (1 - (1 - 2e)**n) / 2 cancels for small e; the program must not.
-        mpmath = pytest.importorskip("mpmath")
-        # 360 digits resolve 1 - 2e for every double e, subnormals included.
-        with mpmath.workdps(360):
-            expected = (1 - (1 - 2 * mpmath.mpf(e)) ** n) / 2
+        pytest.importorskip("mpmath")
+        # The reference's digits resolve 1 - 2e for every double e, subnormals included.
         value = chain_error(e, n)
-        assert value == pytest.approx(float(expected), rel=1e-13, abs=1e-300)
+        assert value == pytest.approx(float(chain_error_mp(e, n)), rel=1e-13, abs=1e-300)
         assert math.copysign(1.0, value) == 1.0
 
     def test_small_error_does_not_cancel(self):
-        assert chain_error(1e-12, 10) == pytest.approx(1e-11, rel=1e-10)
-        assert chain_error(1e-300, 1666) == pytest.approx(1.666e-297, rel=1e-12)
+        assert chain_error(1e-12, 10) == pytest.approx(1e-11, rel=1e-10, abs=0.0)
+        assert chain_error(1e-300, 1666) == pytest.approx(1.666e-297, rel=1e-12, abs=0.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

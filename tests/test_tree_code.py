@@ -2,18 +2,21 @@
 composition, key rates, and qubit resource counts."""
 
 import math
+import sys
 from collections import defaultdict
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from gkp_repeater import hrm as hrm_mod
 from gkp_repeater.hrm import HrmPolicy, e_hrm
 from gkp_repeater.mc_oracle import TrialConfig, simulate_path_selection
 from gkp_repeater.noise_core import SqueezingSpec
-from gkp_repeater.protocols import ProtocolSpec, Variant, segment_variance
+from gkp_repeater.protocols import ProtocolSpec, Variant, chain_error, segment_variance
 from gkp_repeater import tree_code
 from gkp_repeater.tree_code import (
     ComponentErrors,
@@ -29,6 +32,14 @@ from gkp_repeater.tree_code import (
     single_qubit_variance,
     station_acceptance,
     tree_key_rate,
+)
+from reference import (
+    chain_error_mp,
+    encoded_x_error_mp,
+    encoded_z_error_mp,
+    majority3_mp,
+    repeater_error_mp,
+    station_acceptance_mp,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -185,6 +196,78 @@ class TestRepeaterError:
             * (1 - encoded_z_error(0.002, 0.004)) ** 4
         )
         assert repeater_error(comps) == pytest.approx(expected, rel=1e-14)
+
+
+def assert_matches_mp(value, reference):
+    """value within 1e-13 of the high-precision reference. Below the normal
+    range a double holds fewer digits, so there it may be 16 subnormal steps
+    off."""
+    want = float(reference)
+    slack = 0.0 if want >= sys.float_info.min else 16 * 5e-324
+    assert value == pytest.approx(want, rel=1e-13, abs=slack)
+
+
+def leaf_pair_acceptance(spec):
+    """The probability that one leaf pair passes, as station_acceptance uses it."""
+    return hrm_mod.p_suc(segment_variance(spec), spec.hrm.delta) ** 2
+
+
+class TestCompositionAgainstMpmath:
+    """Every 1 - product of the station composition, from the same float
+    components, against its literal form at high precision (reference.py)."""
+
+    @pytest.mark.parametrize("mode", list(DecodingMode))
+    @pytest.mark.parametrize("db", [10.0, 15.0, 20.0, 30.0, 40.0])
+    def test_published_squeezing_range(self, db, mode):
+        pytest.importorskip("mpmath")
+        spec = ProtocolSpec(Variant.TWO_WAY_CC, 332, 3.0, SqueezingSpec.from_db(db),
+                            HrmPolicy(SQRT_PI / 6))
+        comps = component_errors(spec, mode=mode)
+        e_qr = repeater_error(comps)
+        checks = [
+            (majority3(comps.e_b_p), majority3_mp(comps.e_b_p)),
+            (encoded_x_error(comps.e_b_p), encoded_x_error_mp(comps.e_b_p)),
+            (encoded_z_error(comps.e_a_p, comps.e_b_q), encoded_z_error_mp(comps.e_a_p, comps.e_b_q)),
+            (e_qr, repeater_error_mp(comps)),
+            (tree_key_rate(spec, mode=mode, components=comps).ex_ab, chain_error_mp(e_qr, 332)),
+            (station_acceptance(spec), station_acceptance_mp(leaf_pair_acceptance(spec), 5)),
+        ]
+        for value, reference in checks:
+            assert value == pytest.approx(float(reference), rel=1e-13, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        exponents=st.lists(st.floats(min_value=-300.0, max_value=math.log10(0.5)),
+                           min_size=5, max_size=5),
+        n_qr=st.integers(min_value=0, max_value=1700),
+    )
+    def test_log_uniform_components(self, exponents, n_qr):
+        pytest.importorskip("mpmath")
+        comps = ComponentErrors(*(10.0**x for x in exponents))
+        assert_matches_mp(majority3(comps.e_b_p), majority3_mp(comps.e_b_p))
+        assert_matches_mp(encoded_x_error(comps.e_b_p), encoded_x_error_mp(comps.e_b_p))
+        assert_matches_mp(encoded_z_error(comps.e_a_p, comps.e_b_q),
+                          encoded_z_error_mp(comps.e_a_p, comps.e_b_q))
+        e_qr = repeater_error(comps)
+        assert_matches_mp(e_qr, repeater_error_mp(comps))
+        e_station = min(e_qr, 0.5)
+        assert_matches_mp(chain_error(e_station, n_qr), chain_error_mp(e_station, n_qr))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        db=st.floats(min_value=10.0, max_value=40.0),
+        gap=st.floats(min_value=0.0, max_value=15.0),
+        l0=st.floats(min_value=0.1, max_value=50.0),
+        n_pairs=st.integers(min_value=1, max_value=500),
+    )
+    def test_station_acceptance_at_any_margin(self, db, gap, l0, n_pairs):
+        # Margins up to 1e-15 short of sqrt(pi)/2 take a pair's acceptance
+        # down to ~1e-30, where the literal form cancels.
+        pytest.importorskip("mpmath")
+        delta = SQRT_PI / 2 * (1.0 - 10.0**-gap)
+        spec = ProtocolSpec(Variant.TWO_WAY_CC, 1, l0, SqueezingSpec.from_db(db), HrmPolicy(delta))
+        assert_matches_mp(station_acceptance(spec, TreeShape(2 * n_pairs)),
+                          station_acceptance_mp(leaf_pair_acceptance(spec), n_pairs))
 
 
 class TestTreeShape:
