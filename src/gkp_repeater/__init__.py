@@ -35,7 +35,6 @@ from .noise_core import (
     SqueezingSpec,
     amplifier_added_variance,
     eta_from_distance,
-    sigma2_to_db,
     squeezing_db_to_sigma2,
 )
 from .protocols import (
@@ -90,7 +89,6 @@ __all__ = [
     "secure_key_rate",
     "segment_errors",
     "segment_variance",
-    "sigma2_to_db",
     "squeezing_db_to_sigma2",
 ]
 

@@ -285,22 +285,12 @@ def cmd_sweep(args) -> int:
 # mc-validate
 
 
-def _binomial_z(estimate: mc_oracle.McEstimate, p: float) -> float:
-    """Z-score of an estimate's count against the analytic success probability."""
-    n = estimate.n_effective
-    successes = round(estimate.mean * n)
-    if n == 0:
-        return math.inf
-    if p <= 0.0 or p >= 1.0:
-        return 0.0 if successes == round(n * p) else math.inf
-    return (successes - n * p) / math.sqrt(n * p * (1.0 - p))
-
-
 def _validation_cases(scope: str):
     """The validation matrix in print order, one (sampler, cases) pair per
-    sampler call. sampler(config) returns an McEstimate, or a tuple whose
-    leading estimates pair with the (label, analytic) cases. An exact
-    enumeration has no sampler, and its cases are (label, analytic, exact).
+    sampler call. sampler(config) returns an McEstimate, the success count
+    of one run, or a tuple whose leading estimates pair with the (label,
+    analytic) cases. An exact enumeration has no sampler, and its cases are
+    (label, analytic, exact).
     """
 
     def spec(variant, l0, margin="0"):
@@ -342,14 +332,11 @@ def _validation_cases(scope: str):
 
 
 def _validation_rows(scope: str, trials: int, seed: int) -> list[dict]:
-    if scope in ("tree", "all"):
-        # Load the lazy tree module before any sampler runs. Loaded after
-        # them, its objects take heap that their freed buffers left, and
-        # peak RSS rises by ~0.5 MB.
-        tree_code.DecodingMode
     rows = []
     stream = 0
-    for sampler, cases in _validation_cases(scope):
+    # Build the whole matrix, the lazy tree module's values included, before
+    # the first sampler runs.
+    for sampler, cases in list(_validation_cases(scope)):
         if sampler is None:
             results = [(exact, 0.0, 0.0 if abs(analytic - exact) <= 1e-12 else math.inf)
                        for _, analytic, exact in cases]
@@ -358,7 +345,7 @@ def _validation_rows(scope: str, trials: int, seed: int) -> list[dict]:
             estimates = sampler(mc_oracle.TrialConfig(n_trials=trials, seed=seed + stream))
             if isinstance(estimates, mc_oracle.McEstimate):
                 estimates = (estimates,)
-            results = [(e.mean, e.std_err, _binomial_z(e, analytic))
+            results = [(e.mean, e.std_err, e.z(analytic))
                        for (_, analytic), e in zip(cases, estimates)]
         for (label, analytic, *_), (mc_mean, std_err, z) in zip(cases, results):
             rows.append({"quantity": label, "analytic": analytic, "mc_mean": mc_mean,

@@ -94,23 +94,32 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Binomial point estimate with its normal-approximation standard error.
+    """Binomial count of a Monte Carlo run: successes out of n_effective, the
+    denominator actually used (accepted trials for postselected quantities,
+    all trials otherwise). The mean, its normal-approximation standard error
+    (both 0 with no trials) and the z-score derive from the count."""
 
-    n_effective is the denominator actually used (accepted trials for
-    postselected quantities, all trials otherwise).
-    """
-
-    mean: float
-    std_err: float
+    successes: int
     n_effective: int
 
-    @classmethod
-    def from_counts(cls, successes: int, n_effective: int) -> "McEstimate":
-        if n_effective <= 0:
-            return cls(0.0, 0.0, 0)
-        mean = successes / n_effective
-        std_err = math.sqrt(mean * (1.0 - mean) / n_effective)
-        return cls(mean=mean, std_err=std_err, n_effective=n_effective)
+    @property
+    def mean(self) -> float:
+        return self.successes / self.n_effective if self.n_effective else 0.0
+
+    @property
+    def std_err(self) -> float:
+        mean, n = self.mean, self.n_effective
+        return math.sqrt(mean * (1.0 - mean) / n) if n else 0.0
+
+    def z(self, p: float) -> float:
+        """Z-score of the count against the success probability p: inf with
+        no trials, and for p of 0 or 1 zero on the exact count, else inf."""
+        k, n = self.successes, self.n_effective
+        if n == 0:
+            return math.inf
+        if p <= 0.0 or p >= 1.0:
+            return 0.0 if k == round(n * p) else math.inf
+        return (k - n * p) / math.sqrt(n * p * (1.0 - p))
 
 
 def _normal(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarray:
@@ -289,8 +298,8 @@ def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEs
     _require("sigma2", sigma2, "be nonnegative", sigma2 >= 0)
     v_up = hrm_mod.HrmPolicy(delta).v_up
     n_accepted, n_errors = _postselected(config, [((math.sqrt(sigma2),), True)], v_up)
-    err = McEstimate.from_counts(n_errors, n_accepted)
-    suc = McEstimate.from_counts(n_accepted, config.n_trials)
+    err = McEstimate(n_errors, n_accepted)
+    suc = McEstimate(n_accepted, config.n_trials)
     return err, suc
 
 
@@ -317,7 +326,7 @@ def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEst
     # Per round the q outcome decides the flip; the p outcome only gates.
     draws = [(sigmas, True), (sigmas, False)] * spec.variant.rounds
     n_accepted, n_flips = _postselected(config, draws, spec.hrm.v_up)
-    return McEstimate.from_counts(n_flips, n_accepted)
+    return McEstimate(n_flips, n_accepted)
 
 
 def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig) -> McEstimate:
@@ -367,7 +376,7 @@ def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig
         return (sum(sample_chunk(rng, m, work) for _, m in _chunks(n, size, 2 * n_pairs)),)
 
     (n_errors,) = _run_batches(config, sample_batch, floats=[size] * 3, bools=[size, chunk])
-    return McEstimate.from_counts(n_errors, config.n_trials)
+    return McEstimate(n_errors, config.n_trials)
 
 
 def simulate_majority_vote(e: float, config: TrialConfig) -> McEstimate:
@@ -387,7 +396,7 @@ def simulate_majority_vote(e: float, config: TrialConfig) -> McEstimate:
         return (n_fail,)
 
     (n_fail,) = _run_batches(config, sample_batch, floats=[size], bools=[size, size // 3])
-    return McEstimate.from_counts(n_fail, config.n_trials)
+    return McEstimate(n_fail, config.n_trials)
 
 
 def simulate_tree_repeater(
@@ -446,10 +455,10 @@ def simulate_tree_repeater(
     (n_fail,) = _run_batches(
         config, sample_batch, floats=[size] * 2, bools=[size, size, 3 * size]
     )
-    return McEstimate.from_counts(n_fail, config.n_trials)
+    return McEstimate(n_fail, config.n_trials)
 
 
-def enumerate_encoded_x_error(e_b_p: float) -> float:
+def enumerate_encoded_x_error(e_single: float) -> float:
     """Exact bit-flip-protected encoded error by summing all 2**9 patterns.
 
     Nine ancilla outcomes, three per node; the encoded measurement fails when
@@ -461,6 +470,6 @@ def enumerate_encoded_x_error(e_b_p: float) -> float:
         if nodes_bad:
             prob = 1.0
             for bit in pattern:
-                prob *= e_b_p if bit else (1.0 - e_b_p)
+                prob *= e_single if bit else (1.0 - e_single)
             total += prob
     return total

@@ -104,14 +104,3 @@ def squeezing_db_to_sigma2(db: float) -> float:
         return 10.0 ** (-db / 10.0) / 2.0
     except OverflowError:  # below about -3,082 dB
         raise ValueError(f"squeezing of {db} dB is out of range: its tooth variance overflows") from None
-
-
-def sigma2_to_db(sigma2: float) -> float:
-    """Squeezing level in dB for a tooth variance: -10*log10(2*sigma2).
-
-    sigma2 = 0 maps to +inf (ideal code states).
-    """
-    _require("sigma2", sigma2, "be nonnegative", sigma2 >= 0)
-    if sigma2 == 0:
-        return math.inf
-    return -10.0 * math.log10(2.0 * sigma2)

@@ -15,12 +15,16 @@ over three-qubit blocks. Two decoding modes are supported:
   over the residue distribution, computed by quadrature over lattice sums
   (``_path_selection_leaf_error``).
 
-Per-station error composition (all components assumed independent):
+Every node and ancilla qubit also crosses l0/2 of fiber with its outcome
+rescaled, so all of them share one outcome variance v_single and fail with
+one probability e_single. Per-station error composition (all components
+assumed independent):
 
     E_QR = 1 - (1 - e_leaf) (1 - e_prep) (1 - E_X) (1 - E_Z)**4
 
-where E_X protects against bit flips via three ancilla-triple majority votes
-and E_Z against phase flips via a majority over three node+ancilla blocks.
+where E_X = 1 - (1 - majority3(e_single))**3 protects against bit flips via
+three ancilla-triple majority votes and E_Z = majority3(1 - (1 - e_single)**4)
+against phase flips via a majority over three node+ancilla blocks.
 This 1 - product, and those inside E_X, E_Z and the station acceptance, are
 evaluated by ``protocols._any_fails``, so small component errors do not cancel.
 Cluster construction by HRM-checked fusions contributes
@@ -81,16 +85,16 @@ class TreeShape:
 
 @dataclass(frozen=True)
 class ComponentErrors:
-    """Error probabilities of the pieces entering one station's decoding."""
+    """Error probabilities of the pieces entering one station's decoding: the
+    selected leaf pair, any one node or ancilla outcome (all of which share
+    the variance v_single), and cluster construction."""
 
     e_leaf: float
-    e_a_p: float
-    e_b_p: float
-    e_b_q: float
+    e_single: float
     e_prep: float
 
     def __post_init__(self) -> None:
-        for name in ("e_leaf", "e_a_p", "e_b_p", "e_b_q", "e_prep"):
+        for name in ("e_leaf", "e_single", "e_prep"):
             value = getattr(self, name)
             _require(name, value, "be a probability", 0.0 <= value <= 1.0)
 
@@ -102,44 +106,44 @@ def majority3(e: float) -> float:
     return 3.0 * e * e * (1.0 - e) + e**3
 
 
-def encoded_x_error(e_b_p: float, printed_formula: bool = False) -> float:
+def encoded_x_error(e_single: float, printed_formula: bool = False) -> float:
     """Bit-flip-protected encoded measurement error.
 
     Each of the three node values is recovered by a majority vote over its
-    three ancilla outcomes and the encoded measurement fails if any node's
-    vote does:
+    three ancilla outcomes, each wrong with probability e_single, and the
+    encoded measurement fails if any node's vote does:
 
-        E_X = 1 - (1 - majority3(e_b_p))**3      ~ 9*e_b_p**2 for small error,
+        E_X = 1 - (1 - majority3(e_single))**3  ~ 9*e_single**2 for small error,
 
-    evaluated as ``_any_fails((majority3(e_b_p), 3))``.
+    evaluated as ``_any_fails((majority3(e_single), 3))``.
 
-    ``printed_formula=True`` switches the per-node term to 3*(1-e_b_p)**2.
+    ``printed_formula=True`` switches the per-node term to 3*(1-e_single)**2.
     That expression tends to 3 as the error vanishes and exceeds 1 already at
-    e_b_p = 0.01, so it is non-physical; it is kept only for auditing against
-    the majority-vote form, evaluated literally so that its value above 1
-    shows, and must not be used in rate calculations.
+    e_single = 0.01, so it is non-physical; it is kept only for auditing
+    against the majority-vote form, evaluated literally so that its value
+    above 1 shows, and must not be used in rate calculations.
     """
-    _require("e_b_p", e_b_p, "be a probability", 0.0 <= e_b_p <= 1.0)
+    _require("e_single", e_single, "be a probability", 0.0 <= e_single <= 1.0)
     if printed_formula:
-        return 1.0 - (1.0 - 3.0 * (1.0 - e_b_p) ** 2) ** 3
-    return _any_fails((majority3(e_b_p), 3))
+        return 1.0 - (1.0 - 3.0 * (1.0 - e_single) ** 2) ** 3
+    return _any_fails((majority3(e_single), 3))
 
 
-def encoded_z_error(e_a_p: float, e_b_q: float) -> float:
+def encoded_z_error(e_single: float) -> float:
     """Phase-flip-protected encoded measurement error.
 
     Each of three blocks combines one node outcome with its three ancilla
     outcomes and is wrong when any of the four is:
 
-        p_block = 1 - (1 - e_a_p) * (1 - e_b_q)**3,
+        p_block = 1 - (1 - e_single)**4,
 
-    evaluated as ``_any_fails((e_a_p, 1), (e_b_q, 3))``. The encoded value is
-    a majority over the three blocks, so E_Z = majority3(p_block), whose
-    leading order 3*p_block**2 matches the small-error expansion.
+    evaluated as ``_any_fails((e_single, 4))``. The encoded value is a
+    majority over the three blocks, so E_Z = majority3(p_block), whose
+    leading order 3*p_block**2 ~ 48*e_single**2 matches the small-error
+    expansion.
     """
-    for name, value in (("e_a_p", e_a_p), ("e_b_q", e_b_q)):
-        _require(name, value, "be a probability", 0.0 <= value <= 1.0)
-    return majority3(_any_fails((e_a_p, 1), (e_b_q, 3)))
+    _require("e_single", e_single, "be a probability", 0.0 <= e_single <= 1.0)
+    return majority3(_any_fails((e_single, 4)))
 
 
 def prep_error(sigma2: float, delta: float = DEFAULT_PREP_DELTA) -> float:
@@ -160,10 +164,10 @@ def repeater_error(components: ComponentErrors) -> float:
     """Per-station error of the encoded measurement chain.
 
     E_QR = 1 - (1-e_leaf)(1-e_prep)(1-E_X)(1-E_Z)**4 with E_X and E_Z built
-    from the component errors, evaluated by ``_any_fails``.
+    from the one single-qubit error e_single, evaluated by ``_any_fails``.
     """
-    e_x = encoded_x_error(components.e_b_p)
-    e_z = encoded_z_error(components.e_a_p, components.e_b_q)
+    e_x = encoded_x_error(components.e_single)
+    e_z = encoded_z_error(components.e_single)
     return _any_fails((components.e_leaf, 1), (components.e_prep, 1), (e_x, 1), (e_z, 4))
 
 
@@ -233,12 +237,15 @@ def _path_selection_leaf_error(v_leaf: float, n_pairs: int) -> float:
     the closed forms 0 at v_leaf = 0, 3/4 once the residues are uniform and
     1 - (1 - e_hrm(v_leaf))**2 for one pair up to the cell sums' rounding,
     which grows with n_pairs: uniform residues give 0.74999999996 at 500 pairs.
+    Where both cell sums are near underflow (v_leaf ~ 0.0017-0.0020 at 5
+    pairs) the extrapolation can read below 0, by up to ~1e-270, so it is
+    clamped at 0: finer cells put the value there below ~3e-270.
     The cache is one of ``hrm.COMMAND_CACHES``, cleared at the start of each
     command, and unbounded: a sweep visits its spacings once per margin, a
     cycle that a bounded LRU would evict whole.
     """
     fine = _selected_pair_error(v_leaf, n_pairs, 2 * _LEAF_CELLS)
-    return (4.0 * fine - _selected_pair_error(v_leaf, n_pairs, _LEAF_CELLS)) / 3.0
+    return max(0.0, (4.0 * fine - _selected_pair_error(v_leaf, n_pairs, _LEAF_CELLS)) / 3.0)
 
 
 hrm_mod.COMMAND_CACHES.append(_path_selection_leaf_error)
@@ -255,29 +262,23 @@ def component_errors(
 
     Node and ancilla single-qubit measurements are never postselected (the
     HRM margin applies only to leaf Bell measurements and to construction
-    fusions), so they fail at the unpostselected rate of their outcome
-    variance. In path-selection mode the leaf error is that of the
-    maximum-likelihood pair (``_path_selection_leaf_error``); it depends only
-    on the leaf variance and n_pairs, so it ignores the HRM margin. ``mc`` is
-    accepted for compatibility and unused: no Monte Carlo enters a rate.
+    fusions), so they fail at the unpostselected rate e_single of their
+    shared outcome variance v_single. In path-selection mode the leaf error
+    is that of the maximum-likelihood pair (``_path_selection_leaf_error``);
+    it depends only on the leaf variance and n_pairs, so it ignores the HRM
+    margin. ``mc`` is accepted for compatibility and unused: no Monte Carlo
+    enters a rate.
     """
     _check_tree_spec(spec)
     mode = DecodingMode(mode)
     # Both leaves of a pair crossed l0/2: the bare two-way-cc segment variance.
     v_leaf = segment_variance(spec)
-    v_single = single_qubit_variance(spec)
-    e_single = hrm_mod.e_hrm(v_single, 0.0)
+    e_single = hrm_mod.e_hrm(single_qubit_variance(spec), 0.0)
     if mode is DecodingMode.HRM_POSTSELECTED:
         e_leaf = hrm_mod.e_hrm(v_leaf, spec.hrm.delta)
     else:
         e_leaf = _path_selection_leaf_error(v_leaf, tree.n_pairs)
-    return ComponentErrors(
-        e_leaf=e_leaf,
-        e_a_p=e_single,
-        e_b_p=e_single,
-        e_b_q=e_single,
-        e_prep=prep_error(spec.squeezing.sigma2, prep_delta),
-    )
+    return ComponentErrors(e_leaf, e_single, prep_error(spec.squeezing.sigma2, prep_delta))
 
 
 def station_acceptance(spec: ProtocolSpec, tree: TreeShape = TreeShape()) -> float:
@@ -329,20 +330,23 @@ CONSTRUCTION_QUBITS_PER_CLUSTER = 60
 
 @dataclass(frozen=True)
 class ResourceCount:
-    """Expected GKP-qubit cost of one end-to-end transmission attempt chain.
-
-    total_qubits counts the qubits of the final clusters divided by the
-    acceptance probability (expected repetitions until every station
-    succeeds); construction_overhead_multiplier is the separate factor by
-    which the fusion-consumed qubits would inflate the count and is reported,
-    not applied.
-    """
+    """Expected GKP-qubit cost of one end-to-end transmission attempt chain."""
 
     n_clusters: int
     qubits_per_cluster: int
     acceptance: float
-    total_qubits: float
-    construction_overhead_multiplier: float
+
+    @property
+    def total_qubits(self) -> float:
+        """Qubits of the final clusters divided by the acceptance probability
+        (expected repetitions until every station succeeds)."""
+        return self.n_clusters * self.qubits_per_cluster / self.acceptance
+
+    @property
+    def construction_overhead_multiplier(self) -> float:
+        """The separate factor by which the fusion-consumed qubits would
+        inflate the count; reported, not applied."""
+        return (self.qubits_per_cluster + CONSTRUCTION_QUBITS_PER_CLUSTER) / self.qubits_per_cluster
 
 
 def resource_count(
@@ -359,15 +363,6 @@ def resource_count(
     skips its evaluation.
     """
     _check_tree_spec(spec)
-    n_clusters = spec.n_qr + 1
-    per_cluster = tree.qubits_per_cluster
     if acceptance is None:
         acceptance = _chain_acceptance(spec, tree, mode)
-    overhead = (per_cluster + CONSTRUCTION_QUBITS_PER_CLUSTER) / per_cluster
-    return ResourceCount(
-        n_clusters=n_clusters,
-        qubits_per_cluster=per_cluster,
-        acceptance=acceptance,
-        total_qubits=n_clusters * per_cluster / acceptance,
-        construction_overhead_multiplier=overhead,
-    )
+    return ResourceCount(spec.n_qr + 1, tree.qubits_per_cluster, acceptance)

@@ -97,20 +97,20 @@ def majority3_mp(e):
         return 3 * e**2 * (1 - e) + e**3
 
 
-def encoded_x_error_mp(e_b_p):
-    """E_X = 1 - (1 - majority3(e_b_p))**3."""
+def encoded_x_error_mp(e_single):
+    """E_X = 1 - (1 - majority3(e_single))**3."""
     import mpmath
 
     with mpmath.workdps(COMPOSITION_DPS):
-        return 1 - (1 - majority3_mp(e_b_p)) ** 3
+        return 1 - (1 - majority3_mp(e_single)) ** 3
 
 
-def encoded_z_error_mp(e_a_p, e_b_q):
-    """E_Z = majority3(p_block), p_block = 1 - (1 - e_a_p) (1 - e_b_q)**3."""
+def encoded_z_error_mp(e_single):
+    """E_Z = majority3(p_block), p_block = 1 - (1 - e_single)**4."""
     import mpmath
 
     with mpmath.workdps(COMPOSITION_DPS):
-        return majority3_mp(1 - (1 - mpmath.mpf(e_a_p)) * (1 - mpmath.mpf(e_b_q)) ** 3)
+        return majority3_mp(1 - (1 - mpmath.mpf(e_single)) ** 4)
 
 
 def repeater_error_mp(components):
@@ -119,8 +119,8 @@ def repeater_error_mp(components):
     import mpmath
 
     with mpmath.workdps(COMPOSITION_DPS):
-        e_x = encoded_x_error_mp(components.e_b_p)
-        e_z = encoded_z_error_mp(components.e_a_p, components.e_b_q)
+        e_x = encoded_x_error_mp(components.e_single)
+        e_z = encoded_z_error_mp(components.e_single)
         survive = (1 - mpmath.mpf(components.e_leaf)) * (1 - mpmath.mpf(components.e_prep))
         return 1 - survive * (1 - e_x) * (1 - e_z) ** 4
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gkp_repeater
@@ -249,6 +249,16 @@ class TestRateTreeProtocols:
     def test_choices_are_the_sweep_protocols(self):
         assert option(build_subparser("rate"), "protocol").choices == cli.PROTOCOL_CHOICES
 
+    def test_leaf_error_near_underflow_is_a_probability(self, capsys):
+        # At 28 dB a 1/79 km segment puts the leaf variance at ~0.00187,
+        # where the unclamped path-selection extrapolation reads -3.8e-292.
+        code, out = run_cli(
+            capsys, "rate", "--protocol", "tree-path-selection", "--nqr", "78",
+            "--distance", "1", "--squeezing-db", "28", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["E_segment"] >= 0.0
+
 
 class TestLinkCapacity:
     """No printed row beats the secret-key capacity -log2(1 - eta) of its
@@ -261,6 +271,9 @@ class TestLinkCapacity:
     # single-hop convention. Each tree-path-selection example at a new leaf
     # variance costs a ~50 ms cell sum, so the examples stay few.
     @settings(max_examples=200, deadline=None)
+    # A leaf variance of ~0.00187, where the unclamped path-selection
+    # extrapolation reads below 0.
+    @example(protocol="tree-path-selection", squeezing_db=28.0, delta=0.0, nqr=78, distance=1.0)
     @given(
         protocol=st.sampled_from(cli.PROTOCOL_CHOICES),
         squeezing_db=st.floats(min_value=10.0, max_value=40.0),

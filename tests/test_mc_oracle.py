@@ -2,6 +2,7 @@
 with the analytic quantities they mirror."""
 
 import concurrent.futures
+import dataclasses
 import inspect
 import itertools
 import math
@@ -44,14 +45,6 @@ SQRT_PI = math.sqrt(math.pi)
 SQ15 = SqueezingSpec.from_db(15.0)
 
 
-def binomial_z(estimate: McEstimate, p: float) -> float:
-    n = estimate.n_effective
-    k = round(estimate.mean * n)
-    if p <= 0.0 or p >= 1.0:
-        return 0.0 if k == round(n * p) else math.inf
-    return (k - n * p) / math.sqrt(n * p * (1 - p))
-
-
 class TestDeterminismAndBatching:
     def test_identical_seeds_identical_estimates(self):
         config = TrialConfig(n_trials=300_000, seed=42)
@@ -90,7 +83,7 @@ class TestDeterminismAndBatching:
         assert abs(merged.mean - single.mean) / se < 3.29
 
     def test_estimate_invariants(self):
-        estimate = McEstimate.from_counts(25, 1000)
+        estimate = McEstimate(25, 1000)
         assert estimate.mean == 0.025
         assert estimate.std_err == pytest.approx(
             math.sqrt(0.025 * 0.975 / 1000), rel=1e-12
@@ -103,6 +96,54 @@ class TestDeterminismAndBatching:
             TrialConfig(n_trials=10, batch_size=0)
 
 
+#: (successes, n_effective) pairs: no trials, both ends, and counts whose
+#: mean k/n is not a dyadic fraction.
+COUNT_GRID = [(0, 0), (0, 1), (1, 1), (0, 7), (3, 7), (7, 7), (25, 1000), (359, 15644),
+              (1, 1_000_000), (999_999, 1_000_000), (123_456_789, 987_654_321)]
+
+
+def mean_and_std_err(successes: int, n: int) -> tuple[float, float]:
+    """Reference mean k/n and standard error sqrt(mean (1 - mean) / n), both
+    0 with no trials."""
+    if n <= 0:
+        return 0.0, 0.0
+    mean = successes / n
+    return mean, math.sqrt(mean * (1.0 - mean) / n)
+
+
+class TestMcEstimate:
+    """The estimate holds its count; mean, standard error and z derive from it."""
+
+    def test_holds_only_its_count(self):
+        assert [f.name for f in dataclasses.fields(McEstimate)] == ["successes", "n_effective"]
+
+    @pytest.mark.parametrize("k, n", COUNT_GRID)
+    def test_mean_and_std_err_are_the_stored_expressions(self, k, n):
+        estimate = McEstimate(k, n)
+        mean, std_err = mean_and_std_err(k, n)
+        assert (estimate.mean, estimate.std_err) == (mean, std_err)
+        assert math.copysign(1.0, estimate.mean) == math.copysign(1.0, mean)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_no_trials_never_pass(self, p):
+        assert McEstimate(0, 0).z(p) == math.inf
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_certain_outcomes_need_the_exact_count(self, p):
+        n = 1000
+        assert McEstimate(round(n * p), n).z(p) == 0.0
+        for k in (1, n - 1, n - round(n * p)):
+            assert McEstimate(k, n).z(p) == math.inf
+
+    @pytest.mark.parametrize("p", [1e-6, 0.028, 0.5, 0.97])
+    @pytest.mark.parametrize("k, n", [pair for pair in COUNT_GRID if pair[1]])
+    def test_interior_z_is_the_closed_form(self, k, n, p):
+        closed = (k - n * p) / math.sqrt(n * p * (1.0 - p))
+        assert McEstimate(k, n).z(p) == closed
+        # The count that round(mean * n) recovers from the mean is the count.
+        assert round(McEstimate(k, n).mean * n) == k
+
+
 class TestEstimateHrm:
     def test_no_margin_accepts_everything(self):
         _, acceptance = estimate_hrm(0.3, 0.0, TrialConfig(200_000, seed=3))
@@ -112,17 +153,17 @@ class TestEstimateHrm:
         config = TrialConfig(500_000, seed=4)
         for sigma2, delta in [(0.125, 0.0), (0.25, SQRT_PI / 6), (0.0158, 0.0)]:
             err, acc = estimate_hrm(sigma2, delta, config)
-            assert abs(binomial_z(err, e_hrm(sigma2, delta))) < 4
-            assert abs(binomial_z(acc, p_suc(sigma2, delta))) < 4
+            assert abs(err.z(e_hrm(sigma2, delta))) < 4
+            assert abs(acc.z(p_suc(sigma2, delta))) < 4
 
     def test_large_variance_is_coin_flip(self):
         err, _ = estimate_hrm(5.0, 0.0, TrialConfig(400_000, seed=5))
-        assert abs(binomial_z(err, 0.5)) < 4
+        assert abs(err.z(0.5)) < 4
 
     def test_fifteen_db_matches_single_interval_form(self):
         # pfail(2 * 0.0158) ~ 1e-7-scale: the binomial check still applies.
         err, _ = estimate_hrm(0.05, 0.0, TrialConfig(1_000_000, seed=6))
-        assert abs(binomial_z(err, pfail(0.05))) < 4
+        assert abs(err.z(pfail(0.05))) < 4
 
     def test_negative_margin_is_rejected_as_the_policy_rejects_it(self):
         with pytest.raises(ValueError) as excinfo:
@@ -142,20 +183,20 @@ class TestSimulateSegment:
     def test_matches_analytic_at_fifty_km(self, variant):
         spec = ProtocolSpec(variant, 1, 50.0, SQ15)
         flips = simulate_segment(spec, TrialConfig(400_000, seed=8))
-        assert abs(binomial_z(flips, segment_errors(spec).ex)) < 4
+        assert abs(flips.z(segment_errors(spec).ex)) < 4
 
     def test_second_round_combination_empirically(self):
         spec = ProtocolSpec(Variant.TWO_WAY_POST_SECOND_SQEC, 1, 60.0, SQ15)
         e_round = e_hrm(2 * SQ15.sigma2 + (1 - math.sqrt(spec.eta)) / math.sqrt(spec.eta), 0.0)
         flips = simulate_segment(spec, TrialConfig(400_000, seed=9))
-        assert abs(binomial_z(flips, 2 * e_round * (1 - e_round))) < 4
+        assert abs(flips.z(2 * e_round * (1 - e_round))) < 4
 
     def test_postselected_segment(self):
         spec = ProtocolSpec(
             Variant.TWO_WAY_CC, 1, 50.0, SQ15, hrm=HrmPolicy(SQRT_PI / 6)
         )
         flips = simulate_segment(spec, TrialConfig(400_000, seed=10))
-        assert abs(binomial_z(flips, segment_errors(spec).ex)) < 4
+        assert abs(flips.z(segment_errors(spec).ex)) < 4
 
     def test_postselected_second_round_segment(self):
         # Acceptance gates four outcomes; the flip estimate stays conditional.
@@ -164,7 +205,7 @@ class TestSimulateSegment:
             hrm=HrmPolicy(SQRT_PI / 12),
         )
         flips = simulate_segment(spec, TrialConfig(400_000, seed=21))
-        assert abs(binomial_z(flips, segment_errors(spec).ex)) < 4
+        assert abs(flips.z(segment_errors(spec).ex)) < 4
         assert flips.n_effective < 400_000
 
 
@@ -173,7 +214,7 @@ class TestSimulatePathSelection:
         sigma2 = 0.25
         err = simulate_path_selection(sigma2, 1, TrialConfig(400_000, seed=11))
         single = e_hrm(sigma2, 0.0)
-        assert abs(binomial_z(err, 1 - (1 - single) ** 2)) < 4
+        assert abs(err.z(1 - (1 - single) ** 2)) < 4
         assert err.n_effective == 400_000
 
     def test_zero_variance(self):
@@ -200,11 +241,11 @@ class TestSimulateMajorityVote:
 
     def test_coin_flip_symmetry(self):
         estimate = simulate_majority_vote(0.5, TrialConfig(400_000, seed=17))
-        assert abs(binomial_z(estimate, 0.5)) < 4
+        assert abs(estimate.z(0.5)) < 4
 
     def test_tenth(self):
         estimate = simulate_majority_vote(0.1, TrialConfig(400_000, seed=18))
-        assert abs(binomial_z(estimate, 0.028)) < 4
+        assert abs(estimate.z(0.028)) < 4
 
 
 class TestTreeOracles:
@@ -229,11 +270,11 @@ class TestTreeOracles:
             comps.e_prep,
             TrialConfig(1_000_000, seed=19),
         )
-        assert abs(binomial_z(estimate, repeater_error(comps))) < 4
+        assert abs(estimate.z(repeater_error(comps))) < 4
 
 
 def counts(estimate: McEstimate) -> tuple[int, int]:
-    return round(estimate.mean * estimate.n_effective), estimate.n_effective
+    return estimate.successes, estimate.n_effective
 
 
 class TestParityKernel:

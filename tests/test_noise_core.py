@@ -12,7 +12,6 @@ from gkp_repeater.noise_core import (
     SqueezingSpec,
     amplifier_added_variance,
     eta_from_distance,
-    sigma2_to_db,
     squeezing_db_to_sigma2,
 )
 from reference import pfail
@@ -188,14 +187,7 @@ class TestSqueezing:
             0.015811388300841897, rel=1e-14
         )
 
-    @pytest.mark.parametrize("sigma2", [0.1, 0.5, 0.0158, 1.7])
-    def test_round_trip(self, sigma2):
-        assert squeezing_db_to_sigma2(sigma2_to_db(sigma2)) == pytest.approx(
-            sigma2, rel=1e-12
-        )
-
     def test_infinite_squeezing(self):
-        assert sigma2_to_db(0.0) == math.inf
         assert squeezing_db_to_sigma2(math.inf) == 0.0
 
     def test_overflowing_squeezing_is_a_value_error(self):

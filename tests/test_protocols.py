@@ -23,7 +23,6 @@ from gkp_repeater.noise_core import (
     SqueezingSpec,
     amplifier_added_variance,
     eta_from_distance,
-    sigma2_to_db,
 )
 from gkp_repeater.protocols import (
     ALL_VARIANTS,
@@ -448,7 +447,6 @@ CONFIG = TrialConfig(100, seed=1)
     (lambda: spec_for(Variant.ONE_WAY_POST, latt=NAN), "latt_km"),
     (lambda: eta_from_distance(NAN), "l_km"),
     (lambda: eta_from_distance(1.0, NAN), "latt_km"),
-    (lambda: sigma2_to_db(NAN), "sigma2"),
     (lambda: e_hrm(NAN), "sigma2"),
     (lambda: estimate_hrm(NAN, 0.0, CONFIG), "sigma2"),
     (lambda: simulate_path_selection(NAN, 1, CONFIG), "sigma_eff2"),
@@ -457,7 +455,7 @@ CONFIG = TrialConfig(100, seed=1)
     (lambda: crossover_eta(Variant.TWO_WAY_CC, Variant.ONE_WAY_PRE, NAN), "sigma2"),
 ], ids=[
     "SqueezingSpec", "ProtocolSpec.l0_km", "ProtocolSpec.latt_km", "eta_from_distance.l_km",
-    "eta_from_distance.latt_km", "sigma2_to_db", "e_hrm", "estimate_hrm",
+    "eta_from_distance.latt_km", "e_hrm", "estimate_hrm",
     "simulate_path_selection", "simulate_tree_repeater.v_leaf", "simulate_tree_repeater.v_single",
     "crossover_eta",
 ])
@@ -468,11 +466,11 @@ def test_nan_is_rejected_where_negatives_are(call, name):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: majority3(NAN), "e must be a probability"),
-    (lambda: encoded_x_error(NAN), "e_b_p must be a probability"),
-    (lambda: encoded_z_error(NAN, 0.0), "e_a_p must be a probability"),
-    (lambda: encoded_z_error(0.0, NAN), "e_b_q must be a probability"),
-    (lambda: ComponentErrors(NAN, 0.0, 0.0, 0.0, 0.0), "e_leaf must be a probability"),
-    (lambda: ComponentErrors(0.0, 0.0, 0.0, 0.0, NAN), "e_prep must be a probability"),
+    (lambda: encoded_x_error(NAN), "e_single must be a probability"),
+    (lambda: encoded_z_error(NAN), "e_single must be a probability"),
+    (lambda: ComponentErrors(NAN, 0.0, 0.0), "e_leaf must be a probability"),
+    (lambda: ComponentErrors(0.0, NAN, 0.0), "e_single must be a probability"),
+    (lambda: ComponentErrors(0.0, 0.0, NAN), "e_prep must be a probability"),
     (lambda: SegmentErrors(NAN, 1.0), "ex must be a probability"),
     (lambda: SegmentErrors(0.0, NAN), "p_suc must be a probability"),
     (lambda: chain_error(NAN, 3), "e_segment must be in [0, 1/2]"),
@@ -487,8 +485,8 @@ def test_nan_is_rejected_where_negatives_are(call, name):
     (lambda: simulate_path_selection(0.1, NAN, CONFIG), "n_pairs must be >= 1"),
     (lambda: simulate_tree_repeater(0.1, 0.1, NAN, CONFIG), "e_prep must be a probability"),
 ], ids=[
-    "majority3", "encoded_x_error", "encoded_z_error.e_a_p", "encoded_z_error.e_b_q",
-    "ComponentErrors.e_leaf", "ComponentErrors.e_prep", "SegmentErrors.ex", "SegmentErrors.p_suc",
+    "majority3", "encoded_x_error", "encoded_z_error",
+    "ComponentErrors.e_leaf", "ComponentErrors.e_single", "ComponentErrors.e_prep", "SegmentErrors.ex", "SegmentErrors.p_suc",
     "chain_error.e_segment", "chain_error.n_qr", "ProtocolSpec.n_qr", "binary_entropy",
     "amplifier_added_variance", "Variant.input_noise", "HrmPolicy", "TrialConfig.n_trials",
     "simulate_majority_vote", "simulate_path_selection.n_pairs", "simulate_tree_repeater.e_prep",
