@@ -249,7 +249,8 @@ CONFIG_FLAGS = {
 
 def _load_config(path: str) -> dict[str, str]:
     """Parse a key = value sweep config (comma-separated lists, # comments)
-    into its raw values. A malformed line or an unknown key names path:lineno."""
+    into its raw values. A malformed line, an unknown key or a key set twice
+    names path:lineno."""
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -261,6 +262,8 @@ def _load_config(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             if key not in CONFIG_FLAGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is set twice")
             values[key] = value
     return values
 

@@ -18,10 +18,14 @@ probability is e_hrm = 1 - p_cor/(p_cor + p_in) and the acceptance probability
 is p_suc = p_cor + p_in. At delta = 0 the windows tile the line, p_suc = 1,
 and e_hrm reduces to the unpostselected lattice-sum error.
 
-The sums run over |k| <= ceil(10*sigma/sqrt(pi)) + 2, which keeps every
-omitted term below 1e-18 of the total mass. Interval masses are evaluated
-from erfc tail differences rather than erf differences so that probabilities
-down to ~1e-300 survive without catastrophic cancellation.
+Both sums come from one pass over the right half-line. The window centered
+at -j*sqrt(pi) mirrors the one at +j*sqrt(pi), so the central window is
+taken once and each window j*sqrt(pi) +- w, for j = 1 ... 2*kmax + 1 with
+kmax = ceil(10*sigma/sqrt(pi)) + 2, is counted twice in the sum of the
+parity of j. Every omitted window, and the one extra odd window at
+-(2*kmax + 1)*sqrt(pi), is below 1e-18 of the total mass. Off-center window
+masses are erfc tail differences rather than erf differences, so that
+probabilities down to ~1e-300 survive without catastrophic cancellation.
 
 The module needs only the standard library: the tails come from
 :func:`math.erfc`, and :func:`math.fsum` adds the window masses with a single
@@ -67,64 +71,52 @@ def _validate(sigma2: float, delta: float) -> None:
     _require("delta", delta, "lie in [0, sqrt(pi)/2)", 0.0 <= delta < SQRT_PI / 2)
 
 
-def _window_mass(centers: list[float], half_width: float, sigma: float) -> float:
-    """Total N(0, sigma^2) mass of the windows centers[i] +- half_width.
-
-    Intervals not containing the origin are computed as differences of erfc
-    tails, which stay accurate for masses far below double epsilon of 1.
-    """
-    erfc = math.erfc
-    scale = sigma * math.sqrt(2.0)
-    masses = []
-    for c in centers:
-        lo = (c - half_width) / scale
-        hi = (c + half_width) / scale
-        if lo >= 0:
-            masses.append(0.5 * (erfc(lo) - erfc(hi)))
-        elif hi <= 0:
-            masses.append(0.5 * (erfc(-hi) - erfc(-lo)))
-        else:
-            masses.append(1.0 - 0.5 * erfc(hi) - 0.5 * erfc(-lo))
-    return math.fsum(masses)
-
-
-# Distinct (sigma2, delta, parity) lattice sums kept per command; the bare
-# key-rate recipe needs 2,040.
+# Distinct (sigma2, delta) pairs kept per command. The recipes need 1,020
+# (bare key rates), 204 (tree key rates) and 102 (segment errors), and
+# `resources --mode path-selection` 203.
 _LATTICE_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
-def _lattice_mass(sigma2: float, delta: float, odd: bool) -> float:
+def _lattice_masses(sigma2: float, delta: float) -> tuple[float, float]:
+    """(p_cor, p_in): the even- and odd-window sums at one variance and margin."""
     half_width = SQRT_PI / 2 - delta
     if sigma2 == 0.0:
         # Degenerate point mass at the origin: always inside the central
         # correct window (half_width > 0), never in an odd window.
-        return 0.0 if odd else 1.0
+        return 1.0, 0.0
     if sigma2 >= _UNIFORM_LIMIT_SIGMA2:
-        return half_width / SQRT_PI
+        return half_width / SQRT_PI, half_width / SQRT_PI
+    erfc = math.erfc
     sigma = math.sqrt(sigma2)
+    scale = sigma * math.sqrt(2.0)
     kmax = math.ceil(10.0 * sigma / SQRT_PI) + 2
-    ks = range(-kmax, kmax + 1)
-    centers = [(2.0 * k + 1.0) * SQRT_PI if odd else 2.0 * k * SQRT_PI for k in ks]
-    return min(1.0, _window_mass(centers, half_width, sigma))
+    tail = 0.5 * erfc(half_width / scale)
+    masses = ([1.0 - tail - tail], [])
+    for j in range(1, 2 * kmax + 2):
+        center = j * SQRT_PI
+        mass = 0.5 * (erfc((center - half_width) / scale) - erfc((center + half_width) / scale))
+        # The window at -center has the same mass: count it twice.
+        masses[j % 2].append(mass + mass)
+    return min(1.0, math.fsum(masses[0])), min(1.0, math.fsum(masses[1]))
 
 
 #: Memoized kernels that live for one command: cli.main clears each at the
 #: start of a command, so an in-process command does the same work as a cold
 #: one. A module that loads later appends its own (tree_code's leaf error).
-COMMAND_CACHES = [_lattice_mass]
+COMMAND_CACHES = [_lattice_masses]
 
 
 def p_cor(sigma2: float, delta: float = 0.0) -> float:
     """Probability that the true deviation falls in a correct-parity window."""
     _validate(sigma2, delta)
-    return _lattice_mass(sigma2, delta, odd=False)
+    return _lattice_masses(sigma2, delta)[0]
 
 
 def p_in(sigma2: float, delta: float = 0.0) -> float:
     """Probability that the true deviation falls in a wrong-parity window."""
     _validate(sigma2, delta)
-    return _lattice_mass(sigma2, delta, odd=True)
+    return _lattice_masses(sigma2, delta)[1]
 
 
 def e_hrm(sigma2: float, delta: float = 0.0) -> float:

@@ -260,12 +260,7 @@ def secure_key_rate(spec: ProtocolSpec) -> RatePoint:
     return RatePoint.of(spec, errs.ex, errs.p_suc ** (2 * spec.variant.rounds * spec.n_qr))
 
 
-def crossover_eta(
-    variant_a: Variant,
-    variant_b: Variant,
-    sigma2: float = 0.0,
-    tol: float = 1e-10,
-) -> float:
+def crossover_eta(variant_a: Variant, variant_b: Variant, sigma2: float = 0.0) -> float:
     """Transmittance at which two single-round variants' error curves cross.
 
     Because the postselected error is strictly increasing in the
@@ -275,7 +270,8 @@ def crossover_eta(
     same 2*sigma2 tooth term, so the crossing point does not depend on
     sigma2.
 
-    Raises NoCrossingError if the gap has the same sign at both ends of
+    The bisection stops once the bracket is narrower than 1e-10. Raises
+    NoCrossingError if the gap has the same sign at both ends of
     (1e-9, 1 - 1e-6). Every pair meets at eta = 1, where rounding would fake
     a sign change; at 1 - 1e-6 each pair's gap is still >= ~2.5e-13.
     """
@@ -295,7 +291,7 @@ def crossover_eta(
             f"no crossing: {variant_a.value} vs {variant_b.value} variance gap "
             "has constant sign on (0, 1)"
         )
-    while b - a > tol:
+    while b - a > 1e-10:
         mid = 0.5 * (a + b)
         gm = gap(mid)
         if gm == 0.0:

@@ -188,7 +188,9 @@ def _check_tree_spec(spec: ProtocolSpec) -> None:
 #: Cells per residue magnitude in the path-selection quadrature. The cell sum
 #: errs as 1/m**2 with a 1/m**3 term behind it, which extrapolating m and 2m
 #: cells leaves: at m = 100 the result is 3.5e-6 relative off a Richardson
-#: limit from m = 800 at 15 dB, and 6.1e-6 at 20 dB (l0 = 3 km, 5 pairs).
+#: limit from m = 800 at 15 dB, and 6.1e-6 at 20 dB (l0 = 3 km, 5 pairs). At
+#: small leaf variance it is not converged: 5.3% low at 40 dB, l0 = 0.16 km
+#: (v_leaf = 0.0037). ROADMAP item 3 replaces the cell sums by a quadrature.
 _LEAF_CELLS = 100
 
 

@@ -4,8 +4,11 @@ The package computes neither the single-interval error nor a majority vote by
 enumeration on any path: the lattice sums of :mod:`gkp_repeater.hrm` replace
 the former, and the tree code evaluates majority votes in closed form. Both
 stay here as independent oracles for the code that does. The lattice sums
-themselves are checked against :func:`lattice_mass_mp`, the same windows
-summed at 60 digits with mpmath, which is imported only when it is called.
+themselves are checked bit for bit against :func:`reference_lattice_mass`,
+the former full-line float sum of every window, and to 1e-12 against
+:func:`lattice_mass_mp`, the same windows summed at 60 digits with mpmath,
+which is imported only when it is called. :func:`segment_errors_mp` builds a
+segment's error and acceptance from those 60-digit sums.
 The ``*_mp`` composition forms below write each 1 - product of independent
 survivals literally, as the docstrings of :mod:`gkp_repeater.tree_code` and
 ``protocols.chain_error`` state it, and return mpmath numbers good to at
@@ -41,8 +44,37 @@ def pfail(sigma2: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def lattice_mass_mp(sigma2: float, delta: float, odd: bool) -> float:
-    """Lattice sum of :mod:`gkp_repeater.hrm` at 60 significant digits.
+def reference_lattice_mass(sigma2: float, delta: float, odd: bool) -> float:
+    """Lattice sum of :mod:`gkp_repeater.hrm` as one float pass over the whole
+    line: every window of one parity on either side of the origin, each
+    through the erfc form of its side, added by :func:`math.fsum`."""
+    half_width = SQRT_PI / 2 - delta
+    if sigma2 == 0.0:
+        return 0.0 if odd else 1.0
+    if sigma2 >= 400.0:
+        return half_width / SQRT_PI
+    sigma = math.sqrt(sigma2)
+    kmax = math.ceil(10.0 * sigma / SQRT_PI) + 2
+    ks = range(-kmax, kmax + 1)
+    centers = [(2.0 * k + 1.0) * SQRT_PI if odd else 2.0 * k * SQRT_PI for k in ks]
+    erfc = math.erfc
+    scale = sigma * math.sqrt(2.0)
+    masses = []
+    for c in centers:
+        lo = (c - half_width) / scale
+        hi = (c + half_width) / scale
+        if lo >= 0:
+            masses.append(0.5 * (erfc(lo) - erfc(hi)))
+        elif hi <= 0:
+            masses.append(0.5 * (erfc(-hi) - erfc(-lo)))
+        else:
+            masses.append(1.0 - 0.5 * erfc(hi) - 0.5 * erfc(-lo))
+    return min(1.0, math.fsum(masses))
+
+
+def lattice_sum_mp(sigma2: float, delta: float, odd: bool):
+    """Lattice sum of :mod:`gkp_repeater.hrm` as an mpmath number good to 60
+    significant digits.
 
     The same windows, centered on the multiples of the package's SQRT_PI with
     half-width SQRT_PI/2 - delta, and the same erfc-tail forms, summed over
@@ -67,7 +99,28 @@ def lattice_mass_mp(sigma2: float, delta: float, odd: bool) -> float:
                 total += (mpmath.erfc(-hi) - mpmath.erfc(-lo)) / 2
             else:
                 total += 1 - mpmath.erfc(hi) / 2 - mpmath.erfc(-lo) / 2
-        return float(total)
+        return total
+
+
+def lattice_mass_mp(sigma2: float, delta: float, odd: bool) -> float:
+    """:func:`lattice_sum_mp` rounded to a double."""
+    return float(lattice_sum_mp(sigma2, delta, odd))
+
+
+def segment_errors_mp(sigma2: float, delta: float, rounds: int):
+    """(E_segment, p_suc) of ``protocols.segment_errors`` at segment variance
+    sigma2, as mpmath numbers: e = p_in / (p_cor + p_in) of the 60-digit
+    lattice sums, 2 e (1 - e) for two correction rounds, and
+    p_suc = p_cor + p_in."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        p_cor = lattice_sum_mp(sigma2, delta, False)
+        p_in = lattice_sum_mp(sigma2, delta, True)
+        e = p_in / (p_cor + p_in)
+        if rounds == 2:
+            e = 2 * e * (1 - e)
+        return e, p_cor + p_in
 
 
 def enumerate_majority3(e: float) -> float:

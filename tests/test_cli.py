@@ -477,8 +477,11 @@ class TestSweep:
     ], ids=["format", "quantity", "nqr", "latt", "nqr-negative", "l0-inf", "latt-nan", "seed",
             "eta-points", "squeezing-nan", "protocols"])
     def test_config_value_gets_its_flag_check(self, capsys, tmp_path, line, message):
+        # The base sweep leaves out the line's key: a config sets a key once.
+        base = {"protocols": "two-way-cc", "nqr": "1", "delta": "0", "l0_km": "3"}
+        base.pop(line.partition("=")[0].strip(), None)
         config = tmp_path / "sweep.cfg"
-        config.write_text(f"protocols = two-way-cc\nnqr = 1\ndelta = 0\nl0_km = 3\n{line}\n")
+        config.write_text("".join(f"{k} = {v}\n" for k, v in base.items()) + f"{line}\n")
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["sweep", "--config", str(config)])
         assert excinfo.value.code == 2
@@ -559,6 +562,16 @@ class TestSweep:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"{config}:3: {message}" in err
+
+    def test_config_key_set_twice_names_the_line(self, capsys, tmp_path):
+        # The second value would otherwise replace the first without a word.
+        config = tmp_path / "sweep.cfg"
+        config.write_text("protocols = two-way-cc\nnqr = 1\ndelta = 0\nl0_km = 3\nnqr = 10\n")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["sweep", "--config", str(config)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{config}:5: config key 'nqr' is set twice" in err
 
     def test_missing_config_file_names_the_path(self, capsys, tmp_path):
         path = tmp_path / "absent.cfg"
@@ -698,15 +711,15 @@ class TestSharedLeafEstimate:
         assert (info.misses, info.hits) == (1, 3 * 2 - 1)
 
     def test_registry_clears_every_memo_per_command(self, capsys):
-        assert hrm._lattice_mass in hrm.COMMAND_CACHES
+        assert hrm._lattice_masses in hrm.COMMAND_CACHES
         assert tree_code._path_selection_leaf_error in hrm.COMMAND_CACHES
         _, first = run_cli(capsys, *self.ARGV)
-        assert hrm._lattice_mass.cache_info().currsize > 0
+        assert hrm._lattice_masses.cache_info().currsize > 0
         # plob reads neither memo, so what is left in them after it is what
         # main left at its start.
         code, _ = run_cli(capsys, "plob", "--distance-list", "100")
         assert code == 0
-        assert hrm._lattice_mass.cache_info().currsize == 0
+        assert hrm._lattice_masses.cache_info().currsize == 0
         assert tree_code._path_selection_leaf_error.cache_info().currsize == 0
         _, second = run_cli(capsys, *self.ARGV)
         assert first == second

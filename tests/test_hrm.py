@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from gkp_repeater import cli, hrm
 from gkp_repeater.hrm import HrmPolicy, e_hrm, p_cor, p_in, p_suc
-from reference import lattice_mass_mp, pfail
+from reference import lattice_mass_mp, pfail, reference_lattice_mass
 
 SQRT_PI = math.sqrt(math.pi)
 DELTA_GRID = [k * SQRT_PI / 20 for k in range(10)]
@@ -150,13 +152,13 @@ class TestLatticeMemo:
     @pytest.mark.parametrize("sigma2,delta", GRID)
     def test_cold_and_warm_values_are_identical(self, sigma2, delta):
         for fn in (p_cor, p_in, e_hrm, p_suc):
-            hrm._lattice_mass.cache_clear()
+            hrm._lattice_masses.cache_clear()
             cold = fn(sigma2, delta)
             warm = fn(sigma2, delta)
             assert warm.hex() == cold.hex()
-        uncached = hrm._lattice_mass.__wrapped__
-        assert p_cor(sigma2, delta).hex() == uncached(sigma2, delta, False).hex()
-        assert p_in(sigma2, delta).hex() == uncached(sigma2, delta, True).hex()
+        uncached = hrm._lattice_masses.__wrapped__
+        assert p_cor(sigma2, delta).hex() == uncached(sigma2, delta)[False].hex()
+        assert p_in(sigma2, delta).hex() == uncached(sigma2, delta)[True].hex()
 
     @pytest.mark.parametrize(
         "sigma2,delta", [(-1e-3, 0.0), (0.1, SQRT_PI / 2), (0.1, 1.0), (0.1, -0.2)]
@@ -172,10 +174,11 @@ class TestLatticeMemo:
         recipe = Path(__file__).resolve().parents[1] / "recipes" / "bare_key_rates.cfg"
         assert cli.main(["sweep", "--config", str(recipe)]) == 0
         capsys.readouterr()
-        info = hrm._lattice_mass.cache_info()
-        assert info.misses == 2_040
-        # 1,540 rows, each evaluating its segment once: e_hrm (2 sums) per
-        # row plus p_suc (2 sums) once per postselected row.
+        info = hrm._lattice_masses.cache_info()
+        # One entry per distinct (variance, margin) holds both sums.
+        assert info.misses == 1_020
+        # 1,540 rows, each evaluating its segment once: e_hrm (p_cor and
+        # p_in) per row plus p_suc (both again) once per postselected row.
         assert info.hits + info.misses == 5_544
 
 
@@ -196,7 +199,7 @@ class TestMpmathReference:
     @staticmethod
     def check(sigma2, delta, odd):
         want = lattice_mass_mp(sigma2, delta, odd)
-        got = hrm._lattice_mass.__wrapped__(sigma2, delta, odd)
+        got = hrm._lattice_masses.__wrapped__(sigma2, delta)[odd]
         if want > 1e-300:
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), (sigma2, delta, odd)
         else:
@@ -222,7 +225,7 @@ class TestMpmathReference:
         for sigma2 in self.SIGMA2:
             for odd in (False, True):
                 want = lattice_mass_mp(sigma2, delta, odd)
-                got = hrm._lattice_mass.__wrapped__(sigma2, delta, odd)
+                got = hrm._lattice_masses.__wrapped__(sigma2, delta)[odd]
                 assert abs(got - want) <= 2 * sys.float_info.epsilon, (sigma2, odd)
 
     def test_subnormal_tail_survives(self):
@@ -230,7 +233,7 @@ class TestMpmathReference:
         sigma2, delta = 0.001045576543089023, 0.34246312461662776
         want = lattice_mass_mp(sigma2, delta, True)
         assert 0.0 < want < sys.float_info.min
-        got = hrm._lattice_mass.__wrapped__(sigma2, delta, True)
+        got = hrm._lattice_masses.__wrapped__(sigma2, delta)[True]
         assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
@@ -283,27 +286,51 @@ class TestStdlibLatticeSum:
     EPS = sys.float_info.epsilon
     DELTAS = TestMpmathReference.DELTAS + [math.nextafter(SQRT_PI / 2, 0.0)]
 
+    def check(self, sigma2, delta):
+        # scipy's erfc underflows to 0 below the smallest normal double,
+        # where math.erfc keeps a subnormal tail.
+        got = hrm._lattice_masses.__wrapped__(sigma2, delta)
+        for odd in (False, True):
+            want, scale = lattice_mass_arrays(sigma2, delta, odd)
+            tol = 8 * self.EPS * scale + sys.float_info.min
+            assert abs(got[odd] - want) <= tol, (sigma2, delta, odd, got[odd], want)
+
     @pytest.mark.parametrize("n", range(1, 129))
     def test_pairwise_sum_matches_numpy_sum(self, n):
-        # n windows anywhere within 10 sigma of the origin, on either side
-        # of it or across it, against numpy's pairwise sum of the same masses.
+        # Three random (variance, margin) points per seed, with variances
+        # from 1e-3 to 1e3, against numpy's pairwise sum of the same windows.
         rng = np.random.default_rng(n)
         for _ in range(3):
-            sigma = 10.0 ** rng.uniform(-1.5, 1.5)
-            half_width = rng.uniform(0.0, SQRT_PI / 2)
-            centers = rng.uniform(-10.0 * sigma, 10.0 * sigma, n).tolist()
-            want, scale = window_mass_arrays(centers, half_width, sigma)
-            got = hrm._window_mass(centers, half_width, sigma)
-            assert abs(got - want) <= 8 * self.EPS * scale, (sigma, half_width)
+            self.check(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.0, SQRT_PI / 2))
 
     @pytest.mark.parametrize("sigma2", TestMpmathReference.SIGMA2)
     def test_lattice_mass_matches_array_form(self, sigma2):
-        # scipy's erfc underflows to 0 below the smallest normal double,
-        # where math.erfc keeps a subnormal tail.
-        uncached = hrm._lattice_mass.__wrapped__
         for delta in self.DELTAS:
-            for odd in (False, True):
-                want, scale = lattice_mass_arrays(sigma2, delta, odd)
-                got = uncached(sigma2, delta, odd)
-                tol = 8 * self.EPS * scale + sys.float_info.min
-                assert abs(got - want) <= tol, (delta, odd, got, want)
+            self.check(sigma2, delta)
+
+
+class TestMirroredWindows:
+    """The half-line kernel, which counts each window right of the origin for
+    its mirror image too, equals the full-line sum (reference.py) bit for bit:
+    math.fsum rounds once, and a mirrored window is the same float expression
+    as its partner."""
+
+    @staticmethod
+    def check(sigma2, delta):
+        got = hrm._lattice_masses.__wrapped__(sigma2, delta)
+        for odd in (False, True):
+            want = reference_lattice_mass(sigma2, delta, odd)
+            assert got[odd].hex() == want.hex(), (sigma2, delta, odd)
+
+    @pytest.mark.parametrize("sigma2", [0.0, *TestMpmathReference.SIGMA2, 400.0])
+    def test_grid(self, sigma2):
+        for delta in TestStdlibLatticeSum.DELTAS:
+            self.check(sigma2, delta)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        sigma2=st.floats(min_value=1e-6, max_value=1e3),
+        delta=st.floats(min_value=0.0, max_value=SQRT_PI / 2, exclude_max=True),
+    )
+    def test_random(self, sigma2, delta):
+        self.check(sigma2, delta)

@@ -47,7 +47,7 @@ from gkp_repeater.tree_code import (
     majority3,
     single_qubit_variance,
 )
-from reference import chain_error_mp, pfail
+from reference import chain_error_mp, pfail, segment_errors_mp
 
 SQRT_PI = math.sqrt(math.pi)
 SQ15 = SqueezingSpec.from_db(15.0)
@@ -205,6 +205,29 @@ class TestSegmentErrors:
         for variant in ALL_VARIANTS:
             for l0 in (5.0, 50.0, 500.0):
                 assert segment_errors(spec_for(variant, l0=l0)).ex <= 0.5 + 1e-15
+
+
+class TestSegmentErrorsAgainstMpmath:
+    """E_segment and the per-outcome acceptance against the 60-digit lattice
+    sums (reference.py), taken at the program's own float variance, so that
+    only the lattice sums, e_hrm, 2e(1 - e) and p_suc are under test."""
+
+    DELTAS = [0.0, SQRT_PI / 14, SQRT_PI / 6, SQRT_PI / 4]
+    L0_KM = [0.5, 1.0, 3.0, 10.0, 30.0, 100.0]
+
+    @pytest.mark.parametrize("db", [10.0, 15.0, 20.0, 30.0, 40.0])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
+    def test_grid(self, variant, db):
+        pytest.importorskip("mpmath")
+        squeezing = SqueezingSpec.from_db(db)
+        for delta in self.DELTAS:
+            for l0 in self.L0_KM:
+                spec = spec_for(variant, l0=l0, squeezing=squeezing, delta=delta)
+                got = segment_errors(spec)
+                e, accept = segment_errors_mp(segment_variance(spec), delta, variant.rounds)
+                # Every reference here is a normal double (the least is ~3e-35).
+                assert got.ex == pytest.approx(float(e), rel=1e-12, abs=0.0), (delta, l0)
+                assert got.p_suc == pytest.approx(float(accept), rel=1e-12, abs=0.0), (delta, l0)
 
 
 def is_plus_zero(value: float) -> bool:
