@@ -11,19 +11,21 @@ cross-validation layer:
 * :mod:`gkp_repeater.tree_code` -- tree-cluster-encoded two-way protocol with
   postselected and path-selection decoding, plus resource counts.
 * :mod:`gkp_repeater.mc_oracle` -- displacement-level Monte Carlo estimators
-  mirroring every analytic probability.
+  that cross-check the analytic probabilities; the one module that imports
+  numpy.
 * :mod:`gkp_repeater.cli` -- command-line front end (``gkp-repeater``).
 
 ``tree_code`` and ``mc_oracle`` load on first use, so a command that never
 touches them (``plob``, a bare-variant ``rate`` or ``sweep``) pays for
-neither. Importing the package puts both in ``sys.modules`` through
-:class:`importlib.util.LazyLoader`, and their code is compiled and run only
-at the first attribute access. Function-local imports would defer them too,
-but the benchmark's tracer (``bench/tracer.py``) reads every layer module
-from ``sys.modules`` right after ``import gkp_repeater.cli``. The first
-attribute access must stay on one thread: before Python 3.12.3 LazyLoader
-takes no lock around the load. ``__all__`` holds the analytic core; the tree
-and Monte Carlo names are imported from their own modules.
+neither, and only ``mc-validate`` loads numpy. Importing the package puts
+both in ``sys.modules`` through :class:`importlib.util.LazyLoader`, and
+their code is compiled and run only at the first attribute access.
+Function-local imports would defer them too, but the benchmark's tracer
+(``bench/tracer.py``) reads every layer module from ``sys.modules`` right
+after ``import gkp_repeater.cli``. The first attribute access must stay on
+one thread: before Python 3.12.3 LazyLoader takes no lock around the load.
+``__all__`` holds the analytic core; the tree and Monte Carlo names are
+imported from their own modules.
 """
 
 import importlib.util

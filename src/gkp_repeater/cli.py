@@ -292,8 +292,7 @@ def _validation_cases(scope: str):
     """The validation matrix in print order, one (sampler, cases) pair per
     sampler call. sampler(config) returns an McEstimate, the success count
     of one run, or a tuple whose leading estimates pair with the (label,
-    analytic) cases. An exact enumeration has no sampler, and its cases are
-    (label, analytic, exact).
+    analytic) cases.
     """
 
     def spec(variant, l0, margin="0"):
@@ -321,9 +320,6 @@ def _validation_cases(scope: str):
         for e in (0.1, 0.3):
             cases = [(f"tree.majority3[e={e:g}]", tree_code.majority3(e))]
             yield partial(mc_oracle.simulate_majority_vote, e), cases
-        for e in (0.01, 0.1):
-            exact = mc_oracle.enumerate_encoded_x_error(e)
-            yield None, [(f"tree.encoded_x[e={e:g}]", tree_code.encoded_x_error(e), exact)]
         pair = 1.0 - (1.0 - hrm_mod.e_hrm(0.25, 0.0)) ** 2
         yield partial(mc_oracle.simulate_path_selection, 0.25, 1), [("tree.bell_pair_error[s2=0.25]", pair)]
         station = spec(protocols.Variant.TWO_WAY_CC, 3.0)
@@ -334,48 +330,34 @@ def _validation_cases(scope: str):
         yield partial(mc_oracle.simulate_tree_repeater, *variances, comps.e_prep), cases
 
 
-def _validation_rows(scope: str, trials: int, seed: int) -> list[dict]:
-    rows = []
-    stream = 0
-    # Build the whole matrix, the lazy tree module's values included, before
-    # the first sampler runs.
-    for sampler, cases in list(_validation_cases(scope)):
-        if sampler is None:
-            results = [(exact, 0.0, 0.0 if abs(analytic - exact) <= 1e-12 else math.inf)
-                       for _, analytic, exact in cases]
-        else:
-            stream += 1
-            estimates = sampler(mc_oracle.TrialConfig(n_trials=trials, seed=seed + stream))
-            if isinstance(estimates, mc_oracle.McEstimate):
-                estimates = (estimates,)
-            results = [(e.mean, e.std_err, e.z(analytic))
-                       for (_, analytic), e in zip(cases, estimates)]
-        for (label, analytic, *_), (mc_mean, std_err, z) in zip(cases, results):
-            rows.append({"quantity": label, "analytic": analytic, "mc_mean": mc_mean,
-                         "std_err": std_err, "z": z})
-    return rows
-
-
 def cmd_mc_validate(args) -> int:
     if importlib.util.find_spec("numpy") is None:
         print("error: mc-validate needs numpy: pip install 'gkp-repeater[mc]'", file=sys.stderr)
         return 1
-    rows = _validation_rows(args.scope, args.trials, args.seed)
+    # Build the whole matrix, the lazy tree module's values included, before
+    # the first sampler runs.
+    calls = list(_validation_cases(args.scope))
     lines = [
         f"mc-validate scope={args.scope} trials={args.trials} seed={args.seed}",
         f"{'quantity':<48} {'analytic':>13} {'mc_mean':>13} {'std_err':>12} {'z':>9} verdict",
     ]
     failures = []
-    for row in rows:
-        ok = abs(row["z"]) <= 4.0
-        if not ok:
-            failures.append(row["quantity"])
-        lines.append(
-            f"{row['quantity']:<48} {row['analytic']:>13.6e} {row['mc_mean']:>13.6e} "
-            f"{row['std_err']:>12.3e} {row['z']:>9.3f} {'PASS' if ok else 'FAIL'}"
-        )
+    for stream, (sampler, cases) in enumerate(calls, start=1):
+        estimates = sampler(mc_oracle.TrialConfig(n_trials=args.trials, seed=args.seed + stream))
+        if isinstance(estimates, mc_oracle.McEstimate):
+            estimates = (estimates,)
+        for (label, analytic), estimate in zip(cases, estimates):
+            z = estimate.z(analytic)
+            ok = abs(z) <= 4.0
+            if not ok:
+                failures.append(label)
+            lines.append(
+                f"{label:<48} {analytic:>13.6e} {estimate.mean:>13.6e} "
+                f"{estimate.std_err:>12.3e} {z:>9.3f} {'PASS' if ok else 'FAIL'}"
+            )
     verdict = "PASS" if not failures else "FAIL: " + ", ".join(failures)
-    lines.append(f"RESULT: {verdict} ({len(rows)} quantities, gate |z| <= 4)")
+    quantities = sum(len(cases) for _, cases in calls)
+    lines.append(f"RESULT: {verdict} ({quantities} quantities, gate |z| <= 4)")
     _emit("\n".join(lines) + "\n", args.output)
     return 0 if not failures else 1
 

@@ -1,4 +1,5 @@
-"""Displacement-level Monte Carlo estimators for every analytic probability.
+"""Displacement-level Monte Carlo estimators that cross-check the analytic
+probabilities.
 
 Each sampler draws true deviations from the Gaussian displacement model,
 reduces measured values to the nearest sqrt(pi) lattice point (parity of the
@@ -48,25 +49,25 @@ so they draw each batch in chunks of whole trials that fill a work array
 (``_chunks``); the chunks consume the generator in the order of one
 whole-batch draw, so the counts are those of drawing the batch at once.
 
-numpy is imported inside the samplers, so importing this module loads the
-standard library only. No rate reads a sampler: they cross-check the analytic
-code, and only ``mc-validate`` runs them.
+Importing this module loads numpy. The package registers it lazily, so a
+command loads it, and numpy with it, only when it runs a sampler. No rate
+reads a sampler: they cross-check the analytic code, and only
+``mc-validate`` runs them.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from . import hrm as hrm_mod
 from . import protocols
 from .noise_core import SQRT_PI, _require
 
-if TYPE_CHECKING:
-    import numpy as np
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -86,8 +87,6 @@ class TrialConfig:
         return [(i, min(b, n - i * b)) for i in range(-(-n // b))]
 
     def rng(self, batch_index: int) -> np.random.Generator:
-        import numpy as np
-
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(batch_index,))
         return np.random.Generator(np.random.Philox(seq))
 
@@ -126,8 +125,6 @@ def _normal(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarr
     """Fill out with N(0, sigma^2) draws: the values and stream of
     ``rng.normal(0.0, sigma, out.shape)`` (which computes 0.0 + sigma * z)
     up to the sign of a zero, without allocating."""
-    import numpy as np
-
     rng.standard_normal(out=out)
     return np.multiply(out, sigma, out=out)
 
@@ -135,8 +132,6 @@ def _normal(rng: np.random.Generator, sigma: float, out: np.ndarray) -> np.ndarr
 def _nearest_multiple(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Nearest integer multiple of sqrt(pi) for each measured value, written
     into out, which may be x."""
-    import numpy as np
-
     k = np.divide(x, SQRT_PI, out=out)
     return np.rint(k, out=k)
 
@@ -147,8 +142,6 @@ def _residues(
     """Draw the sum of N(0, s^2) for s in sigmas into x, put its nearest
     multiple of sqrt(pi) into k, and leave the residue's magnitude in x,
     which is returned; t is a scratch array of x's shape."""
-    import numpy as np
-
     _normal(rng, sigmas[0], out=x)
     for s in sigmas[1:]:
         x += _normal(rng, s, out=t)
@@ -170,8 +163,6 @@ def _odd(k: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = 
     ``fmod`` alone costs 5-20 ns; callers pass a spare work array as tmp, so
     parity adds nothing to their peak memory.
     """
-    import numpy as np
-
     h = np.abs(np.multiply(k, 0.5, out=tmp), out=tmp)
     np.subtract(h, np.floor(h, out=k), out=h)
     return np.equal(h, 0.5, out=out)
@@ -192,8 +183,6 @@ def _majority(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Whether at least two of the three bools along the last axis are set;
     overwrites the first of them, and writes the result into out when given.
     """
-    import numpy as np
-
     a, b, c = bits[..., 0], bits[..., 1], bits[..., 2]
     out = np.logical_and(a, b, out=out)
     a |= b
@@ -215,8 +204,6 @@ def _work_arrays(floats, bools) -> tuple[list[np.ndarray], list[np.ndarray]]:
     bool ones of the lengths in bools. Each is its own allocation, below
     numpy's 4 MB huge-page threshold at the default batch size, so the
     memory a worker holds is the pages its batches write."""
-    import numpy as np
-
     return [np.empty(length) for length in floats], [np.empty(length, dtype=bool) for length in bools]
 
 
@@ -234,8 +221,6 @@ def _run_batches(config: TrialConfig, sample_batch, floats=(), bools=()):
     here too, and integer sums do not depend on the order batches finish, so
     the counts do not depend on the number of workers.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     batches = config.batches()
     workers = min(_usable_cpus(), len(batches))
     shares = [[(config.rng(index), n) for index, n in batches[w::workers]] for w in range(workers)]
@@ -268,8 +253,6 @@ def _postselected(config: TrialConfig, draws, v_up: float) -> tuple[int, int]:
     draws one outcome per trial, the sum of N(0, s^2) over sigmas; a trial is
     accepted when every residue magnitude is below v_up, and flips when the
     parities of the outcomes whose entry decides xor to odd."""
-    import numpy as np
-
     size = _largest_batch(config)
 
     def sample_batch(rng: np.random.Generator, n: int, work):
@@ -340,8 +323,6 @@ def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig
     nearer an odd lattice multiple. No pair is discarded, so every trial
     counts.
     """
-    import numpy as np
-
     _require("sigma_eff2", sigma_eff2, "be nonnegative", sigma_eff2 >= 0)
     _require("n_pairs", n_pairs, "be >= 1", n_pairs >= 1)
     sigma = math.sqrt(sigma_eff2)
@@ -381,8 +362,6 @@ def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig
 
 def simulate_majority_vote(e: float, config: TrialConfig) -> McEstimate:
     """Empirical failure rate of a majority vote over 3 Bernoulli(e) flips."""
-    import numpy as np
-
     _require("e", e, "be a probability", 0.0 <= e <= 1.0)
     # Chunks of whole trials keep the stream of one (n, 3) draw.
     size = _largest_batch(config, 3)
@@ -416,8 +395,6 @@ def simulate_tree_repeater(
     errs with probability e_prep. The station errs if any piece does, which is
     the quantity the analytic per-station composition predicts.
     """
-    import numpy as np
-
     for name, value in (("v_leaf", v_leaf), ("v_single", v_single)):
         _require(name, value, "be nonnegative", value >= 0)
     _require("e_prep", e_prep, "be a probability", 0.0 <= e_prep <= 1.0)
@@ -456,20 +433,3 @@ def simulate_tree_repeater(
         config, sample_batch, floats=[size] * 2, bools=[size, size, 3 * size]
     )
     return McEstimate(n_fail, config.n_trials)
-
-
-def enumerate_encoded_x_error(e_single: float) -> float:
-    """Exact bit-flip-protected encoded error by summing all 2**9 patterns.
-
-    Nine ancilla outcomes, three per node; the encoded measurement fails when
-    any node's majority vote fails.
-    """
-    total = 0.0
-    for pattern in product((0, 1), repeat=9):
-        nodes_bad = any(sum(pattern[3 * i : 3 * i + 3]) >= 2 for i in range(3))
-        if nodes_bad:
-            prob = 1.0
-            for bit in pattern:
-                prob *= e_single if bit else (1.0 - e_single)
-            total += prob
-    return total

@@ -2,13 +2,15 @@
 
 The package computes neither the single-interval error nor a majority vote by
 enumeration on any path: the lattice sums of :mod:`gkp_repeater.hrm` replace
-the former, and the tree code evaluates majority votes in closed form. Both
-stay here as independent oracles for the code that does. The lattice sums
+the former, and the tree code evaluates majority votes and the encoded
+bit-flip-protected error in closed form. The enumerations stay here as
+independent oracles for the code that does. The lattice sums
 themselves are checked bit for bit against :func:`reference_lattice_mass`,
 the former full-line float sum of every window, and to 1e-12 against
 :func:`lattice_mass_mp`, the same windows summed at 60 digits with mpmath,
 which is imported only when it is called. :func:`segment_errors_mp` builds a
-segment's error and acceptance from those 60-digit sums.
+segment's error and acceptance from those 60-digit sums, and
+:func:`key_rate_mp` a bare chain's P_suc and R from a segment's.
 The ``*_mp`` composition forms below write each 1 - product of independent
 survivals literally, as the docstrings of :mod:`gkp_repeater.tree_code` and
 ``protocols.chain_error`` state it, and return mpmath numbers good to at
@@ -135,6 +137,22 @@ def enumerate_majority3(e: float) -> float:
     return total
 
 
+def enumerate_encoded_x_error(e_single: float) -> float:
+    """Exact bit-flip-protected encoded error by summing all 2**9 patterns.
+
+    Nine ancilla outcomes, three per node; the encoded measurement fails when
+    any node's majority vote fails.
+    """
+    total = 0.0
+    for pattern in product((0, 1), repeat=9):
+        if any(sum(pattern[3 * i : 3 * i + 3]) >= 2 for i in range(3)):
+            prob = 1.0
+            for bit in pattern:
+                prob *= e_single if bit else (1.0 - e_single)
+            total += prob
+    return total
+
+
 #: Working digits of the composition forms. 1 - x then resolves every x down
 #: to 1e-640, so inputs down to 1e-300, whose quadratic terms reach 1e-600,
 #: keep 60 significant digits through the literal, cancelling forms.
@@ -192,3 +210,28 @@ def chain_error_mp(e, n_qr):
 
     with mpmath.workdps(COMPOSITION_DPS):
         return (1 - (1 - 2 * mpmath.mpf(e)) ** n_qr) / 2
+
+
+def binary_entropy_mp(x):
+    """h(x) = -x log2(x) - (1 - x) log2(1 - x), with h(0) = 0; log1p keeps
+    the second term exact for tiny x."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        if x == 0:
+            return mpmath.mpf(0)
+        return -(x * mpmath.log(x) + (1 - x) * mpmath.log1p(-x)) / mpmath.log(2)
+
+
+def key_rate_mp(e_segment, p_accept, rounds, n_qr):
+    """(P_suc, R) of ``protocols.secure_key_rate`` from a segment's error and
+    per-outcome acceptance: P_suc = p_accept**(2 rounds n_qr), E_AB =
+    chain_error_mp(min(e_segment, 1/2), n_qr) and
+    R = max(0, P_suc (1 - 2 h(E_AB)))."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        p_suc = mpmath.mpf(p_accept) ** (2 * rounds * n_qr)
+        e_ab = chain_error_mp(min(mpmath.mpf(e_segment), mpmath.mpf(0.5)), n_qr)
+        return p_suc, max(mpmath.mpf(0), p_suc * (1 - 2 * binary_entropy_mp(e_ab)))

@@ -847,7 +847,7 @@ class TestOutputFreeze:
         ),
         "mc_validate": (
             ["mc-validate", "--trials", "20000", "--seed", "7", "--scope", "all"],
-            "c2be03e72ac7928caf6c1c2bab601a00add1e7ada11b8668ee5cceaebe1f5542",
+            "e6a8e2f40f73255efaada5d4bd477766ba51e56e51924eef78445ed44857ef49",
         ),
     }
 

@@ -21,7 +21,6 @@ from gkp_repeater.mc_oracle import (
     McEstimate,
     TrialConfig,
     _odd,
-    enumerate_encoded_x_error,
     estimate_hrm,
     simulate_majority_vote,
     simulate_path_selection,
@@ -39,7 +38,7 @@ from gkp_repeater.tree_code import (
     encoded_x_error,
 )
 from gkp_repeater.hrm import HrmPolicy
-from reference import enumerate_majority3, pfail
+from reference import encoded_x_error_mp, enumerate_encoded_x_error, enumerate_majority3, pfail
 
 SQRT_PI = math.sqrt(math.pi)
 SQ15 = SqueezingSpec.from_db(15.0)
@@ -254,10 +253,10 @@ class TestTreeOracles:
             assert enumerate_majority3(e) == pytest.approx(majority3(e), abs=1e-14)
 
     def test_enumerated_encoded_x_matches_formula(self):
-        for e in (0.0, 0.01, 0.1, 0.45):
-            assert enumerate_encoded_x_error(e) == pytest.approx(
-                encoded_x_error(e), abs=1e-13
-            )
+        for e in (0.0, 1e-6, 0.01, 0.1, 0.45, 0.5):
+            exact = enumerate_encoded_x_error(e)
+            assert exact == pytest.approx(encoded_x_error(e), rel=1e-13, abs=0.0), e
+            assert exact == pytest.approx(float(encoded_x_error_mp(e)), rel=1e-13, abs=0.0), e
 
     def test_station_simulation_matches_composition(self):
         spec = ProtocolSpec(Variant.TWO_WAY_CC, 1, 3.0, SQ15)
@@ -454,7 +453,7 @@ class TestThreadPool:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mc_oracle, "ThreadPoolExecutor", RecordingPool)
         pinned = TestPinnedCounts()
         pinned.test_estimate_hrm_uneven_batches()
         pinned.test_segment_uneven_batches()

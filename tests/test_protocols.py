@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from gkp_repeater.tree_code import (
     majority3,
     single_qubit_variance,
 )
-from reference import chain_error_mp, pfail, segment_errors_mp
+from reference import chain_error_mp, key_rate_mp, pfail, segment_errors_mp
 
 SQRT_PI = math.sqrt(math.pi)
 SQ15 = SqueezingSpec.from_db(15.0)
@@ -210,16 +211,23 @@ class TestSegmentErrors:
 class TestSegmentErrorsAgainstMpmath:
     """E_segment and the per-outcome acceptance against the 60-digit lattice
     sums (reference.py), taken at the program's own float variance, so that
-    only the lattice sums, e_hrm, 2e(1 - e) and p_suc are under test."""
+    only the lattice sums, e_hrm, 2e(1 - e) and p_suc are under test; then
+    the chain's P_suc and R of secure_key_rate against key_rate_mp built
+    from that segment, for 1 to 1,700 stations. A P_suc or R below the
+    normal range keeps only absolute accuracy, hence their absolute floor of
+    1e-9 of the least normal double. The repeaterless n_qr = 0 is left out:
+    chain_error reads 0 there by convention, not as a rounding matter."""
 
     DELTAS = [0.0, SQRT_PI / 14, SQRT_PI / 6, SQRT_PI / 4]
     L0_KM = [0.5, 1.0, 3.0, 10.0, 30.0, 100.0]
+    N_QR = [1, 10, 100, 1700]
 
     @pytest.mark.parametrize("db", [10.0, 15.0, 20.0, 30.0, 40.0])
     @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.value)
     def test_grid(self, variant, db):
         pytest.importorskip("mpmath")
         squeezing = SqueezingSpec.from_db(db)
+        floor = 1e-9 * sys.float_info.min
         for delta in self.DELTAS:
             for l0 in self.L0_KM:
                 spec = spec_for(variant, l0=l0, squeezing=squeezing, delta=delta)
@@ -228,6 +236,12 @@ class TestSegmentErrorsAgainstMpmath:
                 # Every reference here is a normal double (the least is ~3e-35).
                 assert got.ex == pytest.approx(float(e), rel=1e-12, abs=0.0), (delta, l0)
                 assert got.p_suc == pytest.approx(float(accept), rel=1e-12, abs=0.0), (delta, l0)
+                for n_qr in self.N_QR:
+                    point = secure_key_rate(spec_for(variant, n_qr, l0, squeezing, delta))
+                    p_suc, rate = key_rate_mp(e, accept, variant.rounds, n_qr)
+                    where = (delta, l0, n_qr)
+                    assert point.p_suc == pytest.approx(float(p_suc), rel=1e-9, abs=floor), where
+                    assert point.rate == pytest.approx(float(rate), rel=1e-9, abs=floor), where
 
 
 def is_plus_zero(value: float) -> bool:
