@@ -72,8 +72,8 @@ def _validate(sigma2: float, delta: float) -> None:
 
 
 # Distinct (sigma2, delta) pairs kept per command. The recipes need 1,020
-# (bare key rates), 204 (tree key rates) and 102 (segment errors), and
-# `resources --mode path-selection` 203.
+# (bare key rates), 102 (segment errors) and 5 (tree key rates), and
+# `resources --mode path-selection` 4.
 _LATTICE_CACHE_SIZE = 4096
 
 

@@ -12,7 +12,8 @@ over three-qubit blocks. Two decoding modes are supported:
 * ``path-selection``: the station keeps the leaf pair whose measured residues
   have the largest Gaussian likelihood. Communication is deterministic
   (success probability 1) and the selected-pair error is an order statistic
-  over the residue distribution, computed by quadrature over lattice sums
+  over the residue distribution, computed by a graded Gauss-Legendre
+  quadrature over the residue densities and tails
   (``_path_selection_leaf_error``).
 
 Every node and ancilla qubit also crosses l0/2 of fiber with its outcome
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -185,69 +185,201 @@ def _check_tree_spec(spec: ProtocolSpec) -> None:
         )
 
 
-#: Cells per residue magnitude in the path-selection quadrature. The cell sum
-#: errs as 1/m**2 with a 1/m**3 term behind it, which extrapolating m and 2m
-#: cells leaves: at m = 100 the result is 3.5e-6 relative off a Richardson
-#: limit from m = 800 at 15 dB, and 6.1e-6 at 20 dB (l0 = 3 km, 5 pairs). At
-#: small leaf variance it is not converged: 5.3% low at 40 dB, l0 = 0.16 km
-#: (v_leaf = 0.0037). ROADMAP item 3 replaces the cell sums by a quadrature.
-_LEAF_CELLS = 100
+#: Gauss-Legendre nodes per panel, in each variable of the leaf quadrature.
+_LEAF_NODES = 16
+
+#: The widest a panel may be, in widths of the steepest feature of its
+#: integrand (``_leaf_nodes``). A width is one standard deviation of a
+#: Gaussian feature and 4 e-folds of an exponential one: on their own, 16
+#: nodes integrate a Gaussian over 6 standard deviations and exp(-x) over 24
+#: e-folds to 5e-14, and the margin covers the features' products. Doubling
+#: the nodes and halving the panels moves the leaf error by at most 1e-10
+#: relative from v_leaf = 5e-4 to 30 and 1 to 500 pairs.
+_PANEL_WIDTHS = 4.0
+
+#: Images k*sqrt(pi) of a residue are kept while k (k - 1) pi / (2 v) stays
+#: below this: a further image adds less than e**-50 of its parity's nearest
+#: one at every residue magnitude.
+_IMAGE_EXPONENT = 50.0
+
+_HALF_BIN = SQRT_PI / 2
+_HALF_BIN2 = _HALF_BIN * _HALF_BIN
 
 
-def _selected_pair_error(v_leaf: float, n_pairs: int, m: int) -> float:
-    """Error of the pair with the smallest s = r1**2 + r2**2 among n_pairs,
-    with each residue magnitude |r| binned into m cells on [0, sqrt(pi)/2].
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
+    """(node, weight) of the n-point Gauss-Legendre rule on [-1, 1], each
+    root of P_n polished by Newton's method from its asymptotic guess."""
+    rule = []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            slope = n * (x * p1 - p0) / (x * x - 1.0)
+            step = p1 / slope
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        rule.append((x, 2.0 / ((1.0 - x * x) * slope * slope)))
+    return tuple(rule)
 
-    A cell's even and odd masses are differences of the postselected lattice
-    sums at margin sqrt(pi)/2 - w. Cell pairs are keyed by the exact integer
-    (2i+1)**2 + (2j+1)**2 of their midpoints, so pairs with equal s merge. A
-    merged cell of mass M holds the smallest of n_pairs draws with probability
-    a**n - b**n, b being the mass above it and a = b + M; that pair is then
-    wrong (its outcomes not both even) with probability wrong/M.
+
+def _leaf_nodes(lo: float, hi: float, width_lo: float, width_hi: float = math.inf) -> list:
+    """(node, weight) pairs of a Gauss-Legendre rule on [lo, hi] whose panels
+    halve toward each end until the end panel spans at most _PANEL_WIDTHS
+    feature widths (``width_lo`` at lo, ``width_hi`` at hi)."""
+    length = hi - lo
+    breaks = {lo, hi}
+    for width, end, step in ((width_lo, lo, 1.0), (width_hi, hi, -1.0)):
+        panel = _PANEL_WIDTHS * width
+        if panel < length:
+            halvings = math.ceil(math.log2(length / panel))
+            breaks.update(end + step * length / 2**j for j in range(1, halvings + 1))
+    edges = sorted(breaks)
+    nodes = []
+    for a, b in zip(edges, edges[1:]):
+        half = 0.5 * (b - a)
+        mid = a + half
+        nodes.extend((mid + half * x, half * w) for x, w in _gauss_legendre(_LEAF_NODES))
+    return nodes
+
+
+def _residue_laws(v: float):
+    """Parity densities and tail of a residue magnitude x in [0, a], a = sqrt(pi)/2.
+
+    x is the distance of an N(0, v) outcome from its nearest multiple of
+    sqrt(pi), and the parity is that multiple's. Returns ``densities(x)``,
+    the even and odd densities (e(x), o(x)), sums of Gaussians at the images
+    k*sqrt(pi) +- x; and ``tail(y)`` = U(y) = P(x > y), a sum of erfc tail
+    masses of the same windows, never 1 minus a CDF, so that it keeps its
+    relative accuracy when it is tiny. From hrm's uniform limit on, e = o =
+    1/sqrt(pi) and U(y) = 1 - y/a.
     """
-    margins = [SQRT_PI / 2 * ((m - i) / m) for i in range(1, m + 1)]
-    even = [0.0] + [hrm_mod.p_cor(v_leaf, d) for d in margins]
-    odd = [0.0] + [hrm_mod.p_in(v_leaf, d) for d in margins]
-    e = [hi - lo for lo, hi in zip(even, even[1:])]
-    o = [hi - lo for lo, hi in zip(odd, odd[1:])]
-    # Each cell's total mass and squared odd midpoint, computed once rather
-    # than per cell pair; the sums below add the same terms in the same order.
-    squares = [(2 * i + 1) ** 2 for i in range(m)]
-    cells = list(zip(squares, e, o, [ei + oi for ei, oi in zip(e, o)]))
-    mass, wrong = defaultdict(float), defaultdict(float)
-    for sq_i, e_i, o_i, t_i in cells:
-        for sq_j, _, o_j, t_j in cells:
-            key = sq_i + sq_j
-            mass[key] += t_i * t_j
-            wrong[key] += e_i * o_j + o_i * t_j
-    expm1, log1p = math.expm1, math.log1p
-    total = above = 0.0
-    for key in sorted(mass, reverse=True):
-        cell, a = mass[key], above + mass[key]
-        if cell > 0.0:
-            # a**n - b**n, in a form that does not cancel for a thin cell.
-            drop = -expm1(n_pairs * log1p(-cell / a)) if cell < a else 1.0
-            total += wrong[key] / cell * a**n_pairs * drop
-        above = a
-    return total
+    a = _HALF_BIN
+    if v >= hrm_mod._UNIFORM_LIMIT_SIGMA2:
+        flat = 1.0 / SQRT_PI
+        return (lambda x: (flat, flat)), (lambda y: (a - y) / a)
+    exp, erfc = math.exp, math.erfc
+    k_max = 1
+    while (k_max + 1) * k_max * math.pi / (2.0 * v) <= _IMAGE_EXPONENT:
+        k_max += 1
+    # The images at -k*sqrt(pi) mirror those at +k*sqrt(pi), hence the 2.
+    norm = 2.0 / math.sqrt(2.0 * math.pi * v)
+    rate = -0.5 / v
+    scale = math.sqrt(2.0 * v)
+    even = [k * SQRT_PI for k in range(2, k_max + 1, 2)]
+    odd = [k * SQRT_PI for k in range(1, k_max + 1, 2)]
+
+    def densities(x: float) -> tuple[float, float]:
+        e = exp(rate * x * x)
+        for c in even:
+            d, u = c - x, c + x
+            e += exp(rate * d * d) + exp(rate * u * u)
+        o = 0.0
+        for c in odd:
+            d, u = c - x, c + x
+            o += exp(rate * d * d) + exp(rate * u * u)
+        return norm * e, norm * o
+
+    # Window k*sqrt(pi) +- a holds the outcomes whose residue is measured
+    # from k*sqrt(pi); x > y on its two sides (c - a, c - y) and (c + y, c + a).
+    windows = [
+        (c / scale, erfc((c - a) / scale), erfc((c + a) / scale))
+        for c in (k * SQRT_PI for k in range(1, k_max + 1))
+    ]
+    central = erfc(a / scale)
+
+    def tail(y: float) -> float:
+        y = y / scale
+        total = erfc(y) - central
+        for c, inner, outer in windows:
+            total += (inner - erfc(c - y)) + (erfc(c + y) - outer)
+        return total
+
+    return densities, tail
 
 
 @functools.lru_cache(maxsize=None)
 def _path_selection_leaf_error(v_leaf: float, n_pairs: int) -> float:
     """Probability that the maximum-likelihood leaf pair out of n_pairs is
-    wrong: the extrapolation (4 P(2m) - P(m)) / 3 of the cell sums. It meets
-    the closed forms 0 at v_leaf = 0, 3/4 once the residues are uniform and
-    1 - (1 - e_hrm(v_leaf))**2 for one pair up to the cell sums' rounding,
-    which grows with n_pairs: uniform residues give 0.74999999996 at 500 pairs.
-    Where both cell sums are near underflow (v_leaf ~ 0.0017-0.0020 at 5
-    pairs) the extrapolation can read below 0, by up to ~1e-270, so it is
-    clamped at 0: finer cells put the value there below ~3e-270.
-    The cache is one of ``hrm.COMMAND_CACHES``, cleared at the start of each
-    command, and unbounded: a sweep visits its spacings once per margin, a
-    cycle that a bounded LRU would evict whole.
+    wrong, i.e. that either of its two outcomes is odd (Fukui, Tomita and
+    Okamoto, PRL 119, 180507 (2017), for the selection rule).
+
+    The selected pair has the smallest s = x1**2 + x2**2 of the residue
+    magnitudes, so with G(s) = P(x1**2 + x2**2 > s) for one pair
+
+        E = integral over [0, 2 a**2] of n G(s)**(n - 1) W'(s) ds,
+
+    where W'(s) = (1/2) * integral over the arc x = sqrt(s) (cos t, sin t)
+    inside the square [0, a]**2 of e(x1) o(x2) + o(x1) t(x2) dt, t = e + o.
+    Both integrands are symmetric under x1 <-> x2, so the arc is integrated
+    over x1 <= x2 only, where x2 >= sqrt(s/2), and
+
+        G(s) = U(sqrt(s/2))**2 + 2 * integral of t(x1) U(x2) x2 dt
+
+    over the same half arc, from the residue tail U (``_residue_laws``), so
+    that G keeps its relative accuracy where it is tiny. s is split at a**2,
+    and the upper panel is mapped by s = a**2 (1 + sin(psi)**2), which makes
+    the kink at a**2 and the arc's end at 2 a**2 smooth in psi. Each
+    variable has 16-node Gauss-Legendre panels graded toward its steep ends
+    (``_leaf_nodes``); the feature widths come from v_leaf and n_pairs:
+
+    * s near 0: G**(n - 1) falls by e over 4 / ((n - 1) pi t(0)**2), which
+      is 2 v / (n - 1) for small v and 1 / (n - 1) for uniform residues.
+    * s below a**2: W' rises by e over 2 v.
+    * psi near 0: the pair density falls as a Gaussian of width sqrt(v) / a.
+    * along the arc: W' is a Gaussian of width (v / sqrt(pi s))**(1/2) at
+      the largest x2, and above a**2 U(x2) leaves 0 by e over
+      v / (a sqrt(s - a**2)).
+
+    One pair gives 1 - (1 - e_hrm(v_leaf))**2, and uniform residues 3/4,
+    to 1e-13 relative. The selected pair is wrong only if some
+    outcome is odd, so E <= 2 n p_in: where p_in underflows to 0 (v_leaf
+    below ~5e-4, and at v_leaf = 0), so does E. The cache is one of
+    ``hrm.COMMAND_CACHES``, cleared at the start of each command, and
+    unbounded: a sweep visits its spacings once per margin, a cycle that a
+    bounded LRU would evict whole.
     """
-    fine = _selected_pair_error(v_leaf, n_pairs, 2 * _LEAF_CELLS)
-    return max(0.0, (4.0 * fine - _selected_pair_error(v_leaf, n_pairs, _LEAF_CELLS)) / 3.0)
+    if hrm_mod.p_in(v_leaf) == 0.0:
+        return 0.0
+    n = n_pairs
+    a, a2 = _HALF_BIN, _HALF_BIN2
+    densities, tail = _residue_laws(v_leaf)
+    sigma = math.sqrt(v_leaf)
+    sqrt, sin, cos = math.sqrt, math.sin, math.cos
+
+    def selected_wrong(s: float) -> float:
+        """n G(s)**(n - 1) W'(s)."""
+        r = sqrt(s)
+        width = sigma / sqrt(sqrt(math.pi * s))
+        if s <= a2:
+            lo = 0.0
+        else:
+            lo = math.acos(a / r)
+            width = min(width, 4.0 * v_leaf / (a * sqrt(s - a2)))
+        wrong = beyond = 0.0
+        for angle, weight in _leaf_nodes(lo, math.pi / 4, width):
+            x1, x2 = r * sin(angle), r * cos(angle)
+            e1, o1 = densities(x1)
+            e2, o2 = densities(x2)
+            wrong += weight * (e1 * o2 + o1 * (e2 + o2))
+            beyond += weight * (e1 + o1) * tail(x2) * x2
+        split = tail(r / math.sqrt(2.0))
+        return n * (split * split + 2.0 * beyond) ** (n - 1) * wrong
+
+    # Exponential features enter _leaf_nodes as 4 e-folds (_PANEL_WIDTHS).
+    near_zero = math.inf
+    if n > 1:
+        e0, o0 = densities(0.0)
+        near_zero = 16.0 / ((n - 1) * math.pi * (e0 + o0) ** 2)
+    total = 0.0
+    for s, weight in _leaf_nodes(0.0, a2, near_zero, 8.0 * v_leaf):
+        total += weight * selected_wrong(s)
+    for psi, weight in _leaf_nodes(0.0, math.pi / 2, sigma / a):
+        total += weight * a2 * sin(2.0 * psi) * selected_wrong(a2 * (1.0 + sin(psi) ** 2))
+    return total
 
 
 hrm_mod.COMMAND_CACHES.append(_path_selection_leaf_error)

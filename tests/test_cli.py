@@ -269,10 +269,10 @@ class TestLinkCapacity:
     # chain_error's convention (ROADMAP item 2), which cannot change before
     # bench/refcheck.py, the benchmark's reference checker, learns the new
     # single-hop convention. Each tree-path-selection example at a new leaf
-    # variance costs a ~50 ms cell sum, so the examples stay few.
+    # variance costs a 3-40 ms quadrature, so the examples stay few.
     @settings(max_examples=200, deadline=None)
-    # A leaf variance of ~0.00187, where the unclamped path-selection
-    # extrapolation reads below 0.
+    # A leaf variance of ~0.00187, where the former cell-sum extrapolation
+    # read below 0.
     @example(protocol="tree-path-selection", squeezing_db=28.0, delta=0.0, nqr=78, distance=1.0)
     @given(
         protocol=st.sampled_from(cli.PROTOCOL_CHOICES),
@@ -728,10 +728,10 @@ class TestSharedLeafEstimate:
 
     def test_memo_keeps_every_spacing_of_a_long_sweep(self, capsys, monkeypatch, request):
         # A sweep visits its spacings once per margin, a cycle that an LRU
-        # bound below the spacing count evicts whole. The stub stands in for
-        # the cell sums, which would take ~60 ms per spacing.
+        # bound below the spacing count evicts whole. The stub empties the
+        # quadrature, which would take ~5 ms per spacing.
         request.addfinalizer(tree_code._path_selection_leaf_error.cache_clear)
-        monkeypatch.setattr(tree_code, "_selected_pair_error", lambda v_leaf, n_pairs, m: 0.25)
+        monkeypatch.setattr(tree_code, "_leaf_nodes", lambda *args: [])
         spacings = ",".join(f"{1 + i / 100:g}" for i in range(300))
         code, out = run_cli(capsys, "sweep", "--protocols", "tree-path-selection", "--nqr-list", "1",
                             "--delta-list", "0,sqrt_pi/6", "--l0-list", spacings)
@@ -843,7 +843,7 @@ class TestOutputFreeze:
         ),
         "tree_key_rates": (
             ["sweep", "--config", str(RECIPES / "tree_key_rates.cfg")],
-            "e482100671964c73c03ad449e2cd26abb518e2d16b0384911dddc06c4bc19a29",
+            "6780516d763bc9074fd0b25184309fee1fdc392e122e27897c97d90da4853bd6",
         ),
         "mc_validate": (
             ["mc-validate", "--trials", "20000", "--seed", "7", "--scope", "all"],

@@ -364,27 +364,43 @@ class TestPathSelectionQuadrature:
     def test_exact_ends(self, n_pairs):
         assert leaf_error(0.0, n_pairs) == 0.0
         for v_leaf in (400.0, 1e4, 1e12):
-            # Rounding in the accumulated pair mass grows with n_pairs.
-            assert leaf_error(v_leaf, n_pairs) == pytest.approx(0.75, rel=1e-10)
+            assert leaf_error(v_leaf, n_pairs) == pytest.approx(0.75, rel=1e-12)
 
-    # At 0.0019 both cell sums are near underflow, and the unclamped
-    # extrapolation reads below 0 from 5 pairs on.
+    # At 0.0019 the former cell-sum extrapolation read below 0 from 5 pairs on.
     @pytest.mark.parametrize("v_leaf", [0.0019, 0.02, 0.1024, 0.3, 1.0, 5.0])
     def test_more_pairs_never_raise_the_error(self, v_leaf):
         values = [leaf_error(v_leaf, n) for n in range(1, 13)]
         assert all(0.0 <= b <= a for a, b in zip(values, values[1:])), values
 
-    def test_doubling_the_cells_moves_the_value_below_1e5(self, monkeypatch):
+    def test_doubling_the_nodes_and_panels_moves_the_value_below_1e10(self, monkeypatch):
         cases = [(leaf_variance_at(15, 3), 5), (leaf_variance_at(12, 6), 10), (0.25, 3)]
         base = [leaf_error(v, n) for v, n in cases]
-        monkeypatch.setattr(tree_code, "_LEAF_CELLS", 2 * tree_code._LEAF_CELLS)
+        monkeypatch.setattr(tree_code, "_LEAF_NODES", 2 * tree_code._LEAF_NODES)
+        monkeypatch.setattr(tree_code, "_PANEL_WIDTHS", tree_code._PANEL_WIDTHS / 2)
         for (v, n), value in zip(cases, base):
-            assert leaf_error(v, n) == pytest.approx(value, rel=1e-5)
+            assert leaf_error(v, n) == pytest.approx(value, rel=1e-10)
+
+    # From 40 dB at sub-kilometre spacing (0.002) to far past the tree domain,
+    # at 1 to 500 pairs. Values that underflow to 0 or a subnormal are
+    # compared absolutely.
+    @pytest.mark.parametrize("v_leaf", [0.002, 0.0037, 0.01, 0.05, 0.1022, 0.3, 1.0, 5.0])
+    def test_converged_against_doubled_nodes_and_panels(self, monkeypatch, v_leaf):
+        base = {n: leaf_error(v_leaf, n) for n in (1, 5, 50, 500)}
+        monkeypatch.setattr(tree_code, "_LEAF_NODES", 2 * tree_code._LEAF_NODES)
+        monkeypatch.setattr(tree_code, "_PANEL_WIDTHS", tree_code._PANEL_WIDTHS / 2)
+        for n, value in base.items():
+            assert leaf_error(v_leaf, n) == pytest.approx(value, rel=1e-9, abs=sys.float_info.min), n
 
     def test_tree_recipe_leaf_error(self):
         # 15 dB, 3 km: the leaf error behind every path-selection row of the
         # tree recipe (1.6e-5 from 16 events of the former 1e6-trial run).
-        assert leaf_error(leaf_variance_at(15, 3), 5) == pytest.approx(1.81944e-5, rel=1e-5)
+        assert leaf_error(leaf_variance_at(15, 3), 5) == pytest.approx(1.8194431081e-05, rel=1e-9)
+
+    def test_small_variance_corner(self):
+        # 40 dB, 0.16 km (v_leaf = 0.0037): the whole E_segment of
+        # `rate --protocol tree-path-selection --squeezing-db 40 --l0 0.16`,
+        # which the former 100/200-cell extrapolation put 5.3% low.
+        assert leaf_error(leaf_variance_at(40, 0.16), 5) == pytest.approx(6.24825e-146, rel=1e-5)
 
     @pytest.mark.parametrize("db,l0,n_pairs", [
         (15, 10, 5), (15, 10, 1), (12, 6, 10), (15, 20, 5), (10, 3, 5),
@@ -455,9 +471,16 @@ class TestResourceCount:
 
 
 def reference_selected_pair_error(v_leaf: float, n_pairs: int, m: int) -> float:
-    """The cell sum of tree_code._selected_pair_error as first written, with
-    the cell masses recomputed for every cell pair; the shipped loop hoists
-    them and must add the same terms in the same order."""
+    """The path-selection leaf error from m x m cells: each residue magnitude
+    |r| binned into m cells on [0, sqrt(pi)/2], whose even and odd masses are
+    differences of the postselected lattice sums at margin sqrt(pi)/2 - w.
+    Cell pairs are keyed by the exact integer (2i+1)**2 + (2j+1)**2 of their
+    midpoints, so pairs with equal s merge. A merged cell of mass M holds the
+    smallest of n_pairs draws with probability a**n - b**n, b being the mass
+    above it and a = b + M; that pair is then wrong (its outcomes not both
+    even) with probability wrong/M. The error falls as 1/m**2, with a
+    1/m**3 term behind it. This form recomputes the cell masses for every
+    cell pair."""
     margins = [SQRT_PI / 2 * ((m - i) / m) for i in range(1, m + 1)]
     even = [0.0] + [hrm_mod.p_cor(v_leaf, d) for d in margins]
     odd = [0.0] + [hrm_mod.p_in(v_leaf, d) for d in margins]
@@ -479,6 +502,32 @@ def reference_selected_pair_error(v_leaf: float, n_pairs: int, m: int) -> float:
     return total
 
 
+def cell_sum(v_leaf: float, n_pairs: int, m: int) -> float:
+    """reference_selected_pair_error with each cell's masses and squared odd
+    midpoint hoisted out of the cell-pair loop, adding the same terms in the
+    same order; the Richardson limits below use it."""
+    margins = [SQRT_PI / 2 * ((m - i) / m) for i in range(1, m + 1)]
+    even = [0.0] + [hrm_mod.p_cor(v_leaf, d) for d in margins]
+    odd = [0.0] + [hrm_mod.p_in(v_leaf, d) for d in margins]
+    e = [hi - lo for lo, hi in zip(even, even[1:])]
+    o = [hi - lo for lo, hi in zip(odd, odd[1:])]
+    cells = list(zip([(2 * i + 1) ** 2 for i in range(m)], e, o, [ei + oi for ei, oi in zip(e, o)]))
+    mass, wrong = defaultdict(float), defaultdict(float)
+    for sq_i, e_i, o_i, t_i in cells:
+        for sq_j, _, o_j, t_j in cells:
+            key = sq_i + sq_j
+            mass[key] += t_i * t_j
+            wrong[key] += e_i * o_j + o_i * t_j
+    total = above = 0.0
+    for key in sorted(mass, reverse=True):
+        cell, a = mass[key], above + mass[key]
+        if cell > 0.0:
+            drop = -math.expm1(n_pairs * math.log1p(-cell / a)) if cell < a else 1.0
+            total += wrong[key] / cell * a**n_pairs * drop
+        above = a
+    return total
+
+
 class TestCellSumReference:
     @pytest.mark.parametrize("v_leaf", [
         0.0, 0.02, leaf_variance_at(15, 3), leaf_variance_at(20, 3), leaf_variance_at(40, 3),
@@ -487,5 +536,17 @@ class TestCellSumReference:
     @pytest.mark.parametrize("n_pairs", [1, 5, 500])
     def test_hoisted_loop_is_bitwise_the_reference(self, v_leaf, n_pairs):
         for m in (1, 7, 100, 200):
-            got = tree_code._selected_pair_error(v_leaf, n_pairs, m)
-            assert got == reference_selected_pair_error(v_leaf, n_pairs, m), m
+            assert cell_sum(v_leaf, n_pairs, m) == reference_selected_pair_error(v_leaf, n_pairs, m), m
+
+    # With one pair or uniform residues the cell sum is exact at every m and
+    # its steps are rounding, so the limit is taken where selection makes it
+    # converge as 1/m**2.
+    @pytest.mark.parametrize("v_leaf", [
+        0.02, leaf_variance_at(15, 3), leaf_variance_at(20, 3), leaf_variance_at(40, 3), 1.0,
+    ])
+    @pytest.mark.parametrize("n_pairs", [5, 500])
+    def test_quadrature_meets_the_richardson_limit(self, v_leaf, n_pairs):
+        p50, p100, p200 = (cell_sum(v_leaf, n_pairs, m) for m in (50, 100, 200))
+        coarse, fine = (4 * p100 - p50) / 3, (4 * p200 - p100) / 3
+        limit = (8 * fine - coarse) / 7
+        assert abs(leaf_error(v_leaf, n_pairs) - limit) <= abs(limit - fine)
