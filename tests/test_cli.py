@@ -847,7 +847,7 @@ class TestOutputFreeze:
         ),
         "mc_validate": (
             ["mc-validate", "--trials", "20000", "--seed", "7", "--scope", "all"],
-            "e6a8e2f40f73255efaada5d4bd477766ba51e56e51924eef78445ed44857ef49",
+            "f0d61439afb8251fa788f807f738951360d624c99d08c9ae57422141cbcceb41",
         ),
     }
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkp_repeater import mc_oracle
+from gkp_repeater import mc_oracle, tree_code
 from gkp_repeater.hrm import e_hrm, p_suc
 from gkp_repeater.mc_oracle import (
     McEstimate,
@@ -30,6 +30,7 @@ from gkp_repeater.mc_oracle import (
 from gkp_repeater.noise_core import SqueezingSpec
 from gkp_repeater.protocols import ALL_VARIANTS, ProtocolSpec, Variant, segment_errors, segment_variance
 from gkp_repeater.tree_code import (
+    ComponentErrors,
     DecodingMode,
     component_errors,
     majority3,
@@ -87,6 +88,21 @@ class TestDeterminismAndBatching:
         assert estimate.std_err == pytest.approx(
             math.sqrt(0.025 * 0.975 / 1000), rel=1e-12
         )
+
+    def test_batches_draw_from_sfc64(self):
+        config = TrialConfig(10, seed=3)
+        for index in (0, 1, 2**20):
+            assert isinstance(config.rng(index).bit_generator, np.random.SFC64)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63])
+    def test_adjacent_streams_are_uncorrelated(self, seed):
+        # Neighbouring spawn keys (batches of one run) and neighbouring seeds
+        # (mc-validate's rows) must not share structure.
+        n = 100_000
+        first = TrialConfig(1, seed=seed).rng(0).standard_normal(n)
+        for neighbour in (TrialConfig(1, seed=seed).rng(1), TrialConfig(1, seed=seed + 1).rng(0)):
+            corr = np.corrcoef(first, neighbour.standard_normal(n))[0, 1]
+            assert abs(corr) < 4 / math.sqrt(n)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -317,46 +333,182 @@ class TestParityKernel:
         assert np.array_equal(out, expected)
 
 
+def whole_batch_postselected(config, draws, v_up):
+    """(accepted, flipped) of the postselected kernel, drawing each batch in
+    one piece with plain numpy: ``normal``, ``np.rint`` to the nearest
+    multiple and ``np.fmod`` for parity. draws holds one (sigmas, decides)
+    entry per outcome, as in the sampler."""
+    n_accepted = n_flipped = 0
+    for index, n in config.batches():
+        rng = config.rng(index)
+        accepted = np.ones(n, dtype=bool)
+        flipped = np.zeros(n, dtype=bool)
+        for sigmas, decides in draws:
+            x = rng.normal(0.0, sigmas[0], size=n)
+            for s in sigmas[1:]:
+                x = x + rng.normal(0.0, s, size=n)
+            k = np.rint(x / SQRT_PI)
+            accepted &= np.abs(x - k * SQRT_PI) < v_up
+            if decides:
+                flipped ^= np.fmod(k, 2) != 0
+        n_accepted += int(accepted.sum())
+        n_flipped += int((flipped & accepted).sum())
+    return n_accepted, n_flipped
+
+
+def whole_batch_hrm(sigma2, delta, config):
+    """(errors, accepted) and (accepted, trials) of ``estimate_hrm``."""
+    n_accepted, n_errors = whole_batch_postselected(
+        config, [((math.sqrt(sigma2),), True)], HrmPolicy(delta).v_up
+    )
+    return [(n_errors, n_accepted), (n_accepted, config.n_trials)]
+
+
+def whole_batch_segment(spec, config):
+    """(flips, accepted) of ``simulate_segment``: per round, a q outcome that
+    decides the flip and a p outcome that only gates, each the sum of two
+    teeth and the variant's channel-noise draws."""
+    tooth = math.sqrt(spec.squeezing.sigma2)
+    noise = math.sqrt(spec.variant.input_noise(spec.eta))
+    sigmas = [tooth, tooth] + [noise] * spec.variant.noisy_inputs
+    draws = [(sigmas, True), (sigmas, False)] * spec.variant.rounds
+    n_accepted, n_flips = whole_batch_postselected(config, draws, spec.hrm.v_up)
+    return [(n_flips, n_accepted)]
+
+
+def whole_batch_majority_vote(e, config):
+    """(failures, trials) of ``simulate_majority_vote`` from one (n, 3) draw
+    per batch."""
+    failures = 0
+    for index, n in config.batches():
+        flips = config.rng(index).random(size=(n, 3)) < e
+        failures += int((flips.sum(axis=1) >= 2).sum())
+    return [(failures, config.n_trials)]
+
+
+UNEVEN = TrialConfig(20_000, seed=31, batch_size=7919)
+SEGMENT_UNEVEN = ProtocolSpec(
+    Variant.TWO_WAY_PRE_SECOND_SQEC, 1, 3.0, SQ15, hrm=HrmPolicy(SQRT_PI / 12)
+)
+SEGMENT_SECOND_ROUND = ProtocolSpec(
+    Variant.TWO_WAY_POST_SECOND_SQEC, 1, 20.0, SQ15, hrm=HrmPolicy(SQRT_PI / 6)
+)
+
+
 class TestPinnedCounts:
     """Counts at inputs the mc-validate digest does not reach: several batches
     with an uneven last one, five pairs, a postselected second round and the
-    station sampler. Computed before the parity kernel was rewritten (the
-    five-pair counts before path selection lost its margin); any change of
-    stream or kernel moves them."""
-
-    UNEVEN = TrialConfig(20_000, seed=31, batch_size=7919)
+    station sampler. Drawn from SFC64 streams; each count equals an
+    independent whole-batch form on the same streams and lies within
+    |z| <= 4 of its analytic value (``TestPinnedCountProvenance``). Any
+    change of stream or kernel moves them."""
 
     def test_estimate_hrm_uneven_batches(self):
-        err, acc = estimate_hrm(0.25, SQRT_PI / 6, self.UNEVEN)
-        assert counts(err) == (359, 15644)
-        assert counts(acc) == (15644, 20000)
+        err, acc = estimate_hrm(0.25, SQRT_PI / 6, UNEVEN)
+        assert counts(err) == (348, 15615)
+        assert counts(acc) == (15615, 20000)
 
     def test_segment_uneven_batches(self):
-        spec = ProtocolSpec(
-            Variant.TWO_WAY_PRE_SECOND_SQEC, 1, 3.0, SQ15, hrm=HrmPolicy(SQRT_PI / 12)
-        )
-        assert counts(simulate_segment(spec, self.UNEVEN)) == (42, 18604)
+        assert counts(simulate_segment(SEGMENT_UNEVEN, UNEVEN)) == (42, 18634)
 
     def test_postselected_second_round_segment(self):
-        spec = ProtocolSpec(
-            Variant.TWO_WAY_POST_SECOND_SQEC, 1, 20.0, SQ15, hrm=HrmPolicy(SQRT_PI / 6)
-        )
-        assert counts(simulate_segment(spec, TrialConfig(20_000, seed=32))) == (1292, 4222)
+        assert counts(simulate_segment(SEGMENT_SECOND_ROUND, TrialConfig(20_000, seed=32))) == (1305, 4279)
 
     def test_path_selection_with_margin(self):
         # The decoder has no margin: every trial keeps its likeliest pair.
-        assert counts(simulate_path_selection(0.25, 5, TrialConfig(20_000, seed=33))) == (482, 20000)
+        assert counts(simulate_path_selection(0.25, 5, TrialConfig(20_000, seed=33))) == (463, 20000)
 
     def test_path_selection_uneven_batches(self):
-        assert counts(simulate_path_selection(0.25, 5, self.UNEVEN)) == (465, 20000)
+        assert counts(simulate_path_selection(0.25, 5, UNEVEN)) == (442, 20000)
 
     def test_majority_vote_uneven_batches(self):
-        assert counts(simulate_majority_vote(0.1, self.UNEVEN)) == (559, 20000)
+        assert counts(simulate_majority_vote(0.1, UNEVEN)) == (563, 20000)
 
     def test_tree_repeater(self):
         station = simulate_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34))
-        assert counts(station) == (794, 20000)
-        assert counts(simulate_tree_repeater(0.12, 0.12, 0.01, self.UNEVEN)) == (845, 20000)
+        assert counts(station) == (820, 20000)
+        assert counts(simulate_tree_repeater(0.12, 0.12, 0.01, UNEVEN)) == (791, 20000)
+
+
+def _station_error(v_leaf, v_single, e_prep):
+    """Analytic per-station error of ``simulate_tree_repeater``'s inputs."""
+    return repeater_error(ComponentErrors(e_hrm(v_leaf, 0.0), e_hrm(v_single, 0.0), e_prep))
+
+
+def _segment_acceptance(spec):
+    """Chance that all of a segment's postselected outcomes pass: two a round."""
+    return p_suc(segment_variance(spec), spec.hrm.delta) ** (2 * spec.variant.rounds)
+
+
+#: Each pinned run: the sampler call, its whole-batch form on the same
+#: streams, and the analytic probability of each estimate.
+PINNED_RUNS = {
+    "hrm_uneven": (
+        lambda: estimate_hrm(0.25, SQRT_PI / 6, UNEVEN),
+        lambda: whole_batch_hrm(0.25, SQRT_PI / 6, UNEVEN),
+        lambda: [e_hrm(0.25, SQRT_PI / 6), p_suc(0.25, SQRT_PI / 6)],
+    ),
+    "segment_uneven": (
+        lambda: simulate_segment(SEGMENT_UNEVEN, UNEVEN),
+        lambda: whole_batch_segment(SEGMENT_UNEVEN, UNEVEN),
+        lambda: [segment_errors(SEGMENT_UNEVEN).ex],
+    ),
+    "segment_second_round": (
+        lambda: simulate_segment(SEGMENT_SECOND_ROUND, TrialConfig(20_000, seed=32)),
+        lambda: whole_batch_segment(SEGMENT_SECOND_ROUND, TrialConfig(20_000, seed=32)),
+        lambda: [segment_errors(SEGMENT_SECOND_ROUND).ex],
+    ),
+    "path_selection": (
+        lambda: simulate_path_selection(0.25, 5, TrialConfig(20_000, seed=33)),
+        lambda: [unchunked_path_selection(0.25, 5, TrialConfig(20_000, seed=33))],
+        lambda: [tree_code._path_selection_leaf_error(0.25, 5)],
+    ),
+    "path_selection_uneven": (
+        lambda: simulate_path_selection(0.25, 5, UNEVEN),
+        lambda: [unchunked_path_selection(0.25, 5, UNEVEN)],
+        lambda: [tree_code._path_selection_leaf_error(0.25, 5)],
+    ),
+    "majority_vote_uneven": (
+        lambda: simulate_majority_vote(0.1, UNEVEN),
+        lambda: whole_batch_majority_vote(0.1, UNEVEN),
+        lambda: [majority3(0.1)],
+    ),
+    "tree_repeater": (
+        lambda: simulate_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34)),
+        lambda: [unchunked_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34))],
+        lambda: [_station_error(0.12, 0.12, 0.01)],
+    ),
+    "tree_repeater_uneven": (
+        lambda: simulate_tree_repeater(0.12, 0.12, 0.01, UNEVEN),
+        lambda: [unchunked_tree_repeater(0.12, 0.12, 0.01, UNEVEN)],
+        lambda: [_station_error(0.12, 0.12, 0.01)],
+    ),
+}
+
+
+class TestPinnedCountProvenance:
+    """Where the pinned counts come from: the samplers' kernels give the
+    counts of plain whole-batch numpy on the same ``config.rng`` streams, and
+    each count is a plausible draw of its analytic probability."""
+
+    @staticmethod
+    def estimates(name):
+        result = PINNED_RUNS[name][0]()
+        return [result] if isinstance(result, McEstimate) else list(result)
+
+    @pytest.mark.parametrize("name", PINNED_RUNS)
+    def test_counts_equal_the_whole_batch_form(self, name):
+        assert [counts(e) for e in self.estimates(name)] == PINNED_RUNS[name][1]()
+
+    @pytest.mark.parametrize("name", PINNED_RUNS)
+    def test_counts_lie_within_the_gate(self, name):
+        for estimate, p in zip(self.estimates(name), PINNED_RUNS[name][2](), strict=True):
+            assert abs(estimate.z(p)) <= 4
+
+    def test_segment_acceptance_lies_within_the_gate(self):
+        for spec, config in ((SEGMENT_UNEVEN, UNEVEN), (SEGMENT_SECOND_ROUND, TrialConfig(20_000, seed=32))):
+            flips = simulate_segment(spec, config)
+            assert abs(McEstimate(flips.n_effective, config.n_trials).z(_segment_acceptance(spec))) <= 4
 
 
 def unchunked_path_selection(sigma2, n_pairs, config):
@@ -438,7 +590,7 @@ class TestTreeRepeaterChunks:
         config = TrialConfig(250_000, seed=38)
         station = traced_peak(simulate_tree_repeater, 0.12, 0.12, 0.01, config)
         hrm = traced_peak(estimate_hrm, 0.12, SQRT_PI / 6, config)
-        # Unchunked, the station batch peaked at ~40 MB against ~6 MB.
+        # Unchunked, a 250,000-trial station batch peaked at ~40 MB against ~6 MB.
         assert station < 2 * hrm
 
 
@@ -541,8 +693,9 @@ class TestWorkArrays:
         "simulate_tree_repeater": lambda c: simulate_tree_repeater(0.12, 0.12, 0.01, c),
     }
 
-    @pytest.mark.parametrize("name", SAMPLERS)
-    def test_workers_allocate_little_beyond_their_work_arrays(self, monkeypatch, name):
+    @staticmethod
+    def record_work_arrays(monkeypatch) -> list[int]:
+        """Make each worker's work arrays as before, and list their bytes."""
         made = []
         work_arrays = mc_oracle._work_arrays
 
@@ -551,12 +704,23 @@ class TestWorkArrays:
             made.append(sum(a.nbytes for a in arrays[0] + arrays[1]))
             return arrays
 
-        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(mc_oracle, "_work_arrays", recording)
+        return made
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_workers_allocate_little_beyond_their_work_arrays(self, monkeypatch, name):
+        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 2)
+        made = self.record_work_arrays(monkeypatch)
         peak = traced_peak(self.SAMPLERS[name], self.CONFIG)
         # Two workers for each of the two calls, the same arrays each time.
         assert len(made) == 4 and made[:2] == made[2:]
         assert peak - sum(made[2:]) < 8 * self.CONFIG.batch_size
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_default_batch_work_arrays_fit_a_2_mib_l2_cache(self, monkeypatch, name):
+        made = self.record_work_arrays(monkeypatch)
+        self.SAMPLERS[name](TrialConfig(TrialConfig(1).batch_size, seed=47))
+        assert made and max(made) <= 2 * 2**20
 
 
 class TestCheapKernels:
