@@ -300,7 +300,7 @@ def _validation_cases(scope: str):
         return protocols.ProtocolSpec(variant, 1, l0, SqueezingSpec.from_db(15.0), policy)
 
     if scope in ("hrm", "all"):
-        for sigma2 in (0.05, 0.125, 0.25):
+        for sigma2 in (0.1, 0.125, 0.25):
             for delta in (0.0, math.sqrt(math.pi) / 10, math.sqrt(math.pi) / 6):
                 tag = f"[s2={sigma2:g},delta={delta:.6f}]"
                 yield partial(mc_oracle.estimate_hrm, sigma2, delta), [

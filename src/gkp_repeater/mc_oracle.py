@@ -27,7 +27,9 @@ calling thread; the workers only draw and count.
 Kernels
 -------
 ``estimate_hrm`` and ``simulate_segment`` sample one postselected
-experiment through one kernel, ``_postselected``.
+experiment through one kernel, ``_postselected``; an outcome is one normal
+at the summed variance of its independent contributions. Normals a trial: 1
+(hrm), 2 * rounds (segment), 2 * n_pairs (path selection), 58 (station).
 
 Most of a sampler's time goes to the normal draws, ~11 ns a
 ``standard_normal`` from SFC64, the fastest of numpy's bit generators. Two
@@ -144,15 +146,12 @@ def _nearest_multiple(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _residues(
-    rng: np.random.Generator, sigmas, x: np.ndarray, k: np.ndarray, t: np.ndarray
+    rng: np.random.Generator, sigma: float, x: np.ndarray, k: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    """Draw the sum of N(0, s^2) for s in sigmas into x, put its nearest
-    multiple of sqrt(pi) into k, and leave the residue's magnitude in x,
-    which is returned; t is a scratch array of x's shape."""
-    _normal(rng, sigmas[0], out=x)
-    for s in sigmas[1:]:
-        x += _normal(rng, s, out=t)
-    _nearest_multiple(x, out=k)
+    """Draw N(0, sigma^2) outcomes into x, put their nearest multiples of
+    sqrt(pi) into k, and leave the residues' magnitudes in x, which is
+    returned; t is a scratch array of x's shape."""
+    _nearest_multiple(_normal(rng, sigma, out=x), out=k)
     x -= np.multiply(k, SQRT_PI, out=t)
     return np.abs(x, out=x)
 
@@ -256,10 +255,10 @@ def _chunks(n: int, size: int, values_per_trial: int) -> list[tuple[int, int]]:
 
 
 def _postselected(config: TrialConfig, draws, v_up: float) -> tuple[int, int]:
-    """(accepted, flipped) counts. Each (sigmas, decides) entry of draws
-    draws one outcome per trial, the sum of N(0, s^2) over sigmas; a trial is
-    accepted when every residue magnitude is below v_up, and flips when the
-    parities of the outcomes whose entry decides xor to odd."""
+    """(accepted, flipped) counts. Each (sigma, decides) entry of draws
+    draws one N(0, sigma^2) outcome per trial; a trial is accepted when every
+    residue magnitude is below v_up, and flips when the parities of the
+    outcomes whose entry decides xor to odd."""
     size = _largest_batch(config)
 
     def sample_batch(rng: np.random.Generator, n: int, work):
@@ -267,8 +266,8 @@ def _postselected(config: TrialConfig, draws, v_up: float) -> tuple[int, int]:
         accepted, flipped, bits = (a[:n] for a in work[1])
         accepted.fill(True)
         flipped.fill(False)
-        for sigmas, decides in draws:
-            accepted &= np.less(_residues(rng, sigmas, x, k, t), v_up, out=bits)
+        for sigma, decides in draws:
+            accepted &= np.less(_residues(rng, sigma, x, k, t), v_up, out=bits)
             if decides:
                 flipped ^= _odd(k, out=bits, tmp=t)
         flipped &= accepted
@@ -287,7 +286,7 @@ def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEs
     """
     _require("sigma2", sigma2, "be nonnegative", sigma2 >= 0)
     v_up = hrm_mod.HrmPolicy(delta).v_up
-    n_accepted, n_errors = _postselected(config, [((math.sqrt(sigma2),), True)], v_up)
+    n_accepted, n_errors = _postselected(config, [(math.sqrt(sigma2), True)], v_up)
     err = McEstimate(n_errors, n_accepted)
     suc = McEstimate(n_accepted, config.n_trials)
     return err, suc
@@ -305,16 +304,17 @@ def _segment_component_sigmas(spec: protocols.ProtocolSpec) -> list[float]:
 def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEstimate:
     """Empirical per-segment logical flip probability in one quadrature.
 
-    Draws every displacement contribution separately (teeth and channel
-    noise), sums them per correction round, bins mod sqrt(pi), and applies the
-    postselection cutoff to both quadratures of each Bell measurement. For
-    second-round variants the two rounds flip independently and the segment
-    flips when exactly one round does. The estimate is conditioned on all
-    postselections passing, matching the analytic segment_errors.
+    Each outcome sums two teeth and the variant's channel noise, independent
+    Gaussians drawn as one normal at the variance the sampler sums itself
+    (never ``protocols.segment_variance``); it is binned mod sqrt(pi), and
+    the postselection cutoff applies to both quadratures of each Bell
+    measurement. For second-round variants the two rounds flip independently
+    and the segment flips when exactly one round does. The estimate is
+    conditioned on all postselections passing, matching segment_errors.
     """
-    sigmas = _segment_component_sigmas(spec)
+    sigma = math.hypot(*_segment_component_sigmas(spec))
     # Per round the q outcome decides the flip; the p outcome only gates.
-    draws = [(sigmas, True), (sigmas, False)] * spec.variant.rounds
+    draws = [(sigma, True), (sigma, False)] * spec.variant.rounds
     n_accepted, n_flips = _postselected(config, draws, spec.hrm.v_up)
     return McEstimate(n_flips, n_accepted)
 
@@ -348,7 +348,7 @@ def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig
         bits = work[1][0][: x.size].reshape(shape)
         wrong = work[1][1][:m]
         # Contiguous, so that argmin reads it without a copy.
-        squares = np.square(_residues(rng, (sigma,), x, k, t[: x.size].reshape(shape)), out=x)
+        squares = np.square(_residues(rng, sigma, x, k, t[: x.size].reshape(shape)), out=x)
         norm2 = np.add(squares[..., 0], squares[..., 1], out=t[: m * n_pairs].reshape(m, n_pairs))
         # x is spent: its memory holds the flat index of each selected pair.
         selected = np.argmin(norm2, axis=1, out=work[0][0].view(np.intp)[:m])

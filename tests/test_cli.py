@@ -847,7 +847,7 @@ class TestOutputFreeze:
         ),
         "mc_validate": (
             ["mc-validate", "--trials", "20000", "--seed", "7", "--scope", "all"],
-            "f0d61439afb8251fa788f807f738951360d624c99d08c9ae57422141cbcceb41",
+            "dc86ce6ac6a670091f96039dac3b09e0c9524f486d2c803633c06af917c40e3b",
         ),
     }
 

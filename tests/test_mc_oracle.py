@@ -337,16 +337,15 @@ def whole_batch_postselected(config, draws, v_up):
     """(accepted, flipped) of the postselected kernel, drawing each batch in
     one piece with plain numpy: ``normal``, ``np.rint`` to the nearest
     multiple and ``np.fmod`` for parity. draws holds one (sigmas, decides)
-    entry per outcome, as in the sampler."""
+    entry per outcome; the outcome sums one ``normal(0, s)`` per s in sigmas,
+    drawn in turn."""
     n_accepted = n_flipped = 0
     for index, n in config.batches():
         rng = config.rng(index)
         accepted = np.ones(n, dtype=bool)
         flipped = np.zeros(n, dtype=bool)
         for sigmas, decides in draws:
-            x = rng.normal(0.0, sigmas[0], size=n)
-            for s in sigmas[1:]:
-                x = x + rng.normal(0.0, s, size=n)
+            x = sum(rng.normal(0.0, s, size=n) for s in sigmas)
             k = np.rint(x / SQRT_PI)
             accepted &= np.abs(x - k * SQRT_PI) < v_up
             if decides:
@@ -364,13 +363,17 @@ def whole_batch_hrm(sigma2, delta, config):
     return [(n_errors, n_accepted), (n_accepted, config.n_trials)]
 
 
-def whole_batch_segment(spec, config):
-    """(flips, accepted) of ``simulate_segment``: per round, a q outcome that
-    decides the flip and a p outcome that only gates, each the sum of two
-    teeth and the variant's channel-noise draws."""
+def whole_batch_segment(spec, config, separate=False):
+    """(flips, accepted) of a segment: per round, a q outcome that decides
+    the flip and a p outcome that only gates. Each outcome is one normal at
+    the summed variance of two teeth and the variant's channel-noise inputs,
+    as ``simulate_segment`` draws it, or with separate the sum of one draw
+    per tooth and per channel input."""
     tooth = math.sqrt(spec.squeezing.sigma2)
     noise = math.sqrt(spec.variant.input_noise(spec.eta))
-    sigmas = [tooth, tooth] + [noise] * spec.variant.noisy_inputs
+    sigmas = (tooth, tooth) + (noise,) * spec.variant.noisy_inputs
+    if not separate:
+        sigmas = (math.hypot(*sigmas),)
     draws = [(sigmas, True), (sigmas, False)] * spec.variant.rounds
     n_accepted, n_flips = whole_batch_postselected(config, draws, spec.hrm.v_up)
     return [(n_flips, n_accepted)]
@@ -398,10 +401,11 @@ SEGMENT_SECOND_ROUND = ProtocolSpec(
 class TestPinnedCounts:
     """Counts at inputs the mc-validate digest does not reach: several batches
     with an uneven last one, five pairs, a postselected second round and the
-    station sampler. Drawn from SFC64 streams; each count equals an
-    independent whole-batch form on the same streams and lies within
-    |z| <= 4 of its analytic value (``TestPinnedCountProvenance``). Any
-    change of stream or kernel moves them."""
+    station sampler. Drawn from SFC64 streams, one normal per segment outcome
+    at the summed variance; each count equals an independent whole-batch form
+    on the same streams and lies within |z| <= 4 of its analytic value
+    (``TestPinnedCountProvenance``). Any change of stream or kernel moves
+    them."""
 
     def test_estimate_hrm_uneven_batches(self):
         err, acc = estimate_hrm(0.25, SQRT_PI / 6, UNEVEN)
@@ -409,10 +413,10 @@ class TestPinnedCounts:
         assert counts(acc) == (15615, 20000)
 
     def test_segment_uneven_batches(self):
-        assert counts(simulate_segment(SEGMENT_UNEVEN, UNEVEN)) == (42, 18634)
+        assert counts(simulate_segment(SEGMENT_UNEVEN, UNEVEN)) == (29, 18693)
 
     def test_postselected_second_round_segment(self):
-        assert counts(simulate_segment(SEGMENT_SECOND_ROUND, TrialConfig(20_000, seed=32))) == (1305, 4279)
+        assert counts(simulate_segment(SEGMENT_SECOND_ROUND, TrialConfig(20_000, seed=32))) == (1290, 4312)
 
     def test_path_selection_with_margin(self):
         # The decoder has no margin: every trial keeps its likeliest pair.
@@ -509,6 +513,52 @@ class TestPinnedCountProvenance:
         for spec, config in ((SEGMENT_UNEVEN, UNEVEN), (SEGMENT_SECOND_ROUND, TrialConfig(20_000, seed=32))):
             flips = simulate_segment(spec, config)
             assert abs(McEstimate(flips.n_effective, config.n_trials).z(_segment_acceptance(spec))) <= 4
+
+
+#: Segments the summed-variance draw is checked on against separate draws:
+#: the 7 variants at no margin, a margin, and a postselected second round.
+SEPARATE_DRAW_SEGMENTS = [
+    pytest.param(v, policy, id=f"{v.value}-delta={policy.delta:.4f}")
+    for v, policy in [(v, HrmPolicy()) for v in ALL_VARIANTS]
+    + [(Variant.TWO_WAY_CC, HrmPolicy(SQRT_PI / 6)), (Variant.TWO_WAY_PRE_SECOND_SQEC, HrmPolicy(SQRT_PI / 12))]
+]
+
+
+class TestSummedVarianceDraw:
+    """``simulate_segment`` draws each outcome as one normal at the summed
+    variance of its independent contributions. Drawing each tooth and each
+    channel input separately samples the same distribution, and the sampler
+    draws 2 * rounds normals a trial, no more."""
+
+    @pytest.mark.parametrize("l0", [3.0, 50.0])
+    @pytest.mark.parametrize("variant, policy", SEPARATE_DRAW_SEGMENTS)
+    def test_flip_rate_matches_separate_draws(self, variant, policy, l0):
+        spec = ProtocolSpec(variant, 1, l0, SQ15, hrm=policy)
+        summed = simulate_segment(spec, TrialConfig(200_000, seed=51))
+        [(k, n)] = whole_batch_segment(spec, TrialConfig(200_000, seed=52), separate=True)
+        pooled = (summed.successes + k) / (summed.n_effective + n)
+        spread = math.sqrt(pooled * (1.0 - pooled) * (1.0 / summed.n_effective + 1.0 / n))
+        assert spread > 0.0
+        assert abs(summed.mean - k / n) <= 4 * spread
+
+    @pytest.mark.parametrize("variant, policy", SEPARATE_DRAW_SEGMENTS)
+    def test_draws_two_normals_a_round(self, monkeypatch, variant, policy):
+        config = TrialConfig(5_000, seed=53)
+        used = []
+        fresh = TrialConfig.rng
+
+        def recording(self, batch_index):
+            used.append(fresh(self, batch_index))
+            return used[-1]
+
+        monkeypatch.setattr(TrialConfig, "rng", recording)
+        simulate_segment(ProtocolSpec(variant, 1, 3.0, SQ15, hrm=policy), config)
+        expected = fresh(config, 0)
+        expected.standard_normal(2 * variant.rounds * config.n_trials)
+        assert len(used) == 1
+        got, want = used[0].bit_generator.state, expected.bit_generator.state
+        assert np.array_equal(got.pop("state")["state"], want.pop("state")["state"])
+        assert got == want
 
 
 def unchunked_path_selection(sigma2, n_pairs, config):

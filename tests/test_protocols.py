@@ -150,6 +150,10 @@ class TestSegmentVariance:
                 assert sum(s**2 for s in sigmas) == pytest.approx(
                     segment_variance(spec), rel=1e-14, abs=1e-300
                 )
+                # simulate_segment draws one normal at this summed variance.
+                assert math.hypot(*sigmas) ** 2 == pytest.approx(
+                    segment_variance(spec), rel=1e-14, abs=1e-300
+                )
 
     def test_tree_variances_reproduce_closed_forms_bitwise(self):
         for l0 in np.geomspace(1e-6, 700.0, 2_001).tolist() + [0.0]:
