@@ -197,14 +197,6 @@ _LEAF_NODES = 16
 #: relative from v_leaf = 5e-4 to 30 and 1 to 500 pairs.
 _PANEL_WIDTHS = 4.0
 
-#: Images k*sqrt(pi) of a residue are kept while k (k - 1) pi / (2 v) stays
-#: below this: a further image adds less than e**-50 of its parity's nearest
-#: one at every residue magnitude.
-_IMAGE_EXPONENT = 50.0
-
-_HALF_BIN = SQRT_PI / 2
-_HALF_BIN2 = _HALF_BIN * _HALF_BIN
-
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
@@ -246,61 +238,6 @@ def _leaf_nodes(lo: float, hi: float, width_lo: float, width_hi: float = math.in
     return nodes
 
 
-def _residue_laws(v: float):
-    """Parity densities and tail of a residue magnitude x in [0, a], a = sqrt(pi)/2.
-
-    x is the distance of an N(0, v) outcome from its nearest multiple of
-    sqrt(pi), and the parity is that multiple's. Returns ``densities(x)``,
-    the even and odd densities (e(x), o(x)), sums of Gaussians at the images
-    k*sqrt(pi) +- x; and ``tail(y)`` = U(y) = P(x > y), a sum of erfc tail
-    masses of the same windows, never 1 minus a CDF, so that it keeps its
-    relative accuracy when it is tiny. From hrm's uniform limit on, e = o =
-    1/sqrt(pi) and U(y) = 1 - y/a.
-    """
-    a = _HALF_BIN
-    if v >= hrm_mod._UNIFORM_LIMIT_SIGMA2:
-        flat = 1.0 / SQRT_PI
-        return (lambda x: (flat, flat)), (lambda y: (a - y) / a)
-    exp, erfc = math.exp, math.erfc
-    k_max = 1
-    while (k_max + 1) * k_max * math.pi / (2.0 * v) <= _IMAGE_EXPONENT:
-        k_max += 1
-    # The images at -k*sqrt(pi) mirror those at +k*sqrt(pi), hence the 2.
-    norm = 2.0 / math.sqrt(2.0 * math.pi * v)
-    rate = -0.5 / v
-    scale = math.sqrt(2.0 * v)
-    even = [k * SQRT_PI for k in range(2, k_max + 1, 2)]
-    odd = [k * SQRT_PI for k in range(1, k_max + 1, 2)]
-
-    def densities(x: float) -> tuple[float, float]:
-        e = exp(rate * x * x)
-        for c in even:
-            d, u = c - x, c + x
-            e += exp(rate * d * d) + exp(rate * u * u)
-        o = 0.0
-        for c in odd:
-            d, u = c - x, c + x
-            o += exp(rate * d * d) + exp(rate * u * u)
-        return norm * e, norm * o
-
-    # Window k*sqrt(pi) +- a holds the outcomes whose residue is measured
-    # from k*sqrt(pi); x > y on its two sides (c - a, c - y) and (c + y, c + a).
-    windows = [
-        (c / scale, erfc((c - a) / scale), erfc((c + a) / scale))
-        for c in (k * SQRT_PI for k in range(1, k_max + 1))
-    ]
-    central = erfc(a / scale)
-
-    def tail(y: float) -> float:
-        y = y / scale
-        total = erfc(y) - central
-        for c, inner, outer in windows:
-            total += (inner - erfc(c - y)) + (erfc(c + y) - outer)
-        return total
-
-    return densities, tail
-
-
 @functools.lru_cache(maxsize=None)
 def _path_selection_leaf_error(v_leaf: float, n_pairs: int) -> float:
     """Probability that the maximum-likelihood leaf pair out of n_pairs is
@@ -319,7 +256,7 @@ def _path_selection_leaf_error(v_leaf: float, n_pairs: int) -> float:
 
         G(s) = U(sqrt(s/2))**2 + 2 * integral of t(x1) U(x2) x2 dt
 
-    over the same half arc, from the residue tail U (``_residue_laws``), so
+    over the same half arc, from the residue tail U (``hrm.residue_law``), so
     that G keeps its relative accuracy where it is tiny. s is split at a**2,
     and the upper panel is mapped by s = a**2 (1 + sin(psi)**2), which makes
     the kink at a**2 and the arc's end at 2 a**2 smooth in psi. Each
@@ -345,8 +282,9 @@ def _path_selection_leaf_error(v_leaf: float, n_pairs: int) -> float:
     if hrm_mod.p_in(v_leaf) == 0.0:
         return 0.0
     n = n_pairs
-    a, a2 = _HALF_BIN, _HALF_BIN2
-    densities, tail = _residue_laws(v_leaf)
+    a = SQRT_PI / 2
+    a2 = a * a
+    _, tail, densities = hrm_mod.residue_law(v_leaf)
     sigma = math.sqrt(v_leaf)
     sqrt, sin, cos = math.sqrt, math.sin, math.cos
 

@@ -8,7 +8,8 @@ independent oracles for the code that does. The lattice sums
 themselves are checked bit for bit against :func:`reference_lattice_mass`,
 the former full-line float sum of every window, and to 1e-12 against
 :func:`lattice_mass_mp`, the same windows summed at 60 digits with mpmath,
-which is imported only when it is called. :func:`segment_errors_mp` builds a
+which is imported only when it is called; :func:`residue_tail_mp` takes the
+residue tail from the same sums. :func:`segment_errors_mp` builds a
 segment's error and acceptance from those 60-digit sums, and
 :func:`key_rate_mp` a bare chain's P_suc and R from a segment's.
 The ``*_mp`` composition forms below write each 1 - product of independent
@@ -107,6 +108,18 @@ def lattice_sum_mp(sigma2: float, delta: float, odd: bool):
 def lattice_mass_mp(sigma2: float, delta: float, odd: bool) -> float:
     """:func:`lattice_sum_mp` rounded to a double."""
     return float(lattice_sum_mp(sigma2, delta, odd))
+
+
+def residue_tail_mp(sigma2: float, y: float):
+    """U(y) = P(x > y) of an N(0, sigma2) outcome's residue magnitude x, as an
+    mpmath number: 1 minus the even and odd :func:`lattice_sum_mp` at
+    half-width y, i.e. margin sqrt(pi)/2 - y taken at 60 digits. The
+    subtraction cancels, so a tail of 1e-40 keeps ~20 significant digits."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        delta = mpmath.mpf(SQRT_PI) / 2 - mpmath.mpf(y)
+        return 1 - lattice_sum_mp(sigma2, delta, False) - lattice_sum_mp(sigma2, delta, True)
 
 
 def segment_errors_mp(sigma2: float, delta: float, rounds: int):

@@ -711,14 +711,17 @@ class TestSharedLeafEstimate:
         assert (info.misses, info.hits) == (1, 3 * 2 - 1)
 
     def test_registry_clears_every_memo_per_command(self, capsys):
+        assert hrm.residue_law in hrm.COMMAND_CACHES
         assert hrm._lattice_masses in hrm.COMMAND_CACHES
         assert tree_code._path_selection_leaf_error in hrm.COMMAND_CACHES
         _, first = run_cli(capsys, *self.ARGV)
+        assert hrm.residue_law.cache_info().currsize > 0
         assert hrm._lattice_masses.cache_info().currsize > 0
-        # plob reads neither memo, so what is left in them after it is what
-        # main left at its start.
+        # plob reads none of the memos, so what is left in them after it is
+        # what main left at its start.
         code, _ = run_cli(capsys, "plob", "--distance-list", "100")
         assert code == 0
+        assert hrm.residue_law.cache_info().currsize == 0
         assert hrm._lattice_masses.cache_info().currsize == 0
         assert tree_code._path_selection_leaf_error.cache_info().currsize == 0
         _, second = run_cli(capsys, *self.ARGV)

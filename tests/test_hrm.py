@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from gkp_repeater import cli, hrm
+from gkp_repeater import cli, hrm, tree_code
 from gkp_repeater.hrm import HrmPolicy, e_hrm, p_cor, p_in, p_suc
-from reference import lattice_mass_mp, pfail, reference_lattice_mass
+from reference import lattice_mass_mp, pfail, reference_lattice_mass, residue_tail_mp
 
 SQRT_PI = math.sqrt(math.pi)
 DELTA_GRID = [k * SQRT_PI / 20 for k in range(10)]
@@ -334,3 +334,52 @@ class TestMirroredWindows:
     )
     def test_random(self, sigma2, delta):
         self.check(sigma2, delta)
+
+
+class TestResidueLaw:
+    """hrm.residue_law: the masses, tail and densities of one residue law."""
+
+    SIGMA2 = [1e-3, 0.01, 0.0158, 0.05, 0.25, 1.0, 3.0, 17.0, 120.0, 399.0]
+    YS = [0.05, 0.3, 0.6, 0.8]
+
+    @pytest.mark.parametrize("sigma2", SIGMA2)
+    def test_tail_matches_mpmath(self, sigma2):
+        # Below 1e-40 the 60-digit reference has cancelled too far to tell.
+        # At sigma2 = 0.01, y = 0.8 the tail is 1.2442e-15, and
+        # 1 - p_suc(0.01, sqrt(pi)/2 - 0.8) would read it 7.1% high.
+        pytest.importorskip("mpmath")
+        _, tail, _ = hrm.residue_law(sigma2)
+        for y in self.YS:
+            want = residue_tail_mp(sigma2, y)
+            if want > 1e-40:
+                assert tail(y) == pytest.approx(float(want), rel=1e-12, abs=0.0), y
+
+    @pytest.mark.parametrize("sigma2", [0.0158, 0.25, 3.0, 399.0, 400.0, 1e4])
+    def test_densities_integrate_to_the_masses(self, sigma2):
+        inside, _, densities = hrm.residue_law(sigma2)
+        for y in (0.1, *self.YS, SQRT_PI / 2):
+            # The even density is a Gaussian of width sqrt(sigma2) at 0; the
+            # odd one rises toward y by e over sigma2 / (sqrt(pi) - y).
+            width = min(math.sqrt(sigma2), 4.0 * sigma2 / (SQRT_PI - y))
+            even = odd = 0.0
+            for x, weight in tree_code._leaf_nodes(0.0, y, width, width):
+                e, o = densities(x)
+                even += weight * e
+                odd += weight * o
+            want = inside(y)
+            assert even == pytest.approx(want[0], rel=1e-12, abs=0.0), y
+            assert odd == pytest.approx(want[1], rel=1e-12, abs=0.0), y
+
+    def test_narrow_windows_equal_the_full_line_sum(self):
+        # Windows narrower than ~1e-8 cancel to masses of a few bits, whose
+        # sum can fall on a rounding tie that only the left-out images break.
+        # An image rule of e**-50 misses ~0.7% of these sums by an ulp.
+        rng = np.random.default_rng(16)
+        sigma2s = 10.0 ** rng.uniform(-0.7, 0.3, 2000)
+        half_widths = 10.0 ** rng.uniform(-15.0, -8.0, 2000)
+        for sigma2, half_width in zip(sigma2s.tolist(), half_widths.tolist()):
+            delta = SQRT_PI / 2 - half_width
+            got = hrm._lattice_masses.__wrapped__(sigma2, delta)
+            for odd in (False, True):
+                want = reference_lattice_mass(sigma2, delta, odd)
+                assert got[odd].hex() == want.hex(), (sigma2, delta, odd)
