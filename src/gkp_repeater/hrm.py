@@ -144,7 +144,8 @@ def residue_law(sigma2: float):
 
 @functools.lru_cache(maxsize=_LATTICE_CACHE_SIZE)
 def _lattice_masses(sigma2: float, delta: float) -> tuple[float, float]:
-    """(p_cor, p_in): the even- and odd-window sums at one variance and margin."""
+    """(p_cor, p_in) at one variance and margin, validated before caching."""
+    _validate(sigma2, delta)
     if sigma2 == 0.0:
         # Degenerate point mass at the origin: always inside the central
         # correct window (half-width > 0), never in an odd window.
@@ -161,26 +162,22 @@ COMMAND_CACHES = [residue_law, _lattice_masses]
 
 def p_cor(sigma2: float, delta: float = 0.0) -> float:
     """Probability that the true deviation falls in a correct-parity window."""
-    _validate(sigma2, delta)
     return _lattice_masses(sigma2, delta)[0]
 
 
 def p_in(sigma2: float, delta: float = 0.0) -> float:
     """Probability that the true deviation falls in a wrong-parity window."""
-    _validate(sigma2, delta)
     return _lattice_masses(sigma2, delta)[1]
 
 
 def e_hrm(sigma2: float, delta: float = 0.0) -> float:
     """Misidentification probability conditioned on acceptance.
 
-    e_hrm = 1 - p_cor / (p_cor + p_in). Equals the unpostselected lattice-sum
-    error at delta = 0 and decreases as the margin delta grows. The correct
-    windows sit nearer the origin than the incorrect ones bin for bin, so the
-    value never exceeds 1/2; roundoff at enormous variances is clamped.
+    e_hrm = p_in / (p_cor + p_in), one memo read: the unpostselected error at
+    delta = 0, falling as delta grows. Each correct window sits nearer the
+    origin than its incorrect one: e_hrm <= 1/2, huge-sigma2 roundoff clamped.
     """
-    pc = p_cor(sigma2, delta)
-    pi_ = p_in(sigma2, delta)
+    pc, pi_ = _lattice_masses(sigma2, delta)
     total = pc + pi_
     if total == 0.0:
         return 0.0
@@ -188,11 +185,11 @@ def e_hrm(sigma2: float, delta: float = 0.0) -> float:
 
 
 def p_suc(sigma2: float, delta: float = 0.0) -> float:
-    """Acceptance probability of the postselected measurement, p_cor + p_in.
+    """Acceptance probability p_cor + p_in, from one validated memo read.
 
     Exactly 1 at delta = 0, where the windows tile the real line.
     """
-    _validate(sigma2, delta)
+    pc, pi_ = _lattice_masses(sigma2, delta)
     if delta == 0.0:
         return 1.0
-    return min(1.0, p_cor(sigma2, delta) + p_in(sigma2, delta))
+    return min(1.0, pc + pi_)

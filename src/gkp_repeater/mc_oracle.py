@@ -1,12 +1,12 @@
-"""Displacement-level Monte Carlo estimators that cross-check the analytic
-probabilities.
+"""Monte Carlo estimators that cross-check the analytic probabilities, all
+displacement-level but the majority vote's.
 
-Each sampler draws true deviations from the Gaussian displacement model,
-reduces measured values to the nearest sqrt(pi) lattice point (parity of the
-multiple is the bit; the measure-zero exact half-spacing tie follows numpy's
-round-half-to-even), and counts acceptance / error events. No analytic
-shortcut from the quantities under test enters the samplers, so they serve as
-independent cross-checks.
+Every sampler but ``simulate_majority_vote`` (Bernoulli(e) flips) draws true
+deviations from the Gaussian displacement model, reduces measured values to
+the nearest sqrt(pi) lattice point (parity of the multiple is the bit; the
+measure-zero exact half-spacing tie follows numpy's round-half-to-even), and
+counts acceptance / error events. No analytic shortcut from the quantities
+under test enters the samplers, so they serve as independent cross-checks.
 
 Randomness and reproducibility
 ------------------------------

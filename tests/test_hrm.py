@@ -161,7 +161,17 @@ class TestLatticeMemo:
         assert p_in(sigma2, delta).hex() == uncached(sigma2, delta)[True].hex()
 
     @pytest.mark.parametrize(
-        "sigma2,delta", [(-1e-3, 0.0), (0.1, SQRT_PI / 2), (0.1, 1.0), (0.1, -0.2)]
+        "sigma2,delta",
+        [
+            (-1e-3, 0.0),
+            (0.1, SQRT_PI / 2),
+            (0.1, 1.0),
+            (0.1, -0.2),
+            # A dict lookup matches this NaN object by identity, so only
+            # validating before caching keeps it from being served back.
+            (math.nan, 0.0),
+            (0.1, math.nan),
+        ],
     )
     def test_invalid_input_raises_on_every_call(self, sigma2, delta):
         p_cor(0.1, 0.0)  # a warm cache must not let invalid input through
@@ -177,9 +187,9 @@ class TestLatticeMemo:
         info = hrm._lattice_masses.cache_info()
         # One entry per distinct (variance, margin) holds both sums.
         assert info.misses == 1_020
-        # 1,540 rows, each evaluating its segment once: e_hrm (p_cor and
-        # p_in) per row plus p_suc (both again) once per postselected row.
-        assert info.hits + info.misses == 5_544
+        # 1,540 rows, each reading its (variance, margin) once for e_hrm and
+        # once for p_suc; at delta = 0 the p_suc read hits e_hrm's entry.
+        assert info.hits + info.misses == 3_080
 
 
 class TestMpmathReference:
