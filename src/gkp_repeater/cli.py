@@ -67,13 +67,17 @@ def parse_delta(text: str) -> float:
         denominator = float(match.group(2)) if match.group(2) else 1.0
         if numerator == 0 or denominator == 0:
             raise argparse.ArgumentTypeError(f"invalid delta {text!r}: zero numerator or denominator")
-        return numerator * math.sqrt(math.pi) / denominator
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid delta {text!r}: expected a number or e.g. 'sqrt_pi/10'"
-        ) from None
+        value = numerator * math.sqrt(math.pi) / denominator
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid delta {text!r}: expected a number or e.g. 'sqrt_pi/10'"
+            ) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -317,9 +321,6 @@ def _validation_cases(scope: str):
             yield partial(mc_oracle.simulate_segment, segment), cases
 
     if scope in ("tree", "all"):
-        for e in (0.1, 0.3):
-            cases = [(f"tree.majority3[e={e:g}]", tree_code.majority3(e))]
-            yield partial(mc_oracle.simulate_majority_vote, e), cases
         pair = 1.0 - (1.0 - hrm_mod.e_hrm(0.25, 0.0)) ** 2
         yield partial(mc_oracle.simulate_path_selection, 0.25, 1), [("tree.bell_pair_error[s2=0.25]", pair)]
         station = spec(protocols.Variant.TWO_WAY_CC, 3.0)

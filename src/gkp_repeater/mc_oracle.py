@@ -1,12 +1,12 @@
-"""Monte Carlo estimators that cross-check the analytic probabilities, all
-displacement-level but the majority vote's.
+"""Displacement-level Monte Carlo cross-checks of the analytic probabilities.
 
-Every sampler but ``simulate_majority_vote`` (Bernoulli(e) flips) draws true
-deviations from the Gaussian displacement model, reduces measured values to
-the nearest sqrt(pi) lattice point (parity of the multiple is the bit; the
-measure-zero exact half-spacing tie follows numpy's round-half-to-even), and
-counts acceptance / error events. No analytic shortcut from the quantities
-under test enters the samplers, so they serve as independent cross-checks.
+Every sampler draws true deviations from the Gaussian displacement model,
+reduces measured values to the nearest sqrt(pi) lattice point (parity of the
+multiple is the bit; the measure-zero exact half-spacing tie follows numpy's
+round-half-to-even), and counts acceptance / error events; the station
+sampler adds construction errors as a Bernoulli(e_prep). No analytic shortcut
+from the quantities under test enters the samplers, so they serve as
+independent cross-checks.
 
 Randomness and reproducibility
 ------------------------------
@@ -44,17 +44,16 @@ station sampler's ors over a length-3 axis (``_or_last``) are slice-wise
 Every kernel draws (``standard_normal`` scaled in place, the values and
 stream of ``normal``) and reduces into work arrays its worker reuses for
 each batch: at most three float64 arrays of ``batch_size`` values (two in
-the station sampler, one in the majority vote) and a few bool ones, so a
-worker allocates only small per-trial results. The default batch size,
-65,536 trials, keeps one worker's arrays within such an L2 cache:
-``_postselected``'s three float64 and three bool arrays take 1.69 MiB. A
-sampler call thus holds the work arrays of each worker, whatever the
-threads' timing.
-``simulate_path_selection``, ``simulate_majority_vote`` and the ancilla and
-node outcomes of ``simulate_tree_repeater`` draw several values per trial,
-so they draw each batch in chunks of whole trials that fill a work array
-(``_chunks``); the chunks consume the generator in the order of one
-whole-batch draw, so the counts are those of drawing the batch at once.
+the station sampler) and a few bool ones, so a worker allocates only small
+per-trial results. The default batch size, 65,536 trials, keeps one
+worker's arrays within such an L2 cache: ``_postselected``'s three float64
+and three bool arrays take 1.69 MiB. A sampler call thus holds the work
+arrays of each worker, whatever the threads' timing.
+``simulate_path_selection`` and the ancilla and node outcomes of
+``simulate_tree_repeater`` draw several values per trial, so they draw each
+batch in chunks of whole trials that fill a work array (``_chunks``); the
+chunks consume the generator in the order of one whole-batch draw, so the
+counts are those of drawing the batch at once.
 
 Importing this module loads numpy. The package registers it lazily, so a
 command loads it, and numpy with it, only when it runs a sampler. No rate
@@ -365,24 +364,6 @@ def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig
 
     (n_errors,) = _run_batches(config, sample_batch, floats=[size] * 3, bools=[size, chunk])
     return McEstimate(n_errors, config.n_trials)
-
-
-def simulate_majority_vote(e: float, config: TrialConfig) -> McEstimate:
-    """Empirical failure rate of a majority vote over 3 Bernoulli(e) flips."""
-    _require("e", e, "be a probability", 0.0 <= e <= 1.0)
-    # Chunks of whole trials keep the stream of one (n, 3) draw.
-    size = _largest_batch(config, 3)
-
-    def sample_batch(rng: np.random.Generator, n: int, work):
-        n_fail = 0
-        for _, m in _chunks(n, size, 3):
-            u = rng.random(out=work[0][0][: 3 * m].reshape(m, 3))
-            flips = np.less(u, e, out=work[1][0][: 3 * m].reshape(m, 3))
-            n_fail += int(np.count_nonzero(_majority(flips, out=work[1][1][:m])))
-        return (n_fail,)
-
-    (n_fail,) = _run_batches(config, sample_batch, floats=[size], bools=[size, size // 3])
-    return McEstimate(n_fail, config.n_trials)
 
 
 def simulate_tree_repeater(

@@ -11,7 +11,8 @@ the former full-line float sum of every window, and to 1e-12 against
 which is imported only when it is called; :func:`residue_tail_mp` takes the
 residue tail from the same sums. :func:`segment_errors_mp` builds a
 segment's error and acceptance from those 60-digit sums, and
-:func:`key_rate_mp` a bare chain's P_suc and R from a segment's.
+:func:`key_rate_mp` a bare chain's P_suc and R from a segment's;
+:func:`plob_mp` is the repeaterless bound at 60 digits.
 The ``*_mp`` composition forms below write each 1 - product of independent
 survivals literally, as the docstrings of :mod:`gkp_repeater.tree_code` and
 ``protocols.chain_error`` state it, and return mpmath numbers good to at
@@ -248,3 +249,13 @@ def key_rate_mp(e_segment, p_accept, rounds, n_qr):
         p_suc = mpmath.mpf(p_accept) ** (2 * rounds * n_qr)
         e_ab = chain_error_mp(min(mpmath.mpf(e_segment), mpmath.mpf(0.5)), n_qr)
         return p_suc, max(mpmath.mpf(0), p_suc * (1 - 2 * binary_entropy_mp(e_ab)))
+
+
+def plob_mp(l_km, latt_km):
+    """Repeaterless bound -log2(1 - eta) at eta = exp(-l_km / latt_km),
+    written with log1p so that it keeps its digits where eta is tiny."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        eta = mpmath.exp(-mpmath.mpf(l_km) / mpmath.mpf(latt_km))
+        return -mpmath.log1p(-eta) / mpmath.log(2)

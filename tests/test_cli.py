@@ -90,6 +90,37 @@ class TestDeltaParsing:
         err = capsys.readouterr().err
         assert "invalid delta" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("form, flag", [
+        ("flag", "--delta"), ("list", "--delta-list"), ("config", "--delta-list"),
+        ("prep-flag", "--delta-prep"), ("prep-config", "--delta-prep"),
+    ])
+    def test_non_finite_margin_exits_2(self, capsys, tmp_path, form, flag, text):
+        # A finite margin at or past sqrt(pi)/2 is a domain error instead (exit 1).
+        key = "delta_prep" if form == "prep-config" else "delta"
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"protocols = tree-hrm\nnqr = 1\nl0_km = 3\n{key} = {text}\n")
+        sweep = ["sweep", "--protocols", "tree-hrm", "--nqr-list", "1", "--l0-list", "3"]
+        argv = {
+            "flag": ["rate", "--protocol", "two-way-cc", "--l0", "3", f"--delta={text}"],
+            "list": [*sweep, f"--delta-list=0,{text}"],
+            "config": ["sweep", "--config", str(config)],
+            "prep-flag": ["resources", "--mode", "hrm", "--l0", "3", f"--delta-prep={text}"],
+            "prep-config": ["sweep", "--config", str(config)],
+        }[form]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be finite, got {float(text)}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["9" * 400 + "*sqrt_pi", "9" * 400 + "*sqrt_pi/" + "9" * 400],
+                             ids=["inf", "nan"])
+    def test_overflowing_fraction_is_not_finite(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="^must be finite, got (inf|nan)$"):
+            cli.parse_delta(text)
+
 
 class TestRate:
     def test_record_fields(self, capsys):
@@ -850,7 +881,7 @@ class TestOutputFreeze:
         ),
         "mc_validate": (
             ["mc-validate", "--trials", "20000", "--seed", "7", "--scope", "all"],
-            "dc86ce6ac6a670091f96039dac3b09e0c9524f486d2c803633c06af917c40e3b",
+            "d9d82dc9d32b8602c9f30b8140cc6b7bad7f9d845ffb0bea832270ce44be4ca5",
         ),
     }
 

@@ -22,7 +22,6 @@ from gkp_repeater.mc_oracle import (
     TrialConfig,
     _odd,
     estimate_hrm,
-    simulate_majority_vote,
     simulate_path_selection,
     simulate_segment,
     simulate_tree_repeater,
@@ -250,19 +249,6 @@ class TestSimulatePathSelection:
             simulate_path_selection(-1.0, 5, TrialConfig(10))
 
 
-class TestSimulateMajorityVote:
-    def test_endpoints(self):
-        assert simulate_majority_vote(0.0, TrialConfig(50_000, seed=16)).mean == 0.0
-
-    def test_coin_flip_symmetry(self):
-        estimate = simulate_majority_vote(0.5, TrialConfig(400_000, seed=17))
-        assert abs(estimate.z(0.5)) < 4
-
-    def test_tenth(self):
-        estimate = simulate_majority_vote(0.1, TrialConfig(400_000, seed=18))
-        assert abs(estimate.z(0.028)) < 4
-
-
 class TestTreeOracles:
     def test_enumerated_majority_matches_formula(self):
         for e in (0.0, 0.1, 0.37, 1.0):
@@ -379,16 +365,6 @@ def whole_batch_segment(spec, config, separate=False):
     return [(n_flips, n_accepted)]
 
 
-def whole_batch_majority_vote(e, config):
-    """(failures, trials) of ``simulate_majority_vote`` from one (n, 3) draw
-    per batch."""
-    failures = 0
-    for index, n in config.batches():
-        flips = config.rng(index).random(size=(n, 3)) < e
-        failures += int((flips.sum(axis=1) >= 2).sum())
-    return [(failures, config.n_trials)]
-
-
 UNEVEN = TrialConfig(20_000, seed=31, batch_size=7919)
 SEGMENT_UNEVEN = ProtocolSpec(
     Variant.TWO_WAY_PRE_SECOND_SQEC, 1, 3.0, SQ15, hrm=HrmPolicy(SQRT_PI / 12)
@@ -424,9 +400,6 @@ class TestPinnedCounts:
 
     def test_path_selection_uneven_batches(self):
         assert counts(simulate_path_selection(0.25, 5, UNEVEN)) == (442, 20000)
-
-    def test_majority_vote_uneven_batches(self):
-        assert counts(simulate_majority_vote(0.1, UNEVEN)) == (563, 20000)
 
     def test_tree_repeater(self):
         station = simulate_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34))
@@ -471,11 +444,6 @@ PINNED_RUNS = {
         lambda: simulate_path_selection(0.25, 5, UNEVEN),
         lambda: [unchunked_path_selection(0.25, 5, UNEVEN)],
         lambda: [tree_code._path_selection_leaf_error(0.25, 5)],
-    ),
-    "majority_vote_uneven": (
-        lambda: simulate_majority_vote(0.1, UNEVEN),
-        lambda: whole_batch_majority_vote(0.1, UNEVEN),
-        lambda: [majority3(0.1)],
     ),
     "tree_repeater": (
         lambda: simulate_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34)),
@@ -660,7 +628,6 @@ class TestThreadPool:
         pinned.test_estimate_hrm_uneven_batches()
         pinned.test_segment_uneven_batches()
         pinned.test_path_selection_uneven_batches()
-        pinned.test_majority_vote_uneven_batches()
         pinned.test_tree_repeater()
         # UNEVEN has three batches, so three CPUs get three workers.
         assert max(pool_sizes) == cpus
@@ -709,7 +676,6 @@ class TestThreadPool:
         mc_oracle.estimate_hrm(0.25, SQRT_PI / 6, config)
         mc_oracle.simulate_segment(spec, config)
         mc_oracle.simulate_path_selection(0.25, 5, config)
-        mc_oracle.simulate_majority_vote(0.1, config)
         mc_oracle.simulate_tree_repeater(0.12, 0.12, 0.01, config)
 
         called = {name for name, _ in on_main}
@@ -717,7 +683,6 @@ class TestThreadPool:
             "estimate_hrm",
             "simulate_segment",
             "simulate_path_selection",
-            "simulate_majority_vote",
             "simulate_tree_repeater",
         )
         assert {f"mc_oracle.{name}" for name in samplers} <= called
@@ -739,7 +704,6 @@ class TestWorkArrays:
         ),
         "simulate_path_selection_1": lambda c: simulate_path_selection(0.25, 1, c),
         "simulate_path_selection_5": lambda c: simulate_path_selection(0.25, 5, c),
-        "simulate_majority_vote": lambda c: simulate_majority_vote(0.1, c),
         "simulate_tree_repeater": lambda c: simulate_tree_repeater(0.12, 0.12, 0.01, c),
     }
 

@@ -15,7 +15,6 @@ from gkp_repeater.mc_oracle import (
     TrialConfig,
     _segment_component_sigmas,
     estimate_hrm,
-    simulate_majority_vote,
     simulate_path_selection,
     simulate_tree_repeater,
 )
@@ -48,7 +47,7 @@ from gkp_repeater.tree_code import (
     majority3,
     single_qubit_variance,
 )
-from reference import chain_error_mp, key_rate_mp, pfail, segment_errors_mp
+from reference import chain_error_mp, key_rate_mp, pfail, plob_mp, segment_errors_mp
 
 SQRT_PI = math.sqrt(math.pi)
 SQ15 = SqueezingSpec.from_db(15.0)
@@ -372,13 +371,14 @@ class TestSecureKeyRate:
             0.015396573030100614, abs=1e-12
         )
 
-    def test_plob_against_mpmath(self):
+    @pytest.mark.parametrize("distance", [1, 10, 100, 1000, 5000, 10000, 15000])
+    def test_plob_against_mpmath(self, distance):
         # Past ~800 km 1 - eta rounds to 1, so -log2(1 - eta) read 0 there.
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 50
-        for distance in (100, 500, 1000, 2000, 5000):
-            expected = -mpmath.log(1 - mpmath.e ** (-mpmath.mpf(distance) / 22)) / mpmath.log(2)
-            assert plob_bound(distance, 22.0) == pytest.approx(float(expected), rel=1e-14)
+        # The rounded exponent -L/L_att costs up to ~(L/L_att) eps relative
+        # (5.2e-14 at 15,000 km); past ~15,590 km the bound is subnormal.
+        pytest.importorskip("mpmath")
+        expected = float(plob_mp(distance, 22.0))
+        assert plob_bound(distance, 22.0) == pytest.approx(expected, rel=1e-13)
 
     def test_rate_nonincreasing_in_station_count_at_fixed_spacing(self):
         for delta in (0.0, SQRT_PI / 10):
@@ -522,7 +522,6 @@ def test_nan_is_rejected_where_negatives_are(call, name):
     (lambda: Variant.TWO_WAY_CC.input_noise(NAN), "eta must be in (0, 1]"),
     (lambda: HrmPolicy(NAN), "delta must lie in [0, sqrt(pi)/2)"),
     (lambda: TrialConfig(NAN), "n_trials must be >= 1"),
-    (lambda: simulate_majority_vote(NAN, CONFIG), "e must be a probability"),
     (lambda: simulate_path_selection(0.1, NAN, CONFIG), "n_pairs must be >= 1"),
     (lambda: simulate_tree_repeater(0.1, 0.1, NAN, CONFIG), "e_prep must be a probability"),
 ], ids=[
@@ -530,7 +529,7 @@ def test_nan_is_rejected_where_negatives_are(call, name):
     "ComponentErrors.e_leaf", "ComponentErrors.e_single", "ComponentErrors.e_prep", "SegmentErrors.ex", "SegmentErrors.p_suc",
     "chain_error.e_segment", "chain_error.n_qr", "ProtocolSpec.n_qr", "binary_entropy",
     "amplifier_added_variance", "Variant.input_noise", "HrmPolicy", "TrialConfig.n_trials",
-    "simulate_majority_vote", "simulate_path_selection.n_pairs", "simulate_tree_repeater.e_prep",
+    "simulate_path_selection.n_pairs", "simulate_tree_repeater.e_prep",
 ])
 def test_nan_fails_every_range_check(call, message):
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}, got nan$"):

@@ -4,7 +4,6 @@ composition, key rates, and qubit resource counts."""
 import math
 import sys
 from collections import defaultdict
-from itertools import product
 
 import numpy as np
 import pytest
@@ -37,6 +36,7 @@ from reference import (
     chain_error_mp,
     encoded_x_error_mp,
     encoded_z_error_mp,
+    enumerate_majority3,
     majority3_mp,
     repeater_error_mp,
     station_acceptance_mp,
@@ -56,17 +56,6 @@ def cc_spec(n_qr=1, l0=3.0, delta=0.0):
     )
 
 
-def majority3_brute_force(e: float) -> float:
-    total = 0.0
-    for flips in product((0, 1), repeat=3):
-        if sum(flips) >= 2:
-            p = 1.0
-            for f in flips:
-                p *= e if f else 1 - e
-            total += p
-    return total
-
-
 class TestMajority3:
     def test_endpoints(self):
         assert majority3(0.0) == 0.0
@@ -79,7 +68,7 @@ class TestMajority3:
         rng = np.random.default_rng(3)
         for e in rng.uniform(0.0, 1.0, 50):
             assert majority3(e) == pytest.approx(
-                majority3_brute_force(e), rel=1e-12, abs=1e-15
+                enumerate_majority3(e), rel=1e-12, abs=1e-15
             )
 
 
@@ -122,7 +111,7 @@ class TestEncodedZError:
         p_block = 1 - (1 - 0.01) ** 4
         assert p_block == pytest.approx(0.03940399, abs=1e-12)
         assert encoded_z_error(0.01) == pytest.approx(
-            majority3_brute_force(p_block), rel=1e-12
+            enumerate_majority3(p_block), rel=1e-12
         )
         assert encoded_z_error(0.01) == pytest.approx(
             0.004535660148498261, abs=1e-12
