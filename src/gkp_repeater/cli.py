@@ -294,9 +294,15 @@ def cmd_sweep(args) -> int:
 
 def _validation_cases(scope: str):
     """The validation matrix in print order, one (sampler, cases) pair per
-    sampler call. sampler(config) returns an McEstimate, the success count
-    of one run, or a tuple whose leading estimates pair with the (label,
-    analytic) cases.
+    sampler call. sampler(config) returns the estimates of its (label,
+    analytic) cases in order: a list, or one McEstimate.
+
+    The nine hrm points are one call and the eight segments another: each
+    call draws one standard normal per outcome slot and trial, and all its
+    cases scale that shared draw by their own sigma, so rows of one call are
+    correlated but each is still a count over n independent trials of its
+    own displacement model. ``--scope all`` thus makes four calls: hrm,
+    segments, the Bell pair and the station.
     """
 
     def spec(variant, l0, margin="0"):
@@ -304,21 +310,26 @@ def _validation_cases(scope: str):
         return protocols.ProtocolSpec(variant, 1, l0, SqueezingSpec.from_db(15.0), policy)
 
     if scope in ("hrm", "all"):
-        for sigma2 in (0.1, 0.125, 0.25):
-            for delta in (0.0, math.sqrt(math.pi) / 10, math.sqrt(math.pi) / 6):
-                tag = f"[s2={sigma2:g},delta={delta:.6f}]"
-                yield partial(mc_oracle.estimate_hrm, sigma2, delta), [
-                    (f"hrm.e_hrm{tag}", hrm_mod.e_hrm(sigma2, delta)),
-                    (f"hrm.p_suc{tag}", hrm_mod.p_suc(sigma2, delta)),
-                ]
+        root_pi = math.sqrt(math.pi)
+        points = [(s2, delta) for s2 in (0.1, 0.125, 0.25) for delta in (0.0, root_pi / 10, root_pi / 6)]
+        cases = []
+        for sigma2, delta in points:
+            tag = f"[s2={sigma2:g},delta={delta:.6f}]"
+            cases += [
+                (f"hrm.e_hrm{tag}", hrm_mod.e_hrm(sigma2, delta)),
+                (f"hrm.p_suc{tag}", hrm_mod.p_suc(sigma2, delta)),
+            ]
+        yield lambda config: [e for pair in mc_oracle.estimate_hrms(points, config) for e in pair], cases
 
     if scope in ("segments", "all"):
         cc = protocols.Variant.TWO_WAY_CC
-        for variant, margin in [(v, "0") for v in protocols.Variant] + [(cc, "sqrt_pi/6")]:
-            segment = spec(variant, 50.0, margin)
-            label = f"segment.flip[{variant.value},l0=50,delta={margin}]"
-            cases = [(label, protocols.segment_errors(segment).ex)]
-            yield partial(mc_oracle.simulate_segment, segment), cases
+        rows = [(v, "0") for v in protocols.Variant] + [(cc, "sqrt_pi/6")]
+        segments = [spec(variant, 50.0, margin) for variant, margin in rows]
+        cases = [
+            (f"segment.flip[{variant.value},l0=50,delta={margin}]", protocols.segment_errors(segment).ex)
+            for (variant, margin), segment in zip(rows, segments)
+        ]
+        yield partial(mc_oracle.simulate_segments, segments), cases
 
     if scope in ("tree", "all"):
         pair = 1.0 - (1.0 - hrm_mod.e_hrm(0.25, 0.0)) ** 2

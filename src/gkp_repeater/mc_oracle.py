@@ -26,10 +26,16 @@ calling thread; the workers only draw and count.
 
 Kernels
 -------
-``estimate_hrm`` and ``simulate_segment`` sample one postselected
-experiment through one kernel, ``_postselected``; an outcome is one normal
-at the summed variance of its independent contributions. Normals a trial: 1
-(hrm), 2 * rounds (segment), 2 * n_pairs (path selection), 58 (station).
+``estimate_hrms`` and ``simulate_segments`` sample a list of postselected
+experiments through one kernel, ``_postselected``; ``estimate_hrm`` and
+``simulate_segment`` are their one-case calls. An outcome is one normal at
+the summed variance of its independent contributions. A call draws one
+standard normal per outcome slot and trial, trial-major, and all its cases
+share that draw, each scaling slot j by its own sigma: every case is a
+count over n independent trials of its own displacement model, and the
+cases of one call are correlated. Normals a trial of one call: 1 (hrm,
+however many points), 2 * rounds of its longest segment, 2 * n_pairs (path
+selection), 58 (station).
 
 Most of a sampler's time goes to the normal draws, ~11 ns a
 ``standard_normal`` from SFC64, the fastest of numpy's bit generators. Two
@@ -41,19 +47,22 @@ station sampler's ors over a length-3 axis (``_or_last``) are slice-wise
 ``|=``: ~1 ns a value, where ``np.any(axis=...)`` costs ~10 ns.
 (Single-thread costs on one x86-64 core with a 2 MiB L2 cache, numpy 2.4.)
 
-Every kernel draws (``standard_normal`` scaled in place, the values and
+Every kernel draws (``standard_normal`` scaled by sigma, the values and
 stream of ``normal``) and reduces into work arrays its worker reuses for
-each batch: at most three float64 arrays of ``batch_size`` values (two in
-the station sampler) and a few bool ones, so a worker allocates only small
-per-trial results. The default batch size, 65,536 trials, keeps one
-worker's arrays within such an L2 cache: ``_postselected``'s three float64
-and three bool arrays take 1.69 MiB. A sampler call thus holds the work
-arrays of each worker, whatever the threads' timing.
-``simulate_path_selection`` and the ancilla and node outcomes of
-``simulate_tree_repeater`` draw several values per trial, so they draw each
-batch in chunks of whole trials that fill a work array (``_chunks``); the
-chunks consume the generator in the order of one whole-batch draw, so the
-counts are those of drawing the batch at once.
+each batch, so a worker allocates only small per-trial results. The
+default batch size, 65,536 trials, keeps one worker's arrays within such an
+L2 cache: path selection's three float64 arrays of ``batch_size`` values
+and two bool ones take 1.59 MiB with one pair, the station sampler's two
+float64 and three bool ones 1.31 MiB. ``_postselected`` draws chunks of at
+most 16,384 trials into one float64 array of chunk * slots values and
+reduces each case into three float64 and three bool arrays of the chunk:
+0.55 MiB with one slot, 0.92 MiB with four. A sampler call thus holds the
+work arrays of each worker, whatever the threads' timing.
+``_postselected``, ``simulate_path_selection`` and the ancilla and node
+outcomes of ``simulate_tree_repeater`` draw each batch in chunks of whole
+trials (``_chunks``); the chunks consume the generator in the order of one
+whole-batch draw, so the counts are those of drawing the batch at once,
+whatever the chunk size.
 
 Importing this module loads numpy. The package registers it lazily, so a
 command loads it, and numpy with it, only when it runs a sampler. No rate
@@ -144,13 +153,11 @@ def _nearest_multiple(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.rint(k, out=k)
 
 
-def _residues(
-    rng: np.random.Generator, sigma: float, x: np.ndarray, k: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    """Draw N(0, sigma^2) outcomes into x, put their nearest multiples of
-    sqrt(pi) into k, and leave the residues' magnitudes in x, which is
-    returned; t is a scratch array of x's shape."""
-    _nearest_multiple(_normal(rng, sigma, out=x), out=k)
+def _residues(x: np.ndarray, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Put the nearest multiples of sqrt(pi) of the outcomes in x into k, and
+    leave the residues' magnitudes in x, which is returned; t is a scratch
+    array of x's shape."""
+    _nearest_multiple(x, out=k)
     x -= np.multiply(k, SQRT_PI, out=t)
     return np.abs(x, out=x)
 
@@ -253,26 +260,66 @@ def _chunks(n: int, size: int, values_per_trial: int) -> list[tuple[int, int]]:
     return [(start, min(chunk, n - start)) for start in range(0, n, chunk)]
 
 
-def _postselected(config: TrialConfig, draws, v_up: float) -> tuple[int, int]:
-    """(accepted, flipped) counts. Each (sigma, decides) entry of draws
-    draws one N(0, sigma^2) outcome per trial; a trial is accepted when every
-    residue magnitude is below v_up, and flips when the parities of the
-    outcomes whose entry decides xor to odd."""
-    size = _largest_batch(config)
+#: Trials per chunk of ``_postselected``'s shared draw, which every case
+#: rereads: with four slots a worker's work arrays take 0.92 MiB.
+_CHUNK_TRIALS = 16_384
+
+
+def _postselected(config: TrialConfig, cases) -> list[tuple[int, int]]:
+    """(accepted, flipped) counts of each case, in order.
+
+    A case is (draws, v_up) with one (sigma, decides) entry per outcome slot.
+    Per trial the call draws one standard normal per slot of its longest
+    case, trial-major, and every case reads the same draw: its outcome in
+    slot j is that normal times its own sigma. A case accepts a trial when
+    every residue magnitude is below its v_up, and flips when the parities
+    of the outcomes whose entry decides xor to odd. A batch is drawn in
+    chunks of whole trials, which read the stream as one whole-batch draw.
+    """
+    if not cases:
+        return []
+    slots = max(len(draws) for draws, _ in cases)
+    chunk = min(_CHUNK_TRIALS, _largest_batch(config))
 
     def sample_batch(rng: np.random.Generator, n: int, work):
-        x, k, t = (a[:n] for a in work[0])
-        accepted, flipped, bits = (a[:n] for a in work[1])
-        accepted.fill(True)
-        flipped.fill(False)
-        for sigma, decides in draws:
-            accepted &= np.less(_residues(rng, sigma, x, k, t), v_up, out=bits)
-            if decides:
-                flipped ^= _odd(k, out=bits, tmp=t)
-        flipped &= accepted
-        return int(np.count_nonzero(accepted)), int(np.count_nonzero(flipped))
+        z = work[0][0]
+        totals = [0] * (2 * len(cases))
+        for _, m in _chunks(n, chunk * slots, slots):
+            normals = rng.standard_normal(out=z[: m * slots]).reshape(m, slots)
+            x, k, t = (a[:m] for a in work[0][1:])
+            accepted, flipped, bits = (a[:m] for a in work[1])
+            for i, (draws, v_up) in enumerate(cases):
+                accepted.fill(True)
+                flipped.fill(False)
+                for j, (sigma, decides) in enumerate(draws):
+                    np.multiply(normals[:, j], sigma, out=x)
+                    accepted &= np.less(_residues(x, k, t), v_up, out=bits)
+                    if decides:
+                        flipped ^= _odd(k, out=bits, tmp=t)
+                flipped &= accepted
+                totals[2 * i] += int(np.count_nonzero(accepted))
+                totals[2 * i + 1] += int(np.count_nonzero(flipped))
+        return totals
 
-    return _run_batches(config, sample_batch, floats=[size] * 3, bools=[size] * 3)
+    floats = [chunk * slots] + [chunk] * 3
+    totals = _run_batches(config, sample_batch, floats=floats, bools=[chunk] * 3)
+    return list(zip(totals[::2], totals[1::2]))
+
+
+def estimate_hrms(points, config: TrialConfig) -> list[tuple[McEstimate, McEstimate]]:
+    """``estimate_hrm`` at each (sigma2, delta) of points, in order, from one
+    shared draw: every point scales the same standard normal of a trial by
+    its own sqrt(sigma2). Each estimate is a count over the n_trials
+    independent trials of its own point; estimates of different points are
+    correlated."""
+    cases = []
+    for sigma2, delta in points:
+        _require("sigma2", sigma2, "be nonnegative", sigma2 >= 0)
+        cases.append(([(math.sqrt(sigma2), True)], hrm_mod.HrmPolicy(delta).v_up))
+    return [
+        (McEstimate(n_errors, n_accepted), McEstimate(n_accepted, config.n_trials))
+        for n_accepted, n_errors in _postselected(config, cases)
+    ]
 
 
 def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEstimate, McEstimate]:
@@ -283,12 +330,7 @@ def estimate_hrm(sigma2: float, delta: float, config: TrialConfig) -> tuple[McEs
     below the cutoff ``HrmPolicy(delta).v_up`` and is in error when the
     accepted multiple is odd.
     """
-    _require("sigma2", sigma2, "be nonnegative", sigma2 >= 0)
-    v_up = hrm_mod.HrmPolicy(delta).v_up
-    n_accepted, n_errors = _postselected(config, [(math.sqrt(sigma2), True)], v_up)
-    err = McEstimate(n_errors, n_accepted)
-    suc = McEstimate(n_accepted, config.n_trials)
-    return err, suc
+    return estimate_hrms([(sigma2, delta)], config)[0]
 
 
 def _segment_component_sigmas(spec: protocols.ProtocolSpec) -> list[float]:
@@ -298,6 +340,20 @@ def _segment_component_sigmas(spec: protocols.ProtocolSpec) -> list[float]:
     s = math.sqrt(spec.squeezing.sigma2)
     noise = math.sqrt(spec.variant.input_noise(spec.eta))
     return [s, s] + [noise] * spec.variant.noisy_inputs
+
+
+def simulate_segments(specs, config: TrialConfig) -> list[McEstimate]:
+    """``simulate_segment`` of each spec, in order, from one shared draw:
+    outcome slot j of every spec scales the same standard normal of a trial
+    by that spec's own sigma, and a one-round spec reads the first two of a
+    two-round spec's four slots. Each estimate is a count over the trials of
+    its own spec; estimates of different specs are correlated."""
+    cases = []
+    for spec in specs:
+        sigma = math.hypot(*_segment_component_sigmas(spec))
+        # Per round the q outcome decides the flip; the p outcome only gates.
+        cases.append(([(sigma, True), (sigma, False)] * spec.variant.rounds, spec.hrm.v_up))
+    return [McEstimate(n_flips, n_accepted) for n_accepted, n_flips in _postselected(config, cases)]
 
 
 def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEstimate:
@@ -311,11 +367,7 @@ def simulate_segment(spec: protocols.ProtocolSpec, config: TrialConfig) -> McEst
     and the segment flips when exactly one round does. The estimate is
     conditioned on all postselections passing, matching segment_errors.
     """
-    sigma = math.hypot(*_segment_component_sigmas(spec))
-    # Per round the q outcome decides the flip; the p outcome only gates.
-    draws = [(sigma, True), (sigma, False)] * spec.variant.rounds
-    n_accepted, n_flips = _postselected(config, draws, spec.hrm.v_up)
-    return McEstimate(n_flips, n_accepted)
+    return simulate_segments([spec], config)[0]
 
 
 def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig) -> McEstimate:
@@ -346,8 +398,9 @@ def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig
         t = work[0][2]
         bits = work[1][0][: x.size].reshape(shape)
         wrong = work[1][1][:m]
+        outcomes = _normal(rng, sigma, out=x)
         # Contiguous, so that argmin reads it without a copy.
-        squares = np.square(_residues(rng, sigma, x, k, t[: x.size].reshape(shape)), out=x)
+        squares = np.square(_residues(outcomes, k, t[: x.size].reshape(shape)), out=x)
         norm2 = np.add(squares[..., 0], squares[..., 1], out=t[: m * n_pairs].reshape(m, n_pairs))
         # x is spent: its memory holds the flat index of each selected pair.
         selected = np.argmin(norm2, axis=1, out=work[0][0].view(np.intp)[:m])

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gkp_repeater
-from gkp_repeater import cli, hrm, tree_code
+from gkp_repeater import cli, hrm, mc_oracle, tree_code
 from gkp_repeater.hrm import HrmPolicy
 from gkp_repeater.noise_core import DEFAULT_ATTENUATION_KM, SqueezingSpec
 from gkp_repeater.protocols import (
@@ -657,6 +657,46 @@ class TestMcValidate:
         assert code == 0
         assert "RESULT: PASS" in out
 
+    def test_scopes_partition_all(self, capsys):
+        """Each scope passes on its own, and --scope all prints their labels
+        and analytic values in order."""
+
+        def run(scope):
+            code, out = run_cli(capsys, "mc-validate", "--trials", "20000", "--seed", "7", "--scope", scope)
+            assert code == 0
+            lines = out.splitlines()
+            return [line.split()[:2] for line in lines[2:-1]], lines[-1]
+
+        rows = []
+        for scope, n in (("hrm", 18), ("segments", 8), ("tree", 2)):
+            table, result = run(scope)
+            assert len(table) == n
+            assert result == f"RESULT: PASS ({n} quantities, gate |z| <= 4)"
+            rows += table
+        assert run("all") == (rows, "RESULT: PASS (28 quantities, gate |z| <= 4)")
+
+    def test_shared_hrm_call_can_fail(self):
+        """The power of the hrm rows, drawn in one shared call: at 1e6 trials
+        each passes against its own analytic value, and evaluating that value
+        at 1.1 sigma2 moves z by 9.6-51 for e_hrm and 32-51 for a p_suc with a
+        margin. The three delta = 0 p_suc rows are identically 1 and cannot
+        fail."""
+        sampler, cases = next(cli._validation_cases("hrm"))
+        points = [(s2, d) for s2 in (0.1, 0.125, 0.25) for d in (0.0, SQRT_PI / 10, SQRT_PI / 6)]
+        assert [label for label, _ in cases] == [
+            f"hrm.{name}[s2={s2:g},delta={d:.6f}]" for s2, d in points for name in ("e_hrm", "p_suc")
+        ]
+        # The stream of `mc-validate --seed 7`'s first call.
+        estimates = sampler(mc_oracle.TrialConfig(1_000_000, seed=8))
+        for (s2, d), err, suc in zip(points, estimates[::2], estimates[1::2], strict=True):
+            assert abs(err.z(hrm.e_hrm(s2, d))) <= 4
+            assert abs(suc.z(hrm.p_suc(s2, d))) <= 4
+            assert abs(err.z(hrm.e_hrm(1.1 * s2, d))) > 4
+            if d > 0:
+                assert abs(suc.z(hrm.p_suc(1.1 * s2, d))) > 4
+            else:
+                assert hrm.p_suc(1.1 * s2, d) == 1.0 and suc.z(1.0) == 0.0
+
     def test_fixed_seed_is_byte_identical(self, capsys):
         argv = ["mc-validate", "--trials", "50000", "--seed", "11", "--scope", "hrm"]
         _, first = run_cli(capsys, *argv)
@@ -881,7 +921,7 @@ class TestOutputFreeze:
         ),
         "mc_validate": (
             ["mc-validate", "--trials", "20000", "--seed", "7", "--scope", "all"],
-            "d9d82dc9d32b8602c9f30b8140cc6b7bad7f9d845ffb0bea832270ce44be4ca5",
+            "7eaebb0a3cb6a2b400b8002b69b1ffeb535e09315e11b4eaecd5c601fd7c382e",
         ),
     }
 

@@ -22,8 +22,10 @@ from gkp_repeater.mc_oracle import (
     TrialConfig,
     _odd,
     estimate_hrm,
+    estimate_hrms,
     simulate_path_selection,
     simulate_segment,
+    simulate_segments,
     simulate_tree_repeater,
 )
 from gkp_repeater.noise_core import SqueezingSpec
@@ -319,50 +321,68 @@ class TestParityKernel:
         assert np.array_equal(out, expected)
 
 
-def whole_batch_postselected(config, draws, v_up):
-    """(accepted, flipped) of the postselected kernel, drawing each batch in
-    one piece with plain numpy: ``normal``, ``np.rint`` to the nearest
-    multiple and ``np.fmod`` for parity. draws holds one (sigmas, decides)
-    entry per outcome; the outcome sums one ``normal(0, s)`` per s in sigmas,
-    drawn in turn."""
-    n_accepted = n_flipped = 0
+def whole_batch_postselected(config, cases):
+    """(accepted, flipped) of each case of the postselected kernel, drawing
+    each batch in one piece with plain numpy: one trial-major
+    ``standard_normal((n, values))`` that every case reads, ``np.rint`` to
+    the nearest multiple and ``np.fmod`` for parity. A case is (draws,
+    v_up), with one (sigmas, decides) entry per outcome; the outcome sums s
+    times the trial's next normal for each s in sigmas."""
+    totals = [[0, 0] for _ in cases]
+    values = max(sum(len(sigmas) for sigmas, _ in draws) for draws, _ in cases)
     for index, n in config.batches():
-        rng = config.rng(index)
-        accepted = np.ones(n, dtype=bool)
-        flipped = np.zeros(n, dtype=bool)
-        for sigmas, decides in draws:
-            x = sum(rng.normal(0.0, s, size=n) for s in sigmas)
-            k = np.rint(x / SQRT_PI)
-            accepted &= np.abs(x - k * SQRT_PI) < v_up
-            if decides:
-                flipped ^= np.fmod(k, 2) != 0
-        n_accepted += int(accepted.sum())
-        n_flipped += int((flipped & accepted).sum())
-    return n_accepted, n_flipped
+        z = config.rng(index).standard_normal((n, values))
+        for total, (draws, v_up) in zip(totals, cases):
+            accepted = np.ones(n, dtype=bool)
+            flipped = np.zeros(n, dtype=bool)
+            column = 0
+            for sigmas, decides in draws:
+                x = sum(s * z[:, column + i] for i, s in enumerate(sigmas))
+                column += len(sigmas)
+                k = np.rint(x / SQRT_PI)
+                accepted &= np.abs(x - k * SQRT_PI) < v_up
+                if decides:
+                    flipped ^= np.fmod(k, 2) != 0
+            total[0] += int(accepted.sum())
+            total[1] += int((flipped & accepted).sum())
+    return [tuple(total) for total in totals]
+
+
+def whole_batch_hrms(points, config):
+    """(errors, accepted) and (accepted, trials) of each point of
+    ``estimate_hrms``."""
+    cases = [([((math.sqrt(sigma2),), True)], HrmPolicy(delta).v_up) for sigma2, delta in points]
+    return [
+        [(n_errors, n_accepted), (n_accepted, config.n_trials)]
+        for n_accepted, n_errors in whole_batch_postselected(config, cases)
+    ]
 
 
 def whole_batch_hrm(sigma2, delta, config):
     """(errors, accepted) and (accepted, trials) of ``estimate_hrm``."""
-    n_accepted, n_errors = whole_batch_postselected(
-        config, [((math.sqrt(sigma2),), True)], HrmPolicy(delta).v_up
-    )
-    return [(n_errors, n_accepted), (n_accepted, config.n_trials)]
+    return whole_batch_hrms([(sigma2, delta)], config)[0]
+
+
+def whole_batch_segments(specs, config, separate=False):
+    """(flips, accepted) of each segment: per round, a q outcome that decides
+    the flip and a p outcome that only gates. Each outcome is one normal at
+    the summed variance of two teeth and the variant's channel-noise inputs,
+    as ``simulate_segments`` draws it, or with separate the sum of one draw
+    per tooth and per channel input."""
+    cases = []
+    for spec in specs:
+        tooth = math.sqrt(spec.squeezing.sigma2)
+        noise = math.sqrt(spec.variant.input_noise(spec.eta))
+        sigmas = (tooth, tooth) + (noise,) * spec.variant.noisy_inputs
+        if not separate:
+            sigmas = (math.hypot(*sigmas),)
+        cases.append(([(sigmas, True), (sigmas, False)] * spec.variant.rounds, spec.hrm.v_up))
+    return [(n_flips, n_accepted) for n_accepted, n_flips in whole_batch_postselected(config, cases)]
 
 
 def whole_batch_segment(spec, config, separate=False):
-    """(flips, accepted) of a segment: per round, a q outcome that decides
-    the flip and a p outcome that only gates. Each outcome is one normal at
-    the summed variance of two teeth and the variant's channel-noise inputs,
-    as ``simulate_segment`` draws it, or with separate the sum of one draw
-    per tooth and per channel input."""
-    tooth = math.sqrt(spec.squeezing.sigma2)
-    noise = math.sqrt(spec.variant.input_noise(spec.eta))
-    sigmas = (tooth, tooth) + (noise,) * spec.variant.noisy_inputs
-    if not separate:
-        sigmas = (math.hypot(*sigmas),)
-    draws = [(sigmas, True), (sigmas, False)] * spec.variant.rounds
-    n_accepted, n_flips = whole_batch_postselected(config, draws, spec.hrm.v_up)
-    return [(n_flips, n_accepted)]
+    """(flips, accepted) of ``simulate_segment``."""
+    return whole_batch_segments([spec], config, separate)
 
 
 UNEVEN = TrialConfig(20_000, seed=31, batch_size=7919)
@@ -372,13 +392,23 @@ SEGMENT_UNEVEN = ProtocolSpec(
 SEGMENT_SECOND_ROUND = ProtocolSpec(
     Variant.TWO_WAY_POST_SECOND_SQEC, 1, 20.0, SQ15, hrm=HrmPolicy(SQRT_PI / 6)
 )
+#: mc-validate's hrm grid: three variances, each at no margin and two margins.
+HRM_POINTS = [(s2, d) for s2 in (0.1, 0.125, 0.25) for d in (0.0, SQRT_PI / 10, SQRT_PI / 6)]
+#: One shared segment call of 2, 4 and 2 outcome slots a trial: the
+#: one-round segments read the first two of each trial's four normals.
+SHARED_SEGMENTS = [
+    ProtocolSpec(Variant.TWO_WAY_CC, 1, 3.0, SQ15, hrm=HrmPolicy(SQRT_PI / 6)),
+    SEGMENT_UNEVEN,
+    ProtocolSpec(Variant.ONE_WAY_PRE, 1, 3.0, SQ15),
+]
 
 
 class TestPinnedCounts:
     """Counts at inputs the mc-validate digest does not reach: several batches
     with an uneven last one, five pairs, a postselected second round and the
-    station sampler. Drawn from SFC64 streams, one normal per segment outcome
-    at the summed variance; each count equals an independent whole-batch form
+    station sampler, and a shared segment call of mixed slot counts. Drawn
+    from SFC64 streams, trial-major, one normal per segment outcome at the
+    summed variance; each count equals an independent whole-batch form
     on the same streams and lies within |z| <= 4 of its analytic value
     (``TestPinnedCountProvenance``). Any change of stream or kernel moves
     them."""
@@ -389,10 +419,14 @@ class TestPinnedCounts:
         assert counts(acc) == (15615, 20000)
 
     def test_segment_uneven_batches(self):
-        assert counts(simulate_segment(SEGMENT_UNEVEN, UNEVEN)) == (29, 18693)
+        assert counts(simulate_segment(SEGMENT_UNEVEN, UNEVEN)) == (28, 18695)
 
     def test_postselected_second_round_segment(self):
-        assert counts(simulate_segment(SEGMENT_SECOND_ROUND, TrialConfig(20_000, seed=32))) == (1290, 4312)
+        assert counts(simulate_segment(SEGMENT_SECOND_ROUND, TrialConfig(20_000, seed=32))) == (1339, 4419)
+
+    def test_shared_segment_call(self):
+        shared = simulate_segments(SHARED_SEGMENTS, UNEVEN)
+        assert [counts(e) for e in shared] == [(2, 17606), (28, 18695), (491, 20000)]
 
     def test_path_selection_with_margin(self):
         # The decoder has no margin: every trial keeps its likeliest pair.
@@ -434,6 +468,16 @@ PINNED_RUNS = {
         lambda: simulate_segment(SEGMENT_SECOND_ROUND, TrialConfig(20_000, seed=32)),
         lambda: whole_batch_segment(SEGMENT_SECOND_ROUND, TrialConfig(20_000, seed=32)),
         lambda: [segment_errors(SEGMENT_SECOND_ROUND).ex],
+    ),
+    "hrm_shared": (
+        lambda: [e for pair in estimate_hrms(HRM_POINTS, UNEVEN) for e in pair],
+        lambda: [c for pair in whole_batch_hrms(HRM_POINTS, UNEVEN) for c in pair],
+        lambda: [f(s2, d) for s2, d in HRM_POINTS for f in (e_hrm, p_suc)],
+    ),
+    "segments_shared": (
+        lambda: simulate_segments(SHARED_SEGMENTS, UNEVEN),
+        lambda: whole_batch_segments(SHARED_SEGMENTS, UNEVEN),
+        lambda: [segment_errors(spec).ex for spec in SHARED_SEGMENTS],
     ),
     "path_selection": (
         lambda: simulate_path_selection(0.25, 5, TrialConfig(20_000, seed=33)),
@@ -529,6 +573,64 @@ class TestSummedVarianceDraw:
         assert got == want
 
 
+class TestSharedDraw:
+    """A multi-case call draws one standard normal per outcome slot and
+    trial, trial-major, and every case scales it by its own sigma. A case's
+    counts thus depend on its own inputs and the call's slot count alone: not
+    on the chunk size, the workers or the other cases of its slot count."""
+
+    CONFIG = TrialConfig(3_000, seed=54, batch_size=1001)
+
+    def test_one_slot_cases_equal_their_one_case_calls(self):
+        assert estimate_hrms(HRM_POINTS, UNEVEN) == [estimate_hrm(s2, d, UNEVEN) for s2, d in HRM_POINTS]
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_segments_of_one_slot_count_equal_their_one_case_calls(self, rounds):
+        specs = [
+            ProtocolSpec(variant, 1, 3.0, SQ15, hrm=policy)
+            for variant in ALL_VARIANTS
+            if variant.rounds == rounds
+            for policy in (HrmPolicy(), HrmPolicy(SQRT_PI / 6))
+        ]
+        assert simulate_segments(specs, UNEVEN) == [simulate_segment(spec, UNEVEN) for spec in specs]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, 2**20])
+    def test_counts_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        monkeypatch.setattr(mc_oracle, "_CHUNK_TRIALS", chunk)
+        hrm = estimate_hrms(HRM_POINTS[:3], self.CONFIG)
+        assert [[counts(e) for e in pair] for pair in hrm] == whole_batch_hrms(HRM_POINTS[:3], self.CONFIG)
+        segments = simulate_segments(SHARED_SEGMENTS, self.CONFIG)
+        assert [counts(e) for e in segments] == whole_batch_segments(SHARED_SEGMENTS, self.CONFIG)
+
+    def test_a_call_draws_the_slots_of_its_longest_case(self, monkeypatch):
+        used = []
+        fresh = TrialConfig.rng
+
+        def recording(self, batch_index):
+            used.append(fresh(self, batch_index))
+            return used[-1]
+
+        monkeypatch.setattr(TrialConfig, "rng", recording)
+        config = TrialConfig(5_000, seed=53)
+        simulate_segments(SHARED_SEGMENTS, config)
+        estimate_hrms(HRM_POINTS, config)
+        assert len(used) == 2
+        for rng, slots in zip(used, (4, 1)):
+            expected = fresh(config, 0)
+            expected.standard_normal(slots * config.n_trials)
+            got, want = rng.bit_generator.state, expected.bit_generator.state
+            assert np.array_equal(got.pop("state")["state"], want.pop("state")["state"])
+            assert got == want
+
+    def test_no_cases_draw_nothing(self):
+        assert estimate_hrms([], self.CONFIG) == []
+        assert simulate_segments([], self.CONFIG) == []
+
+    def test_every_point_is_validated(self):
+        with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+            estimate_hrms([(0.1, 0.0), (-0.1, 0.0)], self.CONFIG)
+
+
 def unchunked_path_selection(sigma2, n_pairs, config):
     """The path-selection kernel drawing each batch in one piece."""
     errors = 0
@@ -607,9 +709,12 @@ class TestTreeRepeaterChunks:
     def test_batch_memory_stays_near_a_one_value_batch(self):
         config = TrialConfig(250_000, seed=38)
         station = traced_peak(simulate_tree_repeater, 0.12, 0.12, 0.01, config)
-        hrm = traced_peak(estimate_hrm, 0.12, SQRT_PI / 6, config)
-        # Unchunked, a 250,000-trial station batch peaked at ~40 MB against ~6 MB.
-        assert station < 2 * hrm
+        # A one-value batch: three float64 and three bool arrays of
+        # batch_size values for each worker, ~3.5 MB on two workers.
+        workers = min(mc_oracle._usable_cpus(), len(config.batches()))
+        one_value = workers * 27 * config.batch_size
+        # Unchunked, a 250,000-trial station batch peaked at ~40 MB.
+        assert station < 2 * one_value
 
 
 class TestThreadPool:
@@ -629,6 +734,7 @@ class TestThreadPool:
         pinned.test_segment_uneven_batches()
         pinned.test_path_selection_uneven_batches()
         pinned.test_tree_repeater()
+        pinned.test_shared_segment_call()
         # UNEVEN has three batches, so three CPUs get three workers.
         assert max(pool_sizes) == cpus
 
@@ -702,6 +808,8 @@ class TestWorkArrays:
         "simulate_segment": lambda c: simulate_segment(
             ProtocolSpec(Variant.TWO_WAY_PRE_SECOND_SQEC, 1, 3.0, SQ15, hrm=HrmPolicy(SQRT_PI / 12)), c
         ),
+        "estimate_hrms": lambda c: estimate_hrms(HRM_POINTS, c),
+        "simulate_segments": lambda c: simulate_segments(SHARED_SEGMENTS, c),
         "simulate_path_selection_1": lambda c: simulate_path_selection(0.25, 1, c),
         "simulate_path_selection_5": lambda c: simulate_path_selection(0.25, 5, c),
         "simulate_tree_repeater": lambda c: simulate_tree_repeater(0.12, 0.12, 0.01, c),
@@ -735,6 +843,17 @@ class TestWorkArrays:
         made = self.record_work_arrays(monkeypatch)
         self.SAMPLERS[name](TrialConfig(TrialConfig(1).batch_size, seed=47))
         assert made and max(made) <= 2 * 2**20
+
+
+    def test_shared_draw_arrays_at_the_default_batch(self, monkeypatch):
+        """One worker's arrays of a shared postselected call: 0.55 MiB with
+        one outcome slot, 0.92 MiB with four, within the 1.69 MiB the
+        one-case kernel held at the default batch."""
+        made = self.record_work_arrays(monkeypatch)
+        config = TrialConfig(TrialConfig(1).batch_size, seed=47)
+        estimate_hrms(HRM_POINTS, config)
+        simulate_segments(SHARED_SEGMENTS, config)
+        assert made == [573_440, 966_656]
 
 
 class TestCheapKernels:
