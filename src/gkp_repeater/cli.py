@@ -346,6 +346,10 @@ def cmd_mc_validate(args) -> int:
     if importlib.util.find_spec("numpy") is None:
         print("error: mc-validate needs numpy: pip install 'gkp-repeater[mc]'", file=sys.stderr)
         return 1
+    # The samplers never call BLAS, so OpenBLAS need not start the helper
+    # threads it spins up when numpy loads; a value the user set wins. The
+    # first attribute read of the lazy mc_oracle, below, loads numpy.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # Build the whole matrix, the lazy tree module's values included, before
     # the first sampler runs.
     calls = list(_validation_cases(args.scope))

@@ -37,27 +37,33 @@ cases of one call are correlated. Normals a trial of one call: 1 (hrm,
 however many points), 2 * rounds of its longest segment, 2 * n_pairs (path
 selection), 58 (station).
 
-Most of a sampler's time goes to the normal draws, ~11 ns a
-``standard_normal`` from SFC64, the fastest of numpy's bit generators. Two
-primitives beside them are built from cheaper exact arithmetic that gives
-the same booleans as the numpy calls they replace, so the counts do not
-change. Parity (``_odd``) tests h - floor(h) == 0.5 for h = |k|/2: ~3 ns a
-rounded multiple, where ``fmod`` or the floored remainder cost 5-20 ns. The
-station sampler's ors over a length-3 axis (``_or_last``) are slice-wise
-``|=``: ~1 ns a value, where ``np.any(axis=...)`` costs ~10 ns.
+Most of a sampler's time goes to the normal draws, ~10 ns a
+``standard_normal`` from SFC64, the fastest of numpy's bit generators.
+Parity (``_odd``) is built from cheaper exact arithmetic that gives the same
+booleans as the numpy call it replaces, so the counts do not change: it
+tests h - floor(h) == 0.5 for h = |k|/2, ~3 ns a rounded multiple, where
+``fmod`` or the floored remainder cost 5-20 ns. The station sampler's cost
+is its draws. An outcome within sqrt(pi)/2 of 0 rounds to the even multiple
+0, so ``_odd_draws`` keeps as candidates only the draws past that cut-off,
+~0.5 ns a value in three passes, and rounds those alone: at mc-validate's
+v_single = 0.051 about one outcome in 11,000 is odd. The failure logic then
+reads the few odd indices of each chunk.
 (Single-thread costs on one x86-64 core with a 2 MiB L2 cache, numpy 2.4.)
 
-Every kernel draws (``standard_normal`` scaled by sigma, the values and
-stream of ``normal``) and reduces into work arrays its worker reuses for
-each batch, so a worker allocates only small per-trial results. The
-default batch size, 65,536 trials, keeps one worker's arrays within such an
-L2 cache: path selection's three float64 arrays of ``batch_size`` values
-and two bool ones take 1.59 MiB with one pair, the station sampler's two
-float64 and three bool ones 1.31 MiB. ``_postselected`` draws chunks of at
-most 16,384 trials into one float64 array of chunk * slots values and
-reduces each case into three float64 and three bool arrays of the chunk:
-0.55 MiB with one slot, 0.92 MiB with four. A sampler call thus holds the
-work arrays of each worker, whatever the threads' timing.
+Every kernel draws standard normals (scaled by sigma, the values and stream
+of ``normal``; the station scales only its candidates) and reduces into
+work arrays its worker reuses for each batch, so a worker allocates only
+small per-trial results. The default batch size, 65,536 trials, keeps one
+worker's arrays within such an L2 cache: path selection's three float64
+arrays of ``batch_size`` values and two bool ones take 1.59 MiB with one
+pair, the station sampler's one float64 and three bool arrays, 13 bytes a
+trial, 0.81 MiB. Beyond them the station holds only its candidates: a few
+arrays no longer than one chunk, whatever share of its outcomes is odd.
+``_postselected`` draws chunks of at most 16,384 trials into one float64
+array of chunk * slots values and reduces each case into three float64 and
+three bool arrays of the chunk: 0.55 MiB with one slot, 0.92 MiB with four.
+A sampler call thus holds the work arrays of each worker, whatever the
+threads' timing.
 ``_postselected``, ``simulate_path_selection`` and the ancilla and node
 outcomes of ``simulate_tree_repeater`` draw each batch in chunks of whole
 trials (``_chunks``); the chunks consume the generator in the order of one
@@ -178,17 +184,6 @@ def _odd(k: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = 
     h = np.abs(np.multiply(k, 0.5, out=tmp), out=tmp)
     np.subtract(h, np.floor(h, out=k), out=h)
     return np.equal(h, 0.5, out=out)
-
-
-def _or_last(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """OR each slice bits[..., i] of the short last axis into out, in place.
-
-    On a preset-False out this is ``np.any(bits, axis=-1)``, which costs
-    ~10 ns a value on an axis of 3; the slice-wise ors cost ~1 ns.
-    """
-    for i in range(bits.shape[-1]):
-        out |= bits[..., i]
-    return out
 
 
 def _majority(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -419,6 +414,28 @@ def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig
     return McEstimate(n_errors, config.n_trials)
 
 
+def _odd_draws(rng: np.random.Generator, sigma: float, z: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Fill z with standard normals and return the flat indices, ascending,
+    of those whose N(0, sigma^2) outcome sigma * z rounds to an odd multiple
+    of sqrt(pi); overwrites z with |z| and above, a bool array of z's shape.
+
+    An outcome within sqrt(pi)/2 of 0 rounds to the even multiple 0, so only
+    the draws with |z| > (sqrt(pi)/2)/sigma * (1 - 1e-9) are candidates; the
+    margin of 1e-9 dwarfs the few ulps by which sigma * |z| / sqrt(pi) is
+    rounded. The candidates alone are reduced by the dense form,
+    ``_odd(rint(sigma * |z| / sqrt(pi)))``: sigma * |z| is exactly the mirror
+    of sigma * z and rint is symmetric, so the parities are those of every
+    draw reduced alike. Beyond the draw the work is three cheap passes over
+    z, and the temporaries are a few arrays no longer than z.
+    """
+    rng.standard_normal(out=z)
+    cut = SQRT_PI / 2 / sigma * (1.0 - 1e-9) if sigma else math.inf
+    candidates = np.flatnonzero(np.greater(np.abs(z, out=z), cut, out=above))
+    x = z[candidates]
+    k = _nearest_multiple(np.multiply(x, sigma, out=x), out=x)
+    return candidates[_odd(k)]
+
+
 def simulate_tree_repeater(
     v_leaf: float,
     v_single: float,
@@ -443,34 +460,38 @@ def simulate_tree_repeater(
     s_single = math.sqrt(v_single)
     size = _largest_batch(config, 9)
 
-    def parities(rng: np.random.Generator, m: int, shape: tuple, work) -> np.ndarray:
-        """Parities of m trials of v_single outcomes of the given shape."""
-        x, tmp = (a[: m * math.prod(shape)].reshape(m, *shape) for a in work[0])
-        bits = work[1][1][: x.size].reshape(x.shape)
-        return _odd(_nearest_multiple(_normal(rng, s_single, out=x), out=x), out=bits, tmp=tmp)
+    def odd_chunks(rng: np.random.Generator, n: int, values_per_trial: int, work):
+        """(start, indices) of each chunk of n trials of v_single outcomes:
+        the chunk's odd outcomes as flat indices of its (m, values_per_trial)
+        draws."""
+        z, above = work[0][0], work[1][0]
+        for start, m in _chunks(n, size, values_per_trial):
+            values = m * values_per_trial
+            yield start, _odd_draws(rng, s_single, z[:values], above[:values])
 
     def sample_batch(rng: np.random.Generator, n: int, work):
-        x, tmp = (a[:n] for a in work[0])
-        fail, bits = (a[:n] for a in work[1][:2])
-        block_wrong = work[1][2][: 3 * n].reshape(n, 3)
-        _odd(_nearest_multiple(_normal(rng, s_leaf, out=x), out=x), out=fail, tmp=tmp)
-        fail |= np.less(rng.random(out=x), e_prep, out=bits)
-        # Bit-flip-protected encoded measurement: any of 3 ancilla-triple
-        # majorities wrong.
-        for start, m in _chunks(n, size, 9):
-            anc = parities(rng, m, (3, 3), work)
-            _or_last(_majority(anc), out=fail[start : start + m])
+        z, above = work[0][0][:n], work[1][0][:n]
+        fail = work[1][1][:n]
+        # Row b holds block b of each trial, so the majority reads rows.
+        blocks = work[1][2][: 3 * n].reshape(3, n)
+        leaf = _odd_draws(rng, s_leaf, z, above)
+        np.less(rng.random(out=z), e_prep, out=fail)
+        fail[leaf] = True
+        # Bit-flip-protected encoded measurement: wrong when any of its 3
+        # ancilla triples holds 2 odd outcomes, so two adjacent odd indices.
+        for start, odd in odd_chunks(rng, n, 9, work):
+            triple = odd // 3
+            fail[start + triple[1:][triple[1:] == triple[:-1]] // 3] = True
         # Four phase-flip-protected encoded measurements: majority over 3
         # blocks, each block wrong when its node or any of 3 ancillas is.
         for _ in range(4):
-            for start, m in _chunks(n, size, 3):
-                block_wrong[start : start + m] = parities(rng, m, (3,), work)
-            for start, m in _chunks(n, size, 9):
-                _or_last(parities(rng, m, (3, 3), work), out=block_wrong[start : start + m])
-            fail |= _majority(block_wrong, out=bits)
+            blocks.fill(False)
+            for per_block, values_per_trial in ((1, 3), (3, 9)):
+                for start, odd in odd_chunks(rng, n, values_per_trial, work):
+                    trial, block = np.divmod(odd // per_block, 3)
+                    blocks[block, start + trial] = True
+            fail |= _majority(blocks.T, out=above)
         return (int(np.count_nonzero(fail)),)
 
-    (n_fail,) = _run_batches(
-        config, sample_batch, floats=[size] * 2, bools=[size, size, 3 * size]
-    )
+    (n_fail,) = _run_batches(config, sample_batch, floats=[size], bools=[size, size, 3 * size])
     return McEstimate(n_fail, config.n_trials)

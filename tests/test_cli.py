@@ -697,6 +697,48 @@ class TestMcValidate:
             else:
                 assert hrm.p_suc(1.1 * s2, d) == 1.0 and suc.z(1.0) == 0.0
 
+    def test_tree_rows_can_fail(self):
+        """The power of the tree rows at 1e6 trials: each passes against its
+        own analytic value, and evaluating the Bell pair's at 1.1 sigma2 moves
+        its z by about -71, the station's at 1.1 v_leaf by about -27.
+
+        The station row cannot see a 10% error in v_single, which moves z by
+        0.06 (an outcome at v_single = 0.051 is odd with probability 8.8e-5),
+        nor one in e_prep, which moves it by 1.9. The sampler's v_single
+        outcomes are thus guarded only by the tests that its counts equal a
+        dense form's (``test_mc_oracle.TestStationCandidates``,
+        ``TestTreeRepeaterChunks``) and by the pinned counts."""
+        (pair_sampler, pair_cases), (station_sampler, station_cases) = cli._validation_cases("tree")
+        # The streams of `mc-validate --seed 7 --scope all`'s last two calls.
+        pair = pair_sampler(mc_oracle.TrialConfig(1_000_000, seed=10))
+        station = station_sampler(mc_oracle.TrialConfig(1_000_000, seed=11))
+        (_, pair_error), (_, station_error) = pair_cases + station_cases
+        assert abs(pair.z(pair_error)) <= 4
+        assert pair_error == 1.0 - (1.0 - hrm.e_hrm(0.25, 0.0)) ** 2
+        assert pair.z(1.0 - (1.0 - hrm.e_hrm(1.1 * 0.25, 0.0)) ** 2) < -4
+
+        v_leaf, v_single, e_prep = station_sampler.args
+
+        def station_z(v_leaf, v_single, e_prep):
+            comps = tree_code.ComponentErrors(hrm.e_hrm(v_leaf, 0.0), hrm.e_hrm(v_single, 0.0), e_prep)
+            return station.z(tree_code.repeater_error(comps))
+
+        assert station_z(v_leaf, v_single, e_prep) == station.z(station_error)
+        assert abs(station.z(station_error)) <= 4
+        assert station_z(1.1 * v_leaf, v_single, e_prep) < -4
+        assert hrm.e_hrm(v_single, 0.0) < 1e-4
+        assert abs(station_z(v_leaf, 1.1 * v_single, e_prep)) <= 4
+        assert abs(station_z(v_leaf, v_single, 1.1 * e_prep)) <= 4
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_asks_openblas_for_one_thread_unless_set(self, monkeypatch, capsys, preset):
+        # Set first, so that monkeypatch also removes a value main sets.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "unset")
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        run_cli(capsys, "mc-validate", "--trials", "10", "--seed", "1", "--scope", "tree")
+        assert os.environ["OPENBLAS_NUM_THREADS"] == (preset or "1")
+
     def test_fixed_seed_is_byte_identical(self, capsys):
         argv = ["mc-validate", "--trials", "50000", "--seed", "11", "--scope", "hrm"]
         _, first = run_cli(capsys, *argv)

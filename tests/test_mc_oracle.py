@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gkp_repeater import mc_oracle, tree_code
 from gkp_repeater.hrm import e_hrm, p_suc
@@ -717,6 +719,118 @@ class TestTreeRepeaterChunks:
         assert station < 2 * one_value
 
 
+class CraftedDraws:
+    """Generator stand-in that hands out chosen standard normals and
+    uniforms, each in order, through the calls the station kernels make:
+    ``standard_normal`` and ``random`` into out= arrays, and the sized
+    ``normal`` and ``random`` of ``unchunked_tree_repeater``."""
+
+    def __init__(self, normals, uniforms):
+        self.values = {"normals": np.asarray(normals, float), "uniforms": np.asarray(uniforms, float)}
+        self.taken = {"normals": 0, "uniforms": 0}
+
+    def _take(self, name, size, out):
+        count = out.size if out is not None else math.prod(np.atleast_1d(size))
+        start = self.taken[name]
+        values = self.values[name][start : start + count]
+        assert values.size == count, f"{name} exhausted"
+        self.taken[name] = start + count
+        if out is None:
+            return values.reshape(size).copy()
+        out.reshape(-1)[:] = values
+        return out
+
+    def standard_normal(self, size=None, out=None):
+        return self._take("normals", size, out)
+
+    def random(self, size=None, out=None):
+        return self._take("uniforms", size, out)
+
+    def normal(self, loc, scale, size):
+        return loc + scale * self.standard_normal(size)
+
+
+def crafted_draws(sigma: float) -> np.ndarray:
+    """Standard normals where the station's parity is easiest to get wrong at
+    sigma, with both signs: the 17 floats around its candidate cut-off
+    (sqrt(pi)/2)/sigma * (1 - 1e-9), around q sqrt(pi)/sigma for q = 0.5,
+    1.5 and 2.5, where rint ties go half to even, and around 2 sqrt(pi)/sigma,
+    plus draws across the even window about 2 sqrt(pi)/sigma and zeros."""
+    centres = [SQRT_PI / 2 / sigma * (1.0 - 1e-9)]
+    centres += [q * SQRT_PI / sigma for q in (0.5, 1.5, 2.0, 2.5)]
+    draws = [0.0]
+    for centre in centres:
+        below = above = centre
+        draws.append(centre)
+        for _ in range(8):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            draws += [below, above]
+    draws += [q * SQRT_PI / sigma for q in (1.51, 1.6, 1.9, 2.1, 2.4, 2.49)]
+    draws = np.array(draws)
+    return np.concatenate([draws, -draws])
+
+
+class TestStationCandidates:
+    """The station sampler rounds only its candidates, the draws past
+    (sqrt(pi)/2)/sigma * (1 - 1e-9); every other draw rounds to the even
+    multiple 0. Its parities and counts equal those of the dense form, which
+    rounds every draw: ``_odd(rint(sigma z / sqrt(pi)))``."""
+
+    @pytest.mark.parametrize("v", [0.0511, 0.12, 2.0, 30.0])
+    def test_parities_at_the_cut_off_and_the_ties(self, v):
+        sigma = math.sqrt(v)
+        z = crafted_draws(sigma)
+        quotients = z * sigma / SQRT_PI
+        # Exact ties at 0.5 and 2.5 are crafted; no float outcome divides to
+        # exactly 1.5, so its neighbours stand in for that tie.
+        assert {0.5, 2.5, -0.5, -2.5} <= set(quotients)
+        dense = _odd(np.rint(quotients))
+        assert 0 < dense.sum() < dense.size
+        got = mc_oracle._odd_draws(CraftedDraws(z, []), sigma, np.empty(z.size), np.empty(z.size, dtype=bool))
+        assert np.array_equal(got, np.flatnonzero(dense))
+
+    @pytest.mark.parametrize("batch_size", [7, 1000])
+    @pytest.mark.parametrize("v", [0.0511, 0.12, 2.0])
+    def test_counts_from_crafted_draws(self, monkeypatch, v, batch_size):
+        """Draws mostly inside the cut-off, with one in seven from
+        ``crafted_draws``, so that about a third of the trials fail."""
+        config = TrialConfig(997, batch_size=batch_size)
+        rng = np.random.default_rng(48)
+        crafted = crafted_draws(math.sqrt(v))
+        streams = []
+        for _, n in config.batches():
+            normals = np.where(
+                rng.random(58 * n) < 1 / 7,
+                rng.choice(crafted, 58 * n),
+                rng.uniform(-0.5, 0.5, 58 * n) * SQRT_PI / 2 / math.sqrt(v),
+            )
+            uniforms = rng.choice([0.0, 0.01, 0.02, 0.5], n)
+            streams.append((normals, uniforms))
+        monkeypatch.setattr(TrialConfig, "rng", lambda self, index: CraftedDraws(*streams[index]))
+        station = counts(simulate_tree_repeater(v, v, 0.01, config))
+        assert station == unchunked_tree_repeater(v, v, 0.01, config)
+        assert 0 < station[0] < config.n_trials
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        v_leaf=st.floats(0.0, 30.0),
+        v_single=st.floats(0.0, 30.0),
+        e_prep=st.floats(0.0, 1.0),
+        n_trials=st.integers(1, 300),
+        batch_size=st.sampled_from([1, 7, 1000, TrialConfig(1).batch_size]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(0.0, 0.0, 0.0, 300, 7, 0)
+    @example(30.0, 30.0, 1.0, 300, 1000, 1)
+    # Past the range: at sigma = 1e15 the cut-off is ~9e-16, so every draw
+    # is a candidate.
+    @example(1e30, 1e30, 0.5, 300, 7, 2)
+    def test_counts_equal_the_dense_form(self, v_leaf, v_single, e_prep, n_trials, batch_size, seed):
+        config = TrialConfig(n_trials, seed=seed, batch_size=batch_size)
+        station = simulate_tree_repeater(v_leaf, v_single, e_prep, config)
+        assert counts(station) == unchunked_tree_repeater(v_leaf, v_single, e_prep, config)
+
+
 class TestThreadPool:
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_pinned_counts_do_not_depend_on_workers(self, monkeypatch, cpus):
@@ -857,8 +971,8 @@ class TestWorkArrays:
 
 
 class TestCheapKernels:
-    """_odd's h - floor(h) test and _or_last's slice-wise ors give exactly
-    the booleans of the numpy calls they replace."""
+    """_odd's h - floor(h) test gives exactly the booleans of the floored
+    remainder it replaces."""
 
     @staticmethod
     def odd_with_scratch(k):
@@ -917,19 +1031,6 @@ class TestCheapKernels:
         finally:
             tracemalloc.stop()
         assert peak < 1024
-
-    @pytest.mark.parametrize("shape", [(1001, 3), (1001, 3, 3)])
-    @pytest.mark.parametrize("fill", ["random", "false", "true"])
-    def test_or_last_is_any_over_the_last_axis(self, shape, fill):
-        if fill == "random":
-            bits = np.random.default_rng(46).random(shape) < 0.3
-        else:
-            bits = np.full(shape, fill == "true")
-        out = np.zeros(shape[:-1], dtype=bool)
-        assert mc_oracle._or_last(bits, out=out) is out
-        assert np.array_equal(out, np.any(bits, axis=-1))
-        preset = np.ones(shape[:-1], dtype=bool)
-        assert mc_oracle._or_last(bits, out=preset).all()
 
     def test_fmod_stays_out_of_the_samplers(self):
         source = Path(mc_oracle.__file__).read_text()
