@@ -10,19 +10,13 @@ independent cross-checks.
 
 Randomness and reproducibility
 ------------------------------
-Trials are split into batches of ``batch_size``. Batch ``i`` draws from
+Trials are split into batches of ``batch_size``, run in order. Batch ``i``
+draws from
 ``numpy.random.Generator(SFC64(SeedSequence(entropy=seed, spawn_key=(i,))))``.
 ``SeedSequence`` spawning gives each batch an independent stream, and
 numpy's stream policy (NEP 19) keeps a bit generator's stream for a given
 seed fixed across versions, so identical (seed, n_trials, batch_size) give
-bit-identical counts, and a batch may be computed on any worker in any
-order: merging is plain count addition.
-The batches of one sampler call are dealt round-robin to a thread pool sized
-to the CPUs the process may use (at most one worker per batch); numpy
-releases the interpreter lock while it draws and reduces, so threads
-suffice. Counts, and so stdout, do not depend on the pool's size.
-Generators and work arrays are made and every public function runs on the
-calling thread; the workers only draw and count.
+bit-identical counts, and merging batches is plain count addition.
 
 Kernels
 -------
@@ -35,40 +29,29 @@ share that draw, each scaling slot j by its own sigma: every case is a
 count over n independent trials of its own displacement model, and the
 cases of one call are correlated. Normals a trial of one call: 1 (hrm,
 however many points), 2 * rounds of its longest segment, 2 * n_pairs (path
-selection), 58 (station).
+selection), 1 (the station's leaf).
 
-Most of a sampler's time goes to the normal draws, ~10 ns a
-``standard_normal`` from SFC64, the fastest of numpy's bit generators.
-Parity (``_odd``) is built from cheaper exact arithmetic that gives the same
-booleans as the numpy call it replaces, so the counts do not change: it
-tests h - floor(h) == 0.5 for h = |k|/2, ~3 ns a rounded multiple, where
-``fmod`` or the floored remainder cost 5-20 ns. The station sampler's cost
-is its draws. An outcome within sqrt(pi)/2 of 0 rounds to the even multiple
-0, so ``_odd_draws`` keeps as candidates only the draws past that cut-off,
-~0.5 ns a value in three passes, and rounds those alone: at mc-validate's
-v_single = 0.051 about one outcome in 11,000 is odd. The failure logic then
-reads the few odd indices of each chunk.
+Most of a sampler's time goes to its draws, ~10 ns a ``standard_normal``
+from SFC64, the fastest of numpy's bit generators. Parity (``_odd``) tests
+h - floor(h) == 0.5 for h = |k|/2, ~3 ns a rounded multiple, where ``fmod``
+or the floored remainder, which give the same booleans, cost 5-20 ns. Of
+the station's 57 outcomes a trial at v_single, only those with
+|z| > t = (sqrt(pi)/2)/sigma can be odd, a share q = erfc(t / sqrt(2)):
+8.8e-5 at mc-validate's v_single = 0.051. ``_odd_tail_draws`` draws only
+these candidates, ~20 ms for 1e6 trials, most of it the ~23 us a chunk
+costs. Above q = 1/8 (v_single > 0.334) ``_odd_draws`` draws every outcome
+and rounds those past the cut-off.
 (Single-thread costs on one x86-64 core with a 2 MiB L2 cache, numpy 2.4.)
 
-Every kernel draws standard normals (scaled by sigma, the values and stream
-of ``normal``; the station scales only its candidates) and reduces into
-work arrays its worker reuses for each batch, so a worker allocates only
-small per-trial results. The default batch size, 65,536 trials, keeps one
-worker's arrays within such an L2 cache: path selection's three float64
-arrays of ``batch_size`` values and two bool ones take 1.59 MiB with one
-pair, the station sampler's one float64 and three bool arrays, 13 bytes a
-trial, 0.81 MiB. Beyond them the station holds only its candidates: a few
-arrays no longer than one chunk, whatever share of its outcomes is odd.
-``_postselected`` draws chunks of at most 16,384 trials into one float64
-array of chunk * slots values and reduces each case into three float64 and
-three bool arrays of the chunk: 0.55 MiB with one slot, 0.92 MiB with four.
-A sampler call thus holds the work arrays of each worker, whatever the
-threads' timing.
-``_postselected``, ``simulate_path_selection`` and the ancilla and node
-outcomes of ``simulate_tree_repeater`` draw each batch in chunks of whole
-trials (``_chunks``); the chunks consume the generator in the order of one
-whole-batch draw, so the counts are those of drawing the batch at once,
-whatever the chunk size.
+A call makes its work arrays once and draws and reduces every batch into
+them, so a batch allocates only small per-trial results; at the default
+batch size, 65,536 trials, each sampler's arrays fit a 2 MiB L2 cache.
+Beyond them the station holds only its candidates, a few arrays no longer
+than one chunk. ``_postselected``, ``simulate_path_selection`` and the
+dense station draws read each batch in chunks of whole trials
+(``_chunks``), in the order of one whole-batch draw, so their counts do not
+depend on the chunk size. The station's candidates are drawn chunk by
+chunk, so its counts depend on the chunk size, which the batch fixes.
 
 Importing this module loads numpy. The package registers it lazily, so a
 command loads it, and numpy with it, only when it runs a sampler. No rate
@@ -79,8 +62,6 @@ reads a sampler: they cross-check the analytic code, and only
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,46 +179,21 @@ def _majority(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity outside Linux
-        return os.cpu_count() or 1
-
-
 def _work_arrays(floats, bools) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """One worker's work arrays: float64 ones of the lengths in floats and
-    bool ones of the lengths in bools. Each is its own allocation, below
-    numpy's 4 MB huge-page threshold at the default batch size, so the
-    memory a worker holds is the pages its batches write."""
+    """A call's work arrays: float64 ones of the lengths in floats and bool
+    ones of the lengths in bools. Each is its own allocation, below numpy's
+    4 MB huge-page threshold at the default batch size, so the memory a call
+    holds is the pages its batches write."""
     return [np.empty(length) for length in floats], [np.empty(length, dtype=bool) for length in bools]
 
 
 def _run_batches(config: TrialConfig, sample_batch, floats=(), bools=()):
     """Sum the count tuples produced by sample_batch(rng, n, work) over all
-    batches.
-
-    The batches are dealt round-robin to one worker per usable CPU, at most
-    one per batch, and each worker runs its share in order on a thread pool;
-    numpy releases the interpreter lock while it draws and reduces. Each
-    worker gets its own ``_work_arrays(floats, bools)``, made here on the
-    calling thread, for sample_batch to draw and reduce into. Which worker
-    runs which batch is fixed, so the memory a call holds does not depend on
-    how the threads are scheduled. Each batch has its own generator, made
-    here too, and integer sums do not depend on the order batches finish, so
-    the counts do not depend on the number of workers.
-    """
-    batches = config.batches()
-    workers = min(_usable_cpus(), len(batches))
-    shares = [[(config.rng(index), n) for index, n in batches[w::workers]] for w in range(workers)]
-    works = [_work_arrays(floats, bools) for _ in range(workers)]
-
-    def run_share(share, work):
-        return [sample_batch(rng, n, work) for rng, n in share]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        counts = [c for share in pool.map(run_share, shares, works) for c in share]
+    batches, run in order. Each batch draws from its own generator, and every
+    batch draws and reduces into the one set of ``_work_arrays(floats,
+    bools)`` made here."""
+    work = _work_arrays(floats, bools)
+    counts = [sample_batch(config.rng(index), n, work) for index, n in config.batches()]
     return tuple(map(sum, zip(*counts)))
 
 
@@ -256,7 +212,7 @@ def _chunks(n: int, size: int, values_per_trial: int) -> list[tuple[int, int]]:
 
 
 #: Trials per chunk of ``_postselected``'s shared draw, which every case
-#: rereads: with four slots a worker's work arrays take 0.92 MiB.
+#: rereads: with four slots a call's work arrays take 0.92 MiB.
 _CHUNK_TRIALS = 16_384
 
 
@@ -436,6 +392,42 @@ def _odd_draws(rng: np.random.Generator, sigma: float, z: np.ndarray, above: np.
     return candidates[_odd(k)]
 
 
+#: Share q of the station's v_single outcomes that can be odd, above which
+#: ``_odd_draws`` draws every outcome: the candidates then near a chunk's
+#: whole population, and Marsaglia's tail draw keeps fewer of its proposals
+#: (0.78 of them at q = 1/8, 0.12 at q = 0.92).
+_TAIL_SHARE_MAX = 1 / 8
+
+
+def _tail_magnitudes(rng: np.random.Generator, t: float, k: int) -> np.ndarray:
+    """k draws of |z| for a standard normal z conditioned on |z| > t, by
+    Marsaglia's rejection (Technometrics 6, 101 (1964)): a proposal
+    x = sqrt(t^2 - 2 ln U1) is kept when U2 x < t. Each round draws one
+    (U1, U2) pair for every magnitude still missing."""
+    kept, missing = [], k
+    while missing:
+        u1, u2 = rng.random((2, missing))
+        # 1 - U1 is uniform on (0, 1], so the logarithm is finite.
+        x = np.sqrt(t * t - 2.0 * np.log1p(-u1))
+        kept.append(x[u2 * x < t])
+        missing -= kept[-1].size
+    return np.concatenate(kept) if kept else np.empty(0)
+
+
+def _odd_tail_draws(rng: np.random.Generator, sigma: float, t: float, q: float, values: int) -> np.ndarray:
+    """Flat indices, ascending, of the odd outcomes among values N(0, sigma^2)
+    outcomes, drawing only the candidates, the share q = erfc(t / sqrt(2)) of
+    them with |z| > t = (sqrt(pi)/2)/sigma: their number is Binomial(values,
+    q), their positions a uniform sample without replacement, and their
+    magnitudes ``_tail_magnitudes``. Each is reduced by the dense form,
+    ``_odd(rint(sigma * |z| / sqrt(pi)))``; every other outcome rounds to the
+    even multiple 0."""
+    k = rng.binomial(values, q)
+    positions = np.sort(rng.choice(values, k, replace=False, shuffle=False))
+    x = _tail_magnitudes(rng, t, k)
+    return positions[_odd(_nearest_multiple(np.multiply(x, sigma, out=x), out=x))]
+
+
 def simulate_tree_repeater(
     v_leaf: float,
     v_single: float,
@@ -458,16 +450,21 @@ def simulate_tree_repeater(
     _require("e_prep", e_prep, "be a probability", 0.0 <= e_prep <= 1.0)
     s_leaf = math.sqrt(v_leaf)
     s_single = math.sqrt(v_single)
+    t = SQRT_PI / 2 / s_single if s_single else math.inf
+    q = math.erfc(t / math.sqrt(2.0))
     size = _largest_batch(config, 9)
 
     def odd_chunks(rng: np.random.Generator, n: int, values_per_trial: int, work):
         """(start, indices) of each chunk of n trials of v_single outcomes:
         the chunk's odd outcomes as flat indices of its (m, values_per_trial)
-        draws."""
+        outcomes. With no outcome that can be odd (q = 0) nothing is drawn."""
         z, above = work[0][0], work[1][0]
-        for start, m in _chunks(n, size, values_per_trial):
+        for start, m in _chunks(n, size, values_per_trial) if q else ():
             values = m * values_per_trial
-            yield start, _odd_draws(rng, s_single, z[:values], above[:values])
+            if q > _TAIL_SHARE_MAX:
+                yield start, _odd_draws(rng, s_single, z[:values], above[:values])
+            else:
+                yield start, _odd_tail_draws(rng, s_single, t, q, values)
 
     def sample_batch(rng: np.random.Generator, n: int, work):
         z, above = work[0][0][:n], work[1][0][:n]

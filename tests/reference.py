@@ -76,6 +76,12 @@ def reference_lattice_mass(sigma2: float, delta: float, odd: bool) -> float:
     return min(1.0, math.fsum(masses))
 
 
+def normal_window_mass(lo: float, hi: float) -> float:
+    """P(lo <= |z| < hi) of a standard normal z, for 0 <= lo <= hi <= inf,
+    in the erfc form of the windows right of the origin above."""
+    return math.erfc(lo / math.sqrt(2.0)) - math.erfc(hi / math.sqrt(2.0))
+
+
 def lattice_sum_mp(sigma2: float, delta: float, odd: bool):
     """Lattice sum of :mod:`gkp_repeater.hrm` as an mpmath number good to 60
     significant digits.

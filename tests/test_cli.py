@@ -706,8 +706,9 @@ class TestMcValidate:
         0.06 (an outcome at v_single = 0.051 is odd with probability 8.8e-5),
         nor one in e_prep, which moves it by 1.9. The sampler's v_single
         outcomes are thus guarded only by the tests that its counts equal a
-        dense form's (``test_mc_oracle.TestStationCandidates``,
-        ``TestTreeRepeaterChunks``) and by the pinned counts."""
+        plain two-stage or dense form's (``test_mc_oracle.TestStationCandidates``,
+        ``TestTreeRepeaterChunks``), that the two-stage draw has the dense
+        draw's law (``TestTwoStageLaw``), and by the pinned counts."""
         (pair_sampler, pair_cases), (station_sampler, station_cases) = cli._validation_cases("tree")
         # The streams of `mc-validate --seed 7 --scope all`'s last two calls.
         pair = pair_sampler(mc_oracle.TrialConfig(1_000_000, seed=10))

@@ -1,14 +1,9 @@
 """Monte Carlo estimators: determinism, batching semantics, and agreement
 with the analytic quantities they mirror."""
 
-import concurrent.futures
 import dataclasses
-import inspect
 import itertools
 import math
-import os
-import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -42,7 +37,14 @@ from gkp_repeater.tree_code import (
     encoded_x_error,
 )
 from gkp_repeater.hrm import HrmPolicy
-from reference import encoded_x_error_mp, enumerate_encoded_x_error, enumerate_majority3, pfail
+from reference import (
+    encoded_x_error_mp,
+    enumerate_encoded_x_error,
+    enumerate_majority3,
+    normal_window_mass,
+    pfail,
+    reference_lattice_mass,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 SQ15 = SqueezingSpec.from_db(15.0)
@@ -410,8 +412,9 @@ class TestPinnedCounts:
     with an uneven last one, five pairs, a postselected second round and the
     station sampler, and a shared segment call of mixed slot counts. Drawn
     from SFC64 streams, trial-major, one normal per segment outcome at the
-    summed variance; each count equals an independent whole-batch form
-    on the same streams and lies within |z| <= 4 of its analytic value
+    summed variance, the station's v_single outcomes in two stages; each
+    count equals an independent plain-numpy form on the same streams and
+    lies within |z| <= 4 of its analytic value
     (``TestPinnedCountProvenance``). Any change of stream or kernel moves
     them."""
 
@@ -439,8 +442,8 @@ class TestPinnedCounts:
 
     def test_tree_repeater(self):
         station = simulate_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34))
-        assert counts(station) == (820, 20000)
-        assert counts(simulate_tree_repeater(0.12, 0.12, 0.01, UNEVEN)) == (791, 20000)
+        assert counts(station) == (821, 20000)
+        assert counts(simulate_tree_repeater(0.12, 0.12, 0.01, UNEVEN)) == (780, 20000)
 
 
 def _station_error(v_leaf, v_single, e_prep):
@@ -493,12 +496,12 @@ PINNED_RUNS = {
     ),
     "tree_repeater": (
         lambda: simulate_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34)),
-        lambda: [unchunked_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34))],
+        lambda: [tree_repeater_reference(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34))],
         lambda: [_station_error(0.12, 0.12, 0.01)],
     ),
     "tree_repeater_uneven": (
         lambda: simulate_tree_repeater(0.12, 0.12, 0.01, UNEVEN),
-        lambda: [unchunked_tree_repeater(0.12, 0.12, 0.01, UNEVEN)],
+        lambda: [tree_repeater_reference(0.12, 0.12, 0.01, UNEVEN)],
         lambda: [_station_error(0.12, 0.12, 0.01)],
     ),
 }
@@ -668,25 +671,77 @@ class TestPathSelectionChunks:
         assert peak(500) < 4 * peak(1)
 
 
-def unchunked_tree_repeater(v_leaf, v_single, e_prep, config):
-    """The station kernel drawing each (n, 3, 3) and (n, 3) block in one piece."""
-    s_single = math.sqrt(v_single)
+def station_counts(v_leaf, e_prep, config, odd_outcomes):
+    """(failures, trials) of the station kernel in plain numpy. Per batch it
+    draws the leaf normals and the prep uniforms whole, then takes the
+    parities of the v_single outcomes from odd_outcomes(rng, n, per_trial),
+    an (n, per_trial) bool array: the ancillas, then 4 x (nodes, ancillas)."""
     failures = 0
     for index, n in config.batches():
         rng = config.rng(index)
-
-        def wrong_bits(shape):
-            return np.abs(np.rint(rng.normal(0.0, s_single, size=shape) / SQRT_PI)) % 2 == 1
-
         fail = np.abs(np.rint(rng.normal(0.0, math.sqrt(v_leaf), size=n) / SQRT_PI)) % 2 == 1
         fail |= rng.random(size=n) < e_prep
-        fail |= np.any(wrong_bits((n, 3, 3)).sum(axis=2) >= 2, axis=1)
+        fail |= np.any(odd_outcomes(rng, n, 9).reshape(n, 3, 3).sum(axis=2) >= 2, axis=1)
         for _ in range(4):
-            node = wrong_bits((n, 3))
-            block_wrong = node | np.any(wrong_bits((n, 3, 3)), axis=2)
+            node = odd_outcomes(rng, n, 3)
+            block_wrong = node | np.any(odd_outcomes(rng, n, 9).reshape(n, 3, 3), axis=2)
             fail |= block_wrong.sum(axis=1) >= 2
         failures += int(fail.sum())
     return failures, config.n_trials
+
+
+def unchunked_tree_repeater(v_leaf, v_single, e_prep, config):
+    """The station kernel drawing each (n, 9) and (n, 3) block of v_single
+    outcomes in one piece: the dense form."""
+
+    def odd_outcomes(rng, n, per_trial):
+        return np.abs(np.rint(rng.normal(0.0, math.sqrt(v_single), size=(n, per_trial)) / SQRT_PI)) % 2 == 1
+
+    return station_counts(v_leaf, e_prep, config, odd_outcomes)
+
+
+def tail_share(v_single):
+    """(sigma, t, q) of v_single outcomes: only those with |z| > t =
+    (sqrt(pi)/2)/sigma can be odd, a share q = erfc(t / sqrt(2))."""
+    sigma = math.sqrt(v_single)
+    t = SQRT_PI / 2 / sigma if sigma else math.inf
+    return sigma, t, math.erfc(t / math.sqrt(2.0))
+
+
+def two_stage_tree_repeater(v_leaf, v_single, e_prep, config):
+    """The station kernel drawing the v_single outcomes of each chunk of whole
+    trials, at most max(min(batch_size, n_trials), 9) values, in two stages:
+    a Binomial(values, q) number of candidates |z| > t, their positions
+    without replacement, sorted, then their magnitudes by Marsaglia's tail
+    rejection, one (U1, U2) pair for each magnitude still missing a round.
+    With q = 0 nothing is drawn."""
+    sigma, t, q = tail_share(v_single)
+    size = max(min(config.batch_size, config.n_trials), 9)
+
+    def odd_outcomes(rng, n, per_trial):
+        odd = np.zeros(n * per_trial, dtype=bool)
+        chunk = size // per_trial * per_trial
+        for start in range(0, odd.size, chunk) if q else ():
+            values = min(chunk, odd.size - start)
+            k = rng.binomial(values, q)
+            positions = np.sort(rng.choice(values, k, replace=False, shuffle=False))
+            magnitudes = np.empty(0)
+            while magnitudes.size < k:
+                u1, u2 = rng.random((2, k - magnitudes.size))
+                x = np.sqrt(t * t - 2.0 * np.log1p(-u1))
+                magnitudes = np.append(magnitudes, x[u2 * x < t])
+            odd[start + positions] = np.abs(np.rint(sigma * magnitudes / SQRT_PI)) % 2 == 1
+        return odd.reshape(n, per_trial)
+
+    return station_counts(v_leaf, e_prep, config, odd_outcomes)
+
+
+def tree_repeater_reference(v_leaf, v_single, e_prep, config):
+    """The station's counts in the form the sampler draws v_single outcomes
+    by: two stages up to the switch q = 1/8, dense above it."""
+    dense = tail_share(v_single)[2] > 1 / 8
+    form = unchunked_tree_repeater if dense else two_stage_tree_repeater
+    return form(v_leaf, v_single, e_prep, config)
 
 
 def traced_peak(sampler, *args) -> int:
@@ -706,16 +761,26 @@ class TestTreeRepeaterChunks:
     def test_counts_equal_one_draw_per_batch(self, batch_size):
         config = TrialConfig(3_000, seed=37, batch_size=batch_size)
         station = simulate_tree_repeater(0.12, 0.1, 0.01, config)
-        assert counts(station) == unchunked_tree_repeater(0.12, 0.1, 0.01, config)
+        assert counts(station) == tree_repeater_reference(0.12, 0.1, 0.01, config)
+
+    @staticmethod
+    def batch_peak(v_single) -> tuple[int, int]:
+        """(peak, one-value batch bytes) of a 250,000-trial station call; a
+        one-value batch is three float64 and three bool arrays of batch_size
+        values, ~1.8 MB."""
+        config = TrialConfig(250_000, seed=38)
+        return traced_peak(simulate_tree_repeater, 0.12, v_single, 0.01, config), 27 * config.batch_size
 
     def test_batch_memory_stays_near_a_one_value_batch(self):
-        config = TrialConfig(250_000, seed=38)
-        station = traced_peak(simulate_tree_repeater, 0.12, 0.12, 0.01, config)
-        # A one-value batch: three float64 and three bool arrays of
-        # batch_size values for each worker, ~3.5 MB on two workers.
-        workers = min(mc_oracle._usable_cpus(), len(config.batches()))
-        one_value = workers * 27 * config.batch_size
+        station, one_value = self.batch_peak(0.12)
         # Unchunked, a 250,000-trial station batch peaked at ~40 MB.
+        assert station < 2 * one_value
+
+    def test_candidate_memory_just_below_the_switch(self):
+        # At q = 0.1246 the candidates are an eighth of each chunk's outcomes;
+        # one position draw over a whole batch's 57 slots peaked at 32 MiB.
+        assert 0.12 < tail_share(0.333)[2] < 1 / 8
+        station, one_value = self.batch_peak(0.333)
         assert station < 2 * one_value
 
 
@@ -771,10 +836,12 @@ def crafted_draws(sigma: float) -> np.ndarray:
 
 
 class TestStationCandidates:
-    """The station sampler rounds only its candidates, the draws past
-    (sqrt(pi)/2)/sigma * (1 - 1e-9); every other draw rounds to the even
-    multiple 0. Its parities and counts equal those of the dense form, which
-    rounds every draw: ``_odd(rint(sigma z / sqrt(pi)))``."""
+    """Only the outcomes past sqrt(pi)/2 can be odd. The leaf, and above the
+    switch the v_single outcomes, round only their candidates, the draws past
+    (sqrt(pi)/2)/sigma * (1 - 1e-9), and their parities and counts equal
+    those of the dense form, which rounds every draw:
+    ``_odd(rint(sigma z / sqrt(pi)))``. Up to the switch the v_single
+    outcomes' counts equal the plain two-stage form's."""
 
     @pytest.mark.parametrize("v", [0.0511, 0.12, 2.0, 30.0])
     def test_parities_at_the_cut_off_and_the_ties(self, v):
@@ -792,23 +859,24 @@ class TestStationCandidates:
     @pytest.mark.parametrize("batch_size", [7, 1000])
     @pytest.mark.parametrize("v", [0.0511, 0.12, 2.0])
     def test_counts_from_crafted_draws(self, monkeypatch, v, batch_size):
-        """Draws mostly inside the cut-off, with one in seven from
-        ``crafted_draws``, so that about a third of the trials fail."""
+        """A leaf at v and v_single outcomes at 2.0, above the switch, drawn
+        mostly inside the cut-off, with one in seven from ``crafted_draws``,
+        so that about a third of the trials fail."""
         config = TrialConfig(997, batch_size=batch_size)
         rng = np.random.default_rng(48)
-        crafted = crafted_draws(math.sqrt(v))
+
+        def normals(v, count):
+            crafted = crafted_draws(math.sqrt(v))
+            inside = rng.uniform(-0.5, 0.5, count) * SQRT_PI / 2 / math.sqrt(v)
+            return np.where(rng.random(count) < 1 / 7, rng.choice(crafted, count), inside)
+
         streams = []
         for _, n in config.batches():
-            normals = np.where(
-                rng.random(58 * n) < 1 / 7,
-                rng.choice(crafted, 58 * n),
-                rng.uniform(-0.5, 0.5, 58 * n) * SQRT_PI / 2 / math.sqrt(v),
-            )
             uniforms = rng.choice([0.0, 0.01, 0.02, 0.5], n)
-            streams.append((normals, uniforms))
+            streams.append((np.concatenate([normals(v, n), normals(2.0, 57 * n)]), uniforms))
         monkeypatch.setattr(TrialConfig, "rng", lambda self, index: CraftedDraws(*streams[index]))
-        station = counts(simulate_tree_repeater(v, v, 0.01, config))
-        assert station == unchunked_tree_repeater(v, v, 0.01, config)
+        station = counts(simulate_tree_repeater(v, 2.0, 0.01, config))
+        assert station == unchunked_tree_repeater(v, 2.0, 0.01, config)
         assert 0 < station[0] < config.n_trials
 
     @settings(max_examples=60, deadline=None)
@@ -825,96 +893,112 @@ class TestStationCandidates:
     # Past the range: at sigma = 1e15 the cut-off is ~9e-16, so every draw
     # is a candidate.
     @example(1e30, 1e30, 0.5, 300, 7, 2)
-    def test_counts_equal_the_dense_form(self, v_leaf, v_single, e_prep, n_trials, batch_size, seed):
+    def test_counts_equal_the_reference_form(self, v_leaf, v_single, e_prep, n_trials, batch_size, seed):
         config = TrialConfig(n_trials, seed=seed, batch_size=batch_size)
         station = simulate_tree_repeater(v_leaf, v_single, e_prep, config)
-        assert counts(station) == unchunked_tree_repeater(v_leaf, v_single, e_prep, config)
+        assert counts(station) == tree_repeater_reference(v_leaf, v_single, e_prep, config)
 
 
-class TestThreadPool:
-    @pytest.mark.parametrize("cpus", [1, 3])
-    def test_pinned_counts_do_not_depend_on_workers(self, monkeypatch, cpus):
-        pool_sizes = []
+class TestTwoStageLaw:
+    """Up to the switch q = 1/8 the station draws only the v_single outcomes
+    that can be odd: a binomial count of candidates |z| > t, their positions
+    and their tail magnitudes. That is the dense draw's law, on another
+    stream."""
 
-        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pool_sizes.append(max_workers)
-                super().__init__(max_workers)
+    #: q = 0.060, below the switch.
+    V = 0.222
 
-        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(mc_oracle, "ThreadPoolExecutor", RecordingPool)
-        pinned = TestPinnedCounts()
-        pinned.test_estimate_hrm_uneven_batches()
-        pinned.test_segment_uneven_batches()
-        pinned.test_path_selection_uneven_batches()
-        pinned.test_tree_repeater()
-        pinned.test_shared_segment_call()
-        # UNEVEN has three batches, so three CPUs get three workers.
-        assert max(pool_sizes) == cpus
+    def test_odd_counts_agree_with_the_dense_draw(self):
+        sigma, t, q = tail_share(self.V)
+        values, seeds = 65_536, range(40)
+        dense = two_stage = 0
+        for seed in seeds:
+            config = TrialConfig(1, seed=seed)
+            z, above = np.empty(values), np.empty(values, dtype=bool)
+            dense += mc_oracle._odd_draws(config.rng(0), sigma, z, above).size
+            two_stage += mc_oracle._odd_tail_draws(config.rng(1), sigma, t, q, values).size
+        n = values * len(seeds)
+        pooled = (dense + two_stage) / (2 * n)
+        assert abs(two_stage - dense) <= 4 * math.sqrt(2 * n * pooled * (1 - pooled))
+        assert abs(McEstimate(two_stage, n).z(reference_lattice_mass(self.V, 0.0, odd=True))) <= 4
 
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert mc_oracle._usable_cpus() == (os.cpu_count() or 1)
+    @pytest.mark.parametrize("t", [0.5, 1.534, 3.92])
+    def test_tail_magnitudes_follow_the_erfc_windows(self, t):
+        """Magnitudes conditioned on |z| > t, binned at t + (0, 1/4, 1/2, 1, 2,
+        4)/t, and their odd share, against erfc masses."""
+        n = 200_000
+        x = mc_oracle._tail_magnitudes(TrialConfig(1, seed=61).rng(0), t, n)
+        assert x.size == n and x.min() >= t
+        tail = normal_window_mass(t, math.inf)
+        edges = [t + e / t for e in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)] + [math.inf]
+        for lo, hi in zip(edges, edges[1:]):
+            k = int(np.count_nonzero((lo <= x) & (x < hi)))
+            assert abs(McEstimate(k, n).z(normal_window_mass(lo, hi) / tail)) <= 4, (lo, hi)
+        sigma = SQRT_PI / 2 / t
+        odd = int(np.count_nonzero(_odd(np.rint(sigma * x / SQRT_PI))))
+        assert abs(McEstimate(odd, n).z(reference_lattice_mass(sigma**2, 0.0, odd=True) / tail)) <= 4
 
-    def test_traced_functions_run_on_the_main_thread(self, monkeypatch):
-        """bench/tracer.py keeps one span stack that is not thread-safe, so the
-        worker threads may only draw and count: every public function of the
-        traced modules must run on the calling thread."""
-        on_main = []
+    def test_the_switch_picks_the_draw(self, monkeypatch):
+        """Just below q = 1/8 the v_single outcomes take the two-stage draw,
+        just above it the dense one, and at v_single = 0 neither: the counts
+        are then the leaf's and the prep's alone."""
+        assert mc_oracle._TAIL_SHARE_MAX == 1 / 8
+        assert tail_share(0.333)[2] < 1 / 8 < tail_share(0.335)[2]
+        calls = set()
+        for name in ("_odd_draws", "_odd_tail_draws"):
+            draw = getattr(mc_oracle, name)
 
-        def recording(name, fn, log):
-            def wrapper(*args, **kwargs):
-                log.append((name, threading.current_thread() is threading.main_thread()))
-                return fn(*args, **kwargs)
+            def recording(rng, sigma, *rest, name=name, draw=draw):
+                calls.add((name, sigma))
+                return draw(rng, sigma, *rest)
 
-            return wrapper
+            monkeypatch.setattr(mc_oracle, name, recording)
+        config = TrialConfig(200, seed=64, batch_size=64)
+        leaf = ("_odd_draws", math.sqrt(0.2))
+        for v, form in ((0.333, "_odd_tail_draws"), (0.335, "_odd_draws"), (0.0, None)):
+            calls.clear()
+            station = counts(simulate_tree_repeater(0.2, v, 0.05, config))
+            assert calls == {leaf} | ({(form, math.sqrt(v))} if form else set())
+            assert station == tree_repeater_reference(0.2, v, 0.05, config)
+        assert station == station_counts(0.2, 0.05, config, lambda rng, n, k: np.zeros((n, k), dtype=bool))
 
-        wrappers = {}
-        for layer in ("noise_core", "hrm", "protocols", "tree_code", "mc_oracle"):
-            module = sys.modules[f"gkp_repeater.{layer}"]
-            for attr, obj in vars(module).items():
-                if (
-                    not attr.startswith("_")
-                    and inspect.isfunction(obj)
-                    and obj.__module__ == module.__name__
-                ):
-                    wrappers[obj] = recording(f"{layer}.{attr}", obj, on_main)
-        for name, module in list(sys.modules.items()):
-            if name == "gkp_repeater" or name.startswith("gkp_repeater."):
-                for attr, obj in list(vars(module).items()):
-                    if inspect.isfunction(obj) and obj in wrappers:
-                        monkeypatch.setattr(module, attr, wrappers[obj])
-        # A wrapped private kernel shows the workers really ran off the main thread.
-        kernel_threads = []
-        monkeypatch.setattr(mc_oracle, "_odd", recording("_odd", _odd, kernel_threads))
-        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 3)
+    @pytest.mark.parametrize("values, p", [(65_536, 8.8e-5), (65_536, 0.124), (7, 0.1)])
+    def test_candidate_count_is_the_legacy_binomial(self, values, p):
+        """Generator.binomial draws as RandomState.binomial, whose algorithm
+        NEP 19 freezes, on one SFC64 stream: by inversion below 30 expected
+        candidates, by BTPE above."""
+        ours, legacy = np.random.SFC64(62), np.random.SFC64(62)
+        got = np.random.Generator(ours).binomial(values, p, 1000)
+        assert np.array_equal(got, np.random.RandomState(legacy).binomial(values, p, 1000))
+        assert ours.random_raw() == legacy.random_raw()
 
-        config = TrialConfig(20_000, seed=39, batch_size=7919)
-        spec = ProtocolSpec(
-            Variant.TWO_WAY_PRE_SECOND_SQEC, 1, 3.0, SQ15, hrm=HrmPolicy(SQRT_PI / 12)
-        )
-        mc_oracle.estimate_hrm(0.25, SQRT_PI / 6, config)
-        mc_oracle.simulate_segment(spec, config)
-        mc_oracle.simulate_path_selection(0.25, 5, config)
-        mc_oracle.simulate_tree_repeater(0.12, 0.12, 0.01, config)
-
-        called = {name for name, _ in on_main}
-        samplers = (
-            "estimate_hrm",
-            "simulate_segment",
-            "simulate_path_selection",
-            "simulate_tree_repeater",
-        )
-        assert {f"mc_oracle.{name}" for name in samplers} <= called
-        assert [name for name, main in on_main if not main] == []
-        assert not all(main for _, main in kernel_threads)
+    @pytest.mark.parametrize("values, k", [(65_536, 6), (9_000, 1_000), (65_536, 8_000)])
+    def test_positions_are_floyds_sample_or_a_tail_shuffle(self, values, k):
+        """choice(values, k, replace=False, shuffle=False) is Floyd's sample
+        over ``integers``, or past k > values / 20 with values > 10,000 the
+        last k of a Fisher-Yates shuffle of the tail."""
+        ours, expected = TrialConfig(1, seed=63).rng(0), TrialConfig(1, seed=63).rng(0)
+        got = ours.choice(values, k, replace=False, shuffle=False)
+        if values > 10_000 and k > values // 20:
+            pool = list(range(values))
+            for i in reversed(range(max(values - k, 1), values)):
+                j = int(expected.integers(0, i, endpoint=True))
+                pool[i], pool[j] = pool[j], pool[i]
+            want = pool[values - k :]
+        else:
+            want, taken = [], set()
+            for j in range(values - k, values):
+                pick = int(expected.integers(0, j, endpoint=True))
+                want.append(j if pick in taken else pick)
+                taken.add(want[-1])
+        assert got.tolist() == want
+        assert ours.random() == expected.random()
 
 
 class TestWorkArrays:
-    """The workers draw and reduce into work arrays made before the pool
-    starts, so a sampler call holds the same memory however its threads are
-    scheduled. Beyond those arrays, the workers together allocate less than
-    one float64 per trial of a batch."""
+    """A sampler call draws and reduces every batch into work arrays it makes
+    once. Beyond those arrays it allocates less than one float64 per trial
+    of a batch."""
 
     CONFIG = TrialConfig(200_000, seed=42, batch_size=50_000)
     SAMPLERS = {
@@ -931,7 +1015,7 @@ class TestWorkArrays:
 
     @staticmethod
     def record_work_arrays(monkeypatch) -> list[int]:
-        """Make each worker's work arrays as before, and list their bytes."""
+        """Make each call's work arrays as before, and list their bytes."""
         made = []
         work_arrays = mc_oracle._work_arrays
 
@@ -945,12 +1029,11 @@ class TestWorkArrays:
 
     @pytest.mark.parametrize("name", SAMPLERS)
     def test_workers_allocate_little_beyond_their_work_arrays(self, monkeypatch, name):
-        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: 2)
         made = self.record_work_arrays(monkeypatch)
         peak = traced_peak(self.SAMPLERS[name], self.CONFIG)
-        # Two workers for each of the two calls, the same arrays each time.
-        assert len(made) == 4 and made[:2] == made[2:]
-        assert peak - sum(made[2:]) < 8 * self.CONFIG.batch_size
+        # One set of arrays for each of the two calls, the same each time.
+        assert len(made) == 2 and made[0] == made[1]
+        assert peak - made[1] < 8 * self.CONFIG.batch_size
 
     @pytest.mark.parametrize("name", SAMPLERS)
     def test_default_batch_work_arrays_fit_a_2_mib_l2_cache(self, monkeypatch, name):
@@ -960,7 +1043,7 @@ class TestWorkArrays:
 
 
     def test_shared_draw_arrays_at_the_default_batch(self, monkeypatch):
-        """One worker's arrays of a shared postselected call: 0.55 MiB with
+        """The arrays of a shared postselected call: 0.55 MiB with
         one outcome slot, 0.92 MiB with four, within the 1.69 MiB the
         one-case kernel held at the default batch."""
         made = self.record_work_arrays(monkeypatch)
