@@ -29,29 +29,29 @@ share that draw, each scaling slot j by its own sigma: every case is a
 count over n independent trials of its own displacement model, and the
 cases of one call are correlated. Normals a trial of one call: 1 (hrm,
 however many points), 2 * rounds of its longest segment, 2 * n_pairs (path
-selection), 1 (the station's leaf).
+selection); the station draws none.
 
-Most of a sampler's time goes to its draws, ~10 ns a ``standard_normal``
-from SFC64, the fastest of numpy's bit generators. Parity (``_odd``) tests
-h - floor(h) == 0.5 for h = |k|/2, ~3 ns a rounded multiple, where ``fmod``
-or the floored remainder, which give the same booleans, cost 5-20 ns. Of
-the station's 57 outcomes a trial at v_single, only those with
-|z| > t = (sqrt(pi)/2)/sigma can be odd, a share q = erfc(t / sqrt(2)):
-8.8e-5 at mc-validate's v_single = 0.051. ``_odd_tail_draws`` draws only
-these candidates, ~20 ms for 1e6 trials, most of it the ~23 us a chunk
-costs. Above q = 1/8 (v_single > 0.334) ``_odd_draws`` draws every outcome
-and rounds those past the cut-off.
+Most of a dense sampler's time goes to its draws, ~10 ns a
+``standard_normal`` from SFC64, the fastest of numpy's bit generators.
+Parity (``_odd``) tests h - floor(h) == 0.5 for h = |k|/2, ~3 ns a rounded
+multiple, where ``fmod`` or the floored remainder, which give the same
+booleans, cost 5-20 ns. The station draws only its rare events
+(``_events``): its prep errors, and of its outcomes at sigma those that can
+be odd, |z| > t = (sqrt(pi)/2)/sigma, a share q = erfc(t / sqrt(2)) (8.8e-5
+at mc-validate's v_single = 0.051), with magnitudes from
+``_tail_magnitudes``. At 1e6 trials it costs ~0.03 s there, ~0.2 s at
+v_single = 0.2 and ~0.9 s at 1.0.
 (Single-thread costs on one x86-64 core with a 2 MiB L2 cache, numpy 2.4.)
 
 A call makes its work arrays once and draws and reduces every batch into
-them, so a batch allocates only small per-trial results; at the default
-batch size, 65,536 trials, each sampler's arrays fit a 2 MiB L2 cache.
-Beyond them the station holds only its candidates, a few arrays no longer
-than one chunk. ``_postselected``, ``simulate_path_selection`` and the
-dense station draws read each batch in chunks of whole trials
-(``_chunks``), in the order of one whole-batch draw, so their counts do not
-depend on the chunk size. The station's candidates are drawn chunk by
-chunk, so its counts depend on the chunk size, which the batch fixes.
+them; at the default batch size, 65,536 trials, each sampler's arrays fit a
+2 MiB L2 cache. Beyond them a batch allocates only small per-trial
+results, but the station's events grow with q, up to a few arrays of one
+chunk. ``_postselected`` and ``simulate_path_selection`` read each batch in
+chunks of whole trials (``_chunks``), in the order of one whole-batch draw,
+so their counts do not depend on the chunk size. The station draws its
+events chunk by chunk, so its counts depend on the chunk size, which the
+batch fixes.
 
 Importing this module loads numpy. The package registers it lazily, so a
 command loads it, and numpy with it, only when it runs a sampler. No rate
@@ -370,70 +370,49 @@ def simulate_path_selection(sigma_eff2: float, n_pairs: int, config: TrialConfig
     return McEstimate(n_errors, config.n_trials)
 
 
-def _odd_draws(rng: np.random.Generator, sigma: float, z: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """Fill z with standard normals and return the flat indices, ascending,
-    of those whose N(0, sigma^2) outcome sigma * z rounds to an odd multiple
-    of sqrt(pi); overwrites z with |z| and above, a bool array of z's shape.
-
-    An outcome within sqrt(pi)/2 of 0 rounds to the even multiple 0, so only
-    the draws with |z| > (sqrt(pi)/2)/sigma * (1 - 1e-9) are candidates; the
-    margin of 1e-9 dwarfs the few ulps by which sigma * |z| / sqrt(pi) is
-    rounded. The candidates alone are reduced by the dense form,
-    ``_odd(rint(sigma * |z| / sqrt(pi)))``: sigma * |z| is exactly the mirror
-    of sigma * z and rint is symmetric, so the parities are those of every
-    draw reduced alike. Beyond the draw the work is three cheap passes over
-    z, and the temporaries are a few arrays no longer than z.
+def _events(rng: np.random.Generator, q: float, values: int) -> np.ndarray:
+    """Positions, ascending, of the events among values independent trials
+    that each hold one with probability q: a Binomial(values, q) count of
+    them, placed uniformly without replacement. With q = 0 nothing is drawn.
     """
-    rng.standard_normal(out=z)
-    cut = SQRT_PI / 2 / sigma * (1.0 - 1e-9) if sigma else math.inf
-    candidates = np.flatnonzero(np.greater(np.abs(z, out=z), cut, out=above))
-    x = z[candidates]
-    k = _nearest_multiple(np.multiply(x, sigma, out=x), out=x)
-    return candidates[_odd(k)]
-
-
-#: Share q of the station's v_single outcomes that can be odd, above which
-#: ``_odd_draws`` draws every outcome: the candidates then near a chunk's
-#: whole population, and Marsaglia's tail draw keeps fewer of its proposals
-#: (0.78 of them at q = 1/8, 0.12 at q = 0.92).
-_TAIL_SHARE_MAX = 1 / 8
+    positions = rng.choice(values, rng.binomial(values, q), replace=False, shuffle=False)
+    positions.sort()
+    return positions
 
 
 def _tail_magnitudes(rng: np.random.Generator, t: float, k: int) -> np.ndarray:
-    """k draws of |z| for a standard normal z conditioned on |z| > t, by
-    Marsaglia's rejection (Technometrics 6, 101 (1964)): a proposal
-    x = sqrt(t^2 - 2 ln U1) is kept when U2 x < t. Each round draws one
-    (U1, U2) pair for every magnitude still missing."""
-    kept, missing = [], k
-    while missing:
-        u1, u2 = rng.random((2, missing))
+    """k draws of |z| for a standard normal z conditioned on |z| > t >= 0, by
+    Robert's rejection (Stat. Comput. 5, 121 (1995)): with lam = (t +
+    sqrt(t^2 + 4)) / 2, a proposal x = t - ln(1 - U1) / lam is kept when
+    U2 <= exp(-(x - lam)^2 / 2), as at least 76% of them are at every t.
+    Each round draws a U1 for every magnitude still missing, then a U2 for
+    each, and the slots of the missing magnitudes hold the round's bounds."""
+    lam = (t + math.hypot(t, 2.0)) / 2.0
+    x, filled = np.empty(k), 0
+    while filled < k:
         # 1 - U1 is uniform on (0, 1], so the logarithm is finite.
-        x = np.sqrt(t * t - 2.0 * np.log1p(-u1))
-        kept.append(x[u2 * x < t])
-        missing -= kept[-1].size
-    return np.concatenate(kept) if kept else np.empty(0)
+        proposal = t - np.log1p(-rng.random(k - filled)) / lam
+        bound = np.subtract(proposal, lam, out=x[filled:])
+        np.exp(np.multiply(np.square(bound, out=bound), -0.5, out=bound), out=bound)
+        kept = proposal[np.less_equal(rng.random(k - filled), bound)]
+        x[filled : filled + kept.size] = kept
+        filled += kept.size
+    return x
 
 
-def _odd_tail_draws(rng: np.random.Generator, sigma: float, t: float, q: float, values: int) -> np.ndarray:
+def _odd_outcomes(rng: np.random.Generator, sigma: float, values: int) -> np.ndarray:
     """Flat indices, ascending, of the odd outcomes among values N(0, sigma^2)
-    outcomes, drawing only the candidates, the share q = erfc(t / sqrt(2)) of
-    them with |z| > t = (sqrt(pi)/2)/sigma: their number is Binomial(values,
-    q), their positions a uniform sample without replacement, and their
-    magnitudes ``_tail_magnitudes``. Each is reduced by the dense form,
-    ``_odd(rint(sigma * |z| / sqrt(pi)))``; every other outcome rounds to the
-    even multiple 0."""
-    k = rng.binomial(values, q)
-    positions = np.sort(rng.choice(values, k, replace=False, shuffle=False))
-    x = _tail_magnitudes(rng, t, k)
-    return positions[_odd(_nearest_multiple(np.multiply(x, sigma, out=x), out=x))]
+    outcomes. Only those with |z| > t = (sqrt(pi)/2)/sigma can be odd, so
+    only they are drawn: ``_events`` at q = erfc(t / sqrt(2)), with
+    magnitudes from ``_tail_magnitudes``, each reduced by the dense form
+    ``_odd(rint(sigma * |z| / sqrt(pi)))``. sigma = 0 draws nothing."""
+    t = SQRT_PI / 2 / sigma if sigma else math.inf
+    events = _events(rng, math.erfc(t / math.sqrt(2.0)), values)
+    x = _tail_magnitudes(rng, t, events.size)
+    return events[_odd(_nearest_multiple(np.multiply(x, sigma, out=x), out=x))]
 
 
-def simulate_tree_repeater(
-    v_leaf: float,
-    v_single: float,
-    e_prep: float,
-    config: TrialConfig,
-) -> McEstimate:
+def simulate_tree_repeater(v_leaf: float, v_single: float, e_prep: float, config: TrialConfig) -> McEstimate:
     """Per-station error of the tree-encoded measurement chain, sampled at the
     displacement level.
 
@@ -448,47 +427,32 @@ def simulate_tree_repeater(
     for name, value in (("v_leaf", v_leaf), ("v_single", v_single)):
         _require(name, value, "be nonnegative", value >= 0)
     _require("e_prep", e_prep, "be a probability", 0.0 <= e_prep <= 1.0)
-    s_leaf = math.sqrt(v_leaf)
     s_single = math.sqrt(v_single)
-    t = SQRT_PI / 2 / s_single if s_single else math.inf
-    q = math.erfc(t / math.sqrt(2.0))
     size = _largest_batch(config, 9)
 
-    def odd_chunks(rng: np.random.Generator, n: int, values_per_trial: int, work):
-        """(start, indices) of each chunk of n trials of v_single outcomes:
-        the chunk's odd outcomes as flat indices of its (m, values_per_trial)
-        outcomes. With no outcome that can be odd (q = 0) nothing is drawn."""
-        z, above = work[0][0], work[1][0]
-        for start, m in _chunks(n, size, values_per_trial) if q else ():
-            values = m * values_per_trial
-            if q > _TAIL_SHARE_MAX:
-                yield start, _odd_draws(rng, s_single, z[:values], above[:values])
-            else:
-                yield start, _odd_tail_draws(rng, s_single, t, q, values)
-
     def sample_batch(rng: np.random.Generator, n: int, work):
-        z, above = work[0][0][:n], work[1][0][:n]
-        fail = work[1][1][:n]
+        fail, majority = work[1][0][:n], work[1][1][:n]
         # Row b holds block b of each trial, so the majority reads rows.
         blocks = work[1][2][: 3 * n].reshape(3, n)
-        leaf = _odd_draws(rng, s_leaf, z, above)
-        np.less(rng.random(out=z), e_prep, out=fail)
-        fail[leaf] = True
+        fail.fill(False)
+        fail[_odd_outcomes(rng, math.sqrt(v_leaf), n)] = True
+        fail[_events(rng, e_prep, n)] = True
         # Bit-flip-protected encoded measurement: wrong when any of its 3
         # ancilla triples holds 2 odd outcomes, so two adjacent odd indices.
-        for start, odd in odd_chunks(rng, n, 9, work):
-            triple = odd // 3
+        for start, m in _chunks(n, size, 9):
+            triple = _odd_outcomes(rng, s_single, 9 * m) // 3
             fail[start + triple[1:][triple[1:] == triple[:-1]] // 3] = True
         # Four phase-flip-protected encoded measurements: majority over 3
         # blocks, each block wrong when its node or any of 3 ancillas is.
         for _ in range(4):
             blocks.fill(False)
             for per_block, values_per_trial in ((1, 3), (3, 9)):
-                for start, odd in odd_chunks(rng, n, values_per_trial, work):
+                for start, m in _chunks(n, size, values_per_trial):
+                    odd = _odd_outcomes(rng, s_single, m * values_per_trial)
                     trial, block = np.divmod(odd // per_block, 3)
                     blocks[block, start + trial] = True
-            fail |= _majority(blocks.T, out=above)
+            fail |= _majority(blocks.T, out=majority)
         return (int(np.count_nonzero(fail)),)
 
-    (n_fail,) = _run_batches(config, sample_batch, floats=[size], bools=[size, size, 3 * size])
+    (n_fail,) = _run_batches(config, sample_batch, bools=[size, size, 3 * size])
     return McEstimate(n_fail, config.n_trials)

@@ -706,8 +706,8 @@ class TestMcValidate:
         0.06 (an outcome at v_single = 0.051 is odd with probability 8.8e-5),
         nor one in e_prep, which moves it by 1.9. The sampler's v_single
         outcomes are thus guarded only by the tests that its counts equal a
-        plain two-stage or dense form's (``test_mc_oracle.TestStationCandidates``,
-        ``TestTreeRepeaterChunks``), that the two-stage draw has the dense
+        plain rare-event form's (``test_mc_oracle.TestStationCandidates``,
+        ``TestTreeRepeaterChunks``), that the rare-event draw has the dense
         draw's law (``TestTwoStageLaw``), and by the pinned counts."""
         (pair_sampler, pair_cases), (station_sampler, station_cases) = cli._validation_cases("tree")
         # The streams of `mc-validate --seed 7 --scope all`'s last two calls.
@@ -964,7 +964,7 @@ class TestOutputFreeze:
         ),
         "mc_validate": (
             ["mc-validate", "--trials", "20000", "--seed", "7", "--scope", "all"],
-            "7eaebb0a3cb6a2b400b8002b69b1ffeb535e09315e11b4eaecd5c601fd7c382e",
+            "c180922ddd8aab075247d96cb46f4f9aaba96a52cb7d2e1c028dbb0250fc3b98",
         ),
     }
 

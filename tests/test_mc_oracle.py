@@ -412,7 +412,7 @@ class TestPinnedCounts:
     with an uneven last one, five pairs, a postselected second round and the
     station sampler, and a shared segment call of mixed slot counts. Drawn
     from SFC64 streams, trial-major, one normal per segment outcome at the
-    summed variance, the station's v_single outcomes in two stages; each
+    summed variance, and only the station's rare events; each
     count equals an independent plain-numpy form on the same streams and
     lies within |z| <= 4 of its analytic value
     (``TestPinnedCountProvenance``). Any change of stream or kernel moves
@@ -442,8 +442,8 @@ class TestPinnedCounts:
 
     def test_tree_repeater(self):
         station = simulate_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34))
-        assert counts(station) == (821, 20000)
-        assert counts(simulate_tree_repeater(0.12, 0.12, 0.01, UNEVEN)) == (780, 20000)
+        assert counts(station) == (853, 20000)
+        assert counts(simulate_tree_repeater(0.12, 0.12, 0.01, UNEVEN)) == (838, 20000)
 
 
 def _station_error(v_leaf, v_single, e_prep):
@@ -496,12 +496,12 @@ PINNED_RUNS = {
     ),
     "tree_repeater": (
         lambda: simulate_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34)),
-        lambda: [tree_repeater_reference(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34))],
+        lambda: [rare_event_tree_repeater(0.12, 0.12, 0.01, TrialConfig(20_000, seed=34))],
         lambda: [_station_error(0.12, 0.12, 0.01)],
     ),
     "tree_repeater_uneven": (
         lambda: simulate_tree_repeater(0.12, 0.12, 0.01, UNEVEN),
-        lambda: [tree_repeater_reference(0.12, 0.12, 0.01, UNEVEN)],
+        lambda: [rare_event_tree_repeater(0.12, 0.12, 0.01, UNEVEN)],
         lambda: [_station_error(0.12, 0.12, 0.01)],
     ),
 }
@@ -671,33 +671,35 @@ class TestPathSelectionChunks:
         assert peak(500) < 4 * peak(1)
 
 
-def station_counts(v_leaf, e_prep, config, odd_outcomes):
+def station_counts(v_leaf, v_single, e_prep, config, odd_outcomes, happens):
     """(failures, trials) of the station kernel in plain numpy. Per batch it
-    draws the leaf normals and the prep uniforms whole, then takes the
-    parities of the v_single outcomes from odd_outcomes(rng, n, per_trial),
-    an (n, per_trial) bool array: the ancillas, then 4 x (nodes, ancillas)."""
+    takes the parities of outcomes at variance v from odd_outcomes(rng, v, n,
+    per_trial), an (n, per_trial) bool array, and the prep errors from
+    happens(rng, e_prep, n), in the sampler's order: the leaf, the prep, the
+    ancillas, then 4 x (nodes, ancillas)."""
     failures = 0
     for index, n in config.batches():
         rng = config.rng(index)
-        fail = np.abs(np.rint(rng.normal(0.0, math.sqrt(v_leaf), size=n) / SQRT_PI)) % 2 == 1
-        fail |= rng.random(size=n) < e_prep
-        fail |= np.any(odd_outcomes(rng, n, 9).reshape(n, 3, 3).sum(axis=2) >= 2, axis=1)
+        fail = odd_outcomes(rng, v_leaf, n, 1)[:, 0]
+        fail |= happens(rng, e_prep, n)
+        fail |= np.any(odd_outcomes(rng, v_single, n, 9).reshape(n, 3, 3).sum(axis=2) >= 2, axis=1)
         for _ in range(4):
-            node = odd_outcomes(rng, n, 3)
-            block_wrong = node | np.any(odd_outcomes(rng, n, 9).reshape(n, 3, 3), axis=2)
+            node = odd_outcomes(rng, v_single, n, 3)
+            block_wrong = node | np.any(odd_outcomes(rng, v_single, n, 9).reshape(n, 3, 3), axis=2)
             fail |= block_wrong.sum(axis=1) >= 2
         failures += int(fail.sum())
     return failures, config.n_trials
 
 
+def dense_odd(rng, v, n, per_trial):
+    """Parities of an (n, per_trial) block of N(0, v) outcomes drawn whole."""
+    return np.abs(np.rint(rng.normal(0.0, math.sqrt(v), size=(n, per_trial)) / SQRT_PI)) % 2 == 1
+
+
 def unchunked_tree_repeater(v_leaf, v_single, e_prep, config):
-    """The station kernel drawing each (n, 9) and (n, 3) block of v_single
-    outcomes in one piece: the dense form."""
-
-    def odd_outcomes(rng, n, per_trial):
-        return np.abs(np.rint(rng.normal(0.0, math.sqrt(v_single), size=(n, per_trial)) / SQRT_PI)) % 2 == 1
-
-    return station_counts(v_leaf, e_prep, config, odd_outcomes)
+    """The station kernel drawing every outcome and prep uniform of a batch,
+    each block in one piece: the dense form."""
+    return station_counts(v_leaf, v_single, e_prep, config, dense_odd, lambda rng, p, n: rng.random(n) < p)
 
 
 def tail_share(v_single):
@@ -708,40 +710,40 @@ def tail_share(v_single):
     return sigma, t, math.erfc(t / math.sqrt(2.0))
 
 
-def two_stage_tree_repeater(v_leaf, v_single, e_prep, config):
-    """The station kernel drawing the v_single outcomes of each chunk of whole
-    trials, at most max(min(batch_size, n_trials), 9) values, in two stages:
-    a Binomial(values, q) number of candidates |z| > t, their positions
-    without replacement, sorted, then their magnitudes by Marsaglia's tail
-    rejection, one (U1, U2) pair for each magnitude still missing a round.
-    With q = 0 nothing is drawn."""
-    sigma, t, q = tail_share(v_single)
+def rare_event_tree_repeater(v_leaf, v_single, e_prep, config):
+    """The station kernel drawing only its events. Events of probability q
+    among some values are a Binomial(values, q) count at positions drawn
+    uniformly without replacement, sorted. The prep errors are the events at
+    q = e_prep in a batch. The outcomes of each chunk of whole trials, at
+    most max(min(batch_size, n_trials), 9) values, may be odd at the events
+    |z| > t of ``tail_share``, whose magnitudes come from Robert's rejection,
+    one (U1, U2) pair for each magnitude still missing a round."""
     size = max(min(config.batch_size, config.n_trials), 9)
 
-    def odd_outcomes(rng, n, per_trial):
+    def events(rng, q, values):
+        return np.sort(rng.choice(values, rng.binomial(values, q), replace=False, shuffle=False))
+
+    def happens(rng, q, n):
+        fails = np.zeros(n, dtype=bool)
+        fails[events(rng, q, n)] = True
+        return fails
+
+    def odd_outcomes(rng, v, n, per_trial):
+        sigma, t, q = tail_share(v)
+        lam = (t + math.hypot(t, 2.0)) / 2
         odd = np.zeros(n * per_trial, dtype=bool)
         chunk = size // per_trial * per_trial
-        for start in range(0, odd.size, chunk) if q else ():
-            values = min(chunk, odd.size - start)
-            k = rng.binomial(values, q)
-            positions = np.sort(rng.choice(values, k, replace=False, shuffle=False))
+        for start in range(0, odd.size, chunk):
+            positions = events(rng, q, min(chunk, odd.size - start))
             magnitudes = np.empty(0)
-            while magnitudes.size < k:
-                u1, u2 = rng.random((2, k - magnitudes.size))
-                x = np.sqrt(t * t - 2.0 * np.log1p(-u1))
-                magnitudes = np.append(magnitudes, x[u2 * x < t])
+            while magnitudes.size < positions.size:
+                u1, u2 = rng.random((2, positions.size - magnitudes.size))
+                x = t - np.log1p(-u1) / lam
+                magnitudes = np.append(magnitudes, x[u2 <= np.exp(-((x - lam) ** 2) / 2)])
             odd[start + positions] = np.abs(np.rint(sigma * magnitudes / SQRT_PI)) % 2 == 1
         return odd.reshape(n, per_trial)
 
-    return station_counts(v_leaf, e_prep, config, odd_outcomes)
-
-
-def tree_repeater_reference(v_leaf, v_single, e_prep, config):
-    """The station's counts in the form the sampler draws v_single outcomes
-    by: two stages up to the switch q = 1/8, dense above it."""
-    dense = tail_share(v_single)[2] > 1 / 8
-    form = unchunked_tree_repeater if dense else two_stage_tree_repeater
-    return form(v_leaf, v_single, e_prep, config)
+    return station_counts(v_leaf, v_single, e_prep, config, odd_outcomes, happens)
 
 
 def traced_peak(sampler, *args) -> int:
@@ -761,58 +763,17 @@ class TestTreeRepeaterChunks:
     def test_counts_equal_one_draw_per_batch(self, batch_size):
         config = TrialConfig(3_000, seed=37, batch_size=batch_size)
         station = simulate_tree_repeater(0.12, 0.1, 0.01, config)
-        assert counts(station) == tree_repeater_reference(0.12, 0.1, 0.01, config)
+        assert counts(station) == rare_event_tree_repeater(0.12, 0.1, 0.01, config)
 
-    @staticmethod
-    def batch_peak(v_single) -> tuple[int, int]:
-        """(peak, one-value batch bytes) of a 250,000-trial station call; a
-        one-value batch is three float64 and three bool arrays of batch_size
-        values, ~1.8 MB."""
+    @pytest.mark.parametrize("v_single, bound", [(0.12, 2.0), (0.333, 2.0), (1.0, 2.0), (30.0, 2.1)])
+    def test_batch_memory_stays_near_a_one_value_batch(self, v_single, bound):
+        """The peak of a 250,000-trial station call against a one-value batch,
+        three float64 and three bool arrays of batch_size values, ~1.8 MB.
+        The events grow with q (0.01 to 0.87 here), up to a few arrays of one
+        chunk; unchunked, a station batch peaked at ~40 MB."""
         config = TrialConfig(250_000, seed=38)
-        return traced_peak(simulate_tree_repeater, 0.12, v_single, 0.01, config), 27 * config.batch_size
-
-    def test_batch_memory_stays_near_a_one_value_batch(self):
-        station, one_value = self.batch_peak(0.12)
-        # Unchunked, a 250,000-trial station batch peaked at ~40 MB.
-        assert station < 2 * one_value
-
-    def test_candidate_memory_just_below_the_switch(self):
-        # At q = 0.1246 the candidates are an eighth of each chunk's outcomes;
-        # one position draw over a whole batch's 57 slots peaked at 32 MiB.
-        assert 0.12 < tail_share(0.333)[2] < 1 / 8
-        station, one_value = self.batch_peak(0.333)
-        assert station < 2 * one_value
-
-
-class CraftedDraws:
-    """Generator stand-in that hands out chosen standard normals and
-    uniforms, each in order, through the calls the station kernels make:
-    ``standard_normal`` and ``random`` into out= arrays, and the sized
-    ``normal`` and ``random`` of ``unchunked_tree_repeater``."""
-
-    def __init__(self, normals, uniforms):
-        self.values = {"normals": np.asarray(normals, float), "uniforms": np.asarray(uniforms, float)}
-        self.taken = {"normals": 0, "uniforms": 0}
-
-    def _take(self, name, size, out):
-        count = out.size if out is not None else math.prod(np.atleast_1d(size))
-        start = self.taken[name]
-        values = self.values[name][start : start + count]
-        assert values.size == count, f"{name} exhausted"
-        self.taken[name] = start + count
-        if out is None:
-            return values.reshape(size).copy()
-        out.reshape(-1)[:] = values
-        return out
-
-    def standard_normal(self, size=None, out=None):
-        return self._take("normals", size, out)
-
-    def random(self, size=None, out=None):
-        return self._take("uniforms", size, out)
-
-    def normal(self, loc, scale, size):
-        return loc + scale * self.standard_normal(size)
+        station = traced_peak(simulate_tree_repeater, 0.12, v_single, 0.01, config)
+        assert station < bound * 27 * config.batch_size
 
 
 def crafted_draws(sigma: float) -> np.ndarray:
@@ -836,48 +797,25 @@ def crafted_draws(sigma: float) -> np.ndarray:
 
 
 class TestStationCandidates:
-    """Only the outcomes past sqrt(pi)/2 can be odd. The leaf, and above the
-    switch the v_single outcomes, round only their candidates, the draws past
-    (sqrt(pi)/2)/sigma * (1 - 1e-9), and their parities and counts equal
-    those of the dense form, which rounds every draw:
-    ``_odd(rint(sigma z / sqrt(pi)))``. Up to the switch the v_single
-    outcomes' counts equal the plain two-stage form's."""
+    """Only the outcomes past sqrt(pi)/2 can be odd. The station draws only
+    these, and reduces each by the dense form, ``_odd(rint(sigma |z| /
+    sqrt(pi)))``: its parities are those of every draw reduced alike, and its
+    counts equal the plain rare-event form's."""
 
     @pytest.mark.parametrize("v", [0.0511, 0.12, 2.0, 30.0])
-    def test_parities_at_the_cut_off_and_the_ties(self, v):
+    def test_parities_at_the_cut_off_and_the_ties(self, monkeypatch, v):
         sigma = math.sqrt(v)
         z = crafted_draws(sigma)
+        z = z[: z.size // 2]
         quotients = z * sigma / SQRT_PI
         # Exact ties at 0.5 and 2.5 are crafted; no float outcome divides to
         # exactly 1.5, so its neighbours stand in for that tie.
-        assert {0.5, 2.5, -0.5, -2.5} <= set(quotients)
+        assert {0.5, 2.5} <= set(quotients)
         dense = _odd(np.rint(quotients))
         assert 0 < dense.sum() < dense.size
-        got = mc_oracle._odd_draws(CraftedDraws(z, []), sigma, np.empty(z.size), np.empty(z.size, dtype=bool))
-        assert np.array_equal(got, np.flatnonzero(dense))
-
-    @pytest.mark.parametrize("batch_size", [7, 1000])
-    @pytest.mark.parametrize("v", [0.0511, 0.12, 2.0])
-    def test_counts_from_crafted_draws(self, monkeypatch, v, batch_size):
-        """A leaf at v and v_single outcomes at 2.0, above the switch, drawn
-        mostly inside the cut-off, with one in seven from ``crafted_draws``,
-        so that about a third of the trials fail."""
-        config = TrialConfig(997, batch_size=batch_size)
-        rng = np.random.default_rng(48)
-
-        def normals(v, count):
-            crafted = crafted_draws(math.sqrt(v))
-            inside = rng.uniform(-0.5, 0.5, count) * SQRT_PI / 2 / math.sqrt(v)
-            return np.where(rng.random(count) < 1 / 7, rng.choice(crafted, count), inside)
-
-        streams = []
-        for _, n in config.batches():
-            uniforms = rng.choice([0.0, 0.01, 0.02, 0.5], n)
-            streams.append((np.concatenate([normals(v, n), normals(2.0, 57 * n)]), uniforms))
-        monkeypatch.setattr(TrialConfig, "rng", lambda self, index: CraftedDraws(*streams[index]))
-        station = counts(simulate_tree_repeater(v, 2.0, 0.01, config))
-        assert station == unchunked_tree_repeater(v, 2.0, 0.01, config)
-        assert 0 < station[0] < config.n_trials
+        monkeypatch.setattr(mc_oracle, "_events", lambda rng, q, values: np.arange(values))
+        monkeypatch.setattr(mc_oracle, "_tail_magnitudes", lambda rng, t, k: z[:k].copy())
+        assert np.array_equal(mc_oracle._odd_outcomes(None, sigma, z.size), np.flatnonzero(dense))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -896,73 +834,57 @@ class TestStationCandidates:
     def test_counts_equal_the_reference_form(self, v_leaf, v_single, e_prep, n_trials, batch_size, seed):
         config = TrialConfig(n_trials, seed=seed, batch_size=batch_size)
         station = simulate_tree_repeater(v_leaf, v_single, e_prep, config)
-        assert counts(station) == tree_repeater_reference(v_leaf, v_single, e_prep, config)
+        assert counts(station) == rare_event_tree_repeater(v_leaf, v_single, e_prep, config)
 
 
 class TestTwoStageLaw:
-    """Up to the switch q = 1/8 the station draws only the v_single outcomes
-    that can be odd: a binomial count of candidates |z| > t, their positions
-    and their tail magnitudes. That is the dense draw's law, on another
-    stream."""
+    """The station draws only the outcomes that can be odd: a binomial count
+    of candidates |z| > t, their positions and their tail magnitudes. That
+    is the dense draw's law, on another stream, at every q."""
 
-    #: q = 0.060, below the switch.
-    V = 0.222
-
-    def test_odd_counts_agree_with_the_dense_draw(self):
-        sigma, t, q = tail_share(self.V)
+    @pytest.mark.parametrize("v", [0.222, 1.0, 30.0])
+    def test_odd_counts_agree_with_the_dense_draw(self, v):
+        """At q = 0.06, 0.38 and 0.87."""
+        sigma = math.sqrt(v)
         values, seeds = 65_536, range(40)
-        dense = two_stage = 0
+        dense = rare = 0
         for seed in seeds:
             config = TrialConfig(1, seed=seed)
-            z, above = np.empty(values), np.empty(values, dtype=bool)
-            dense += mc_oracle._odd_draws(config.rng(0), sigma, z, above).size
-            two_stage += mc_oracle._odd_tail_draws(config.rng(1), sigma, t, q, values).size
+            dense += int(dense_odd(config.rng(0), v, values, 1).sum())
+            rare += mc_oracle._odd_outcomes(config.rng(1), sigma, values).size
         n = values * len(seeds)
-        pooled = (dense + two_stage) / (2 * n)
-        assert abs(two_stage - dense) <= 4 * math.sqrt(2 * n * pooled * (1 - pooled))
-        assert abs(McEstimate(two_stage, n).z(reference_lattice_mass(self.V, 0.0, odd=True))) <= 4
+        pooled = (dense + rare) / (2 * n)
+        assert abs(rare - dense) <= 4 * math.sqrt(2 * n * pooled * (1 - pooled))
+        assert abs(McEstimate(rare, n).z(reference_lattice_mass(v, 0.0, odd=True))) <= 4
 
-    @pytest.mark.parametrize("t", [0.5, 1.534, 3.92])
+    def test_station_failures_agree_with_the_dense_draw(self):
+        """At v_single = 0.25, where 58% of the trials fail."""
+        n = 100_000
+        station = simulate_tree_repeater(0.12, 0.25, 0.01, TrialConfig(n, seed=65))
+        dense, _ = unchunked_tree_repeater(0.12, 0.25, 0.01, TrialConfig(n, seed=66))
+        pooled = (station.successes + dense) / (2 * n)
+        assert 0.05 < pooled < 0.95
+        assert abs(station.successes - dense) <= 4 * math.sqrt(2 * n * pooled * (1 - pooled))
+        assert abs(station.z(_station_error(0.12, 0.25, 0.01))) <= 4
+
+    @pytest.mark.parametrize("t", [0.0, 0.162, 0.5, 1.534, 3.92])
     def test_tail_magnitudes_follow_the_erfc_windows(self, t):
         """Magnitudes conditioned on |z| > t, binned at t + (0, 1/4, 1/2, 1, 2,
-        4)/t, and their odd share, against erfc masses."""
+        4) / max(t, 1), and for t > 0 their odd share, against erfc masses."""
         n = 200_000
         x = mc_oracle._tail_magnitudes(TrialConfig(1, seed=61).rng(0), t, n)
         assert x.size == n and x.min() >= t
         tail = normal_window_mass(t, math.inf)
-        edges = [t + e / t for e in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)] + [math.inf]
+        edges = [t + e / max(t, 1.0) for e in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)] + [math.inf]
         for lo, hi in zip(edges, edges[1:]):
             k = int(np.count_nonzero((lo <= x) & (x < hi)))
             assert abs(McEstimate(k, n).z(normal_window_mass(lo, hi) / tail)) <= 4, (lo, hi)
-        sigma = SQRT_PI / 2 / t
+        # At t = 0 sigma would be infinite.
+        sigma = SQRT_PI / 2 / t if t else 1.0
         odd = int(np.count_nonzero(_odd(np.rint(sigma * x / SQRT_PI))))
-        assert abs(McEstimate(odd, n).z(reference_lattice_mass(sigma**2, 0.0, odd=True) / tail)) <= 4
+        assert not t or abs(McEstimate(odd, n).z(reference_lattice_mass(sigma**2, 0.0, odd=True) / tail)) <= 4
 
-    def test_the_switch_picks_the_draw(self, monkeypatch):
-        """Just below q = 1/8 the v_single outcomes take the two-stage draw,
-        just above it the dense one, and at v_single = 0 neither: the counts
-        are then the leaf's and the prep's alone."""
-        assert mc_oracle._TAIL_SHARE_MAX == 1 / 8
-        assert tail_share(0.333)[2] < 1 / 8 < tail_share(0.335)[2]
-        calls = set()
-        for name in ("_odd_draws", "_odd_tail_draws"):
-            draw = getattr(mc_oracle, name)
-
-            def recording(rng, sigma, *rest, name=name, draw=draw):
-                calls.add((name, sigma))
-                return draw(rng, sigma, *rest)
-
-            monkeypatch.setattr(mc_oracle, name, recording)
-        config = TrialConfig(200, seed=64, batch_size=64)
-        leaf = ("_odd_draws", math.sqrt(0.2))
-        for v, form in ((0.333, "_odd_tail_draws"), (0.335, "_odd_draws"), (0.0, None)):
-            calls.clear()
-            station = counts(simulate_tree_repeater(0.2, v, 0.05, config))
-            assert calls == {leaf} | ({(form, math.sqrt(v))} if form else set())
-            assert station == tree_repeater_reference(0.2, v, 0.05, config)
-        assert station == station_counts(0.2, 0.05, config, lambda rng, n, k: np.zeros((n, k), dtype=bool))
-
-    @pytest.mark.parametrize("values, p", [(65_536, 8.8e-5), (65_536, 0.124), (7, 0.1)])
+    @pytest.mark.parametrize("values, p", [(65_536, 8.8e-5), (65_536, 0.124), (7, 0.1), (65_536, 0.5), (65_536, 1.0)])
     def test_candidate_count_is_the_legacy_binomial(self, values, p):
         """Generator.binomial draws as RandomState.binomial, whose algorithm
         NEP 19 freezes, on one SFC64 stream: by inversion below 30 expected
@@ -998,7 +920,7 @@ class TestTwoStageLaw:
 class TestWorkArrays:
     """A sampler call draws and reduces every batch into work arrays it makes
     once. Beyond those arrays it allocates less than one float64 per trial
-    of a batch."""
+    of a batch; the station's events grow with q, so its case is small q."""
 
     CONFIG = TrialConfig(200_000, seed=42, batch_size=50_000)
     SAMPLERS = {
